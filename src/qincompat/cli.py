@@ -17,8 +17,8 @@ only after the computation finished, so a failing run leaves no partial
 output.  With a fixed seed the report is reproducible byte for byte except
 for the ``timestamp`` field.
 
-Exit codes: 0 success, 1 bad input or arguments, 2 solver failure,
-3 a verification check failed.
+Exit codes: 0 success, 1 bad input or arguments, 2 solver failure or
+numerical breakdown, 3 a verification check failed.
 """
 
 from __future__ import annotations
@@ -428,12 +428,13 @@ def main(argv=None) -> int:
         return 0 if not e.code else 1
     try:
         payload, code = _run(args)
+    except (SolverFailure, np.linalg.LinAlgError) as e:
+        # LinAlgError subclasses ValueError, but is a numerical breakdown
+        print(f"solver failure: {e}", file=sys.stderr)
+        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except SolverFailure as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return 2
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     if args.out:
         Path(args.out).write_text(text + "\n")

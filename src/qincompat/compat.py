@@ -1,28 +1,27 @@
-"""Compatibility checks for measurement collections, channel collections, and
-measurement-channel pairs.
+"""Joint devices and compatibility checks for measurement collections,
+channel collections, and measurement-channel pairs.
 
-Each check solves a max-margin feasibility program: maximize t such that a
-joint object (parent measurement, joint channel, or instrument) with the
-required marginals exists with every component >= t * I.  The collection is
-compatible exactly when the optimal margin is nonnegative; ``MARGIN_TOL``
-absorbs solver round-off.  The margin variable is shifted by a constant
-computed from a particular solution of the marginal equalities so the program
-stays in nonnegative standard form, and that particular solution doubles as a
-strictly feasible starting point.
+Each kind of joint device -- parent measurement, joint channel, instrument --
+is described once by a ``JointDevice``, which generates the robustness
+primal, the best-compatible game program and the check below.  The check
+maximizes t such that a joint device with the required marginals has every
+block >= t * I; the members are compatible exactly when the optimal margin is
+nonnegative, up to ``MARGIN_TOL``.  The margin is shifted by a constant from
+a particular solution of the marginal equations, keeping the program in
+nonnegative standard form; that solution is also the starting point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from typing import Callable
 
 import numpy as np
 
-from .linalg import ContractError, embed_operator, hermitize
+from .linalg import ContractError, embed_operator, hermitize, kron
 from .qobjects import (
     ChoiMatrix,
-    Instrument,
     JointChannel,
     Povm,
     PovmCollection,
@@ -30,14 +29,7 @@ from .qobjects import (
     snap_instrument,
     snap_povm,
 )
-from .sdp import (
-    LinearConstraint,
-    SdpProblem,
-    SolveOptions,
-    SolverFailure,
-    hermitian_equality,
-    solve,
-)
+from .sdp import SdpProblem, SolveOptions, hermitian_equality, require_optimal, solve
 
 MARGIN_TOL = 1e-7
 MAX_SETTINGS = 4
@@ -74,6 +66,159 @@ def lift_input(n: int, d_out: int, d_in: int):
     return fn
 
 
+def padded_effects(collection: PovmCollection):
+    """Effects as a [setting][outcome] grid, short settings padded with zeros."""
+    o, d = collection.outcomes, collection.dim
+    grid = []
+    for p in collection.povms:
+        row = [np.asarray(m, dtype=complex) for m in p.elements]
+        row += [np.zeros((d, d), dtype=complex)] * (o - len(row))
+        grid.append(row)
+    return grid
+
+
+def channel_family(channels):
+    """Validated Choi matrices of a channel collection with n, d_in, d_out."""
+    chois = [c.validate() for c in channels]
+    n = len(chois)
+    if n < 1:
+        raise ContractError("need at least one channel")
+    if n > MAX_SETTINGS:
+        raise ContractError(f"at most {MAX_SETTINGS} channels supported, got {n}")
+    d, dp = chois[0].dim_in, chois[0].dim_out
+    if any(c.dim_in != d or c.dim_out != dp for c in chois):
+        raise ContractError("all channels must share input and output dimensions")
+    return chois, n, d, dp
+
+
+def pair_dims(povm: Povm, channel: ChoiMatrix):
+    """Validate a measurement-channel pair; return d_in, d_out, outcomes."""
+    povm.validate()
+    channel.validate()
+    if povm.dim != channel.dim_in:
+        raise ContractError("measurement and channel act on different input spaces")
+    return channel.dim_in, channel.dim_out, povm.outcomes
+
+
+@dataclass
+class Equation:
+    """A marginal of the joint device, on a ``dim``-dimensional space, set
+    equal to ``operator``.  ``terms`` are ``(joint block, fn)`` pairs with
+    Tr[fn(h) G_b] = Tr[h marginal_b(G_b)]; identity blocks give scale * I."""
+
+    dim: int
+    terms: list
+    operator: np.ndarray | None
+    scale: int
+
+
+@dataclass
+class JointDevice:
+    """One kind of joint device, described once for every program on it.
+
+    ``members``: one equation per member operator, in input order.  ``norm``:
+    the input marginal Sigma = t * I / k, with operator I / k.  ``particular``
+    solves the member equations; joint blocks c * I, c = ``identity_multiple``,
+    make every noise block c * scale * I - member positive definite.  Both are
+    None without member operators.  ``joint`` and ``noise`` snap solver
+    blocks to the joint device and to the noise."""
+
+    name: str
+    blocks: list[int]
+    members: list[Equation]
+    norm: Equation
+    k: int
+    particular: list | None
+    identity_multiple: float | None
+    joint: Callable
+    noise: Callable
+
+    def robustness_start(self):
+        """Strictly feasible robustness point: joint blocks, noise blocks, t."""
+        c = self.identity_multiple
+        joint = [c * np.eye(n) for n in self.blocks]
+        noise = [c * eq.scale * np.eye(eq.dim) - eq.operator for eq in self.members]
+        return joint, noise, c * self.norm.scale * self.k
+
+
+def channel_device(n: int, d_in: int, d_out: int, chois=None) -> JointDevice:
+    """Joint channel on (out_1) (x) ... (x) (out_n) (x) (input); member x is
+    its Choi marginal on (out_x) (x) (input)."""
+    full = d_out**n * d_in
+    scale = d_out ** (n - 1)
+    ops = [None] * n if chois is None else [c.matrix for c in chois]
+    members = [Equation(d_out * d_in, [(0, lift_setting(n, d_out, d_in, x))], ops[x], scale)
+               for x in range(n)]
+    norm = Equation(d_in, [(0, lift_input(n, d_out, d_in))], np.eye(d_in) / d_in, d_out**n)
+    particular = multiple = None
+    if chois is not None:
+        g = np.zeros((full, full), dtype=complex)
+        for x, j in enumerate(ops):
+            g += lift_setting(n, d_out, d_in, x)(j) / scale
+        g -= (n - 1) * np.eye(full) / (d_in * d_out**n)
+        particular = [g]
+        tau0 = 2.0 * d_out * d_in * max(np.linalg.eigvalsh(j)[-1] for j in ops) + 1.0
+        multiple = tau0 / full
+    return JointDevice(
+        "channel", [full], members, norm, d_in, particular, multiple,
+        joint=lambda bs: JointChannel(d_in, n, d_out, snap_choi_matrix(bs[0], d_in, d_out**n)),
+        noise=lambda bs: [ChoiMatrix(d_in, d_out, snap_choi_matrix(b, d_in, d_out)) for b in bs],
+    )
+
+
+def measurement_device(collection: PovmCollection) -> JointDevice:
+    """Parent measurement with one effect per outcome assignment; member
+    (x, i) is the sum of the parent effects that assign outcome i to x."""
+    n, o, d = collection.n, collection.outcomes, collection.dim
+    lam = assignments(o, n)
+    grid = padded_effects(collection)
+    count = o ** (n - 1)  # assignments fixing one setting's outcome
+    members = [
+        Equation(d, [(k, lambda h: h) for k, l in enumerate(lam) if l[x] == i], grid[x][i], count)
+        for x in range(n) for i in range(o)
+    ]
+    norm = Equation(d, [(k, lambda h: h) for k in range(len(lam))], np.eye(d), len(lam))
+    particular = [
+        sum(grid[x][l[x]] for x in range(n)) / count - (n - 1) * np.eye(d) / o**n
+        for l in lam
+    ]
+    return JointDevice(
+        "measurement", [d] * len(lam), members, norm, 1, particular, 2.0 / count,
+        joint=snap_povm,
+        noise=lambda bs: PovmCollection([snap_povm(bs[x * o:(x + 1) * o]) for x in range(n)]),
+    )
+
+
+def pair_device(o: int, d: int, dp: int, povm: Povm | None = None,
+                channel: ChoiMatrix | None = None) -> JointDevice:
+    """Instrument with o Choi blocks on (output, dimension dp) (x) (input,
+    dimension d); the members are its measurement, effect by effect, then
+    its total channel."""
+    full = dp * d
+    effects = [None] * o if povm is None else povm.elements
+    # the measurement's marginal of block J is d * (Tr_out J)^T
+    members = [Equation(d, [(i, lambda h: d * kron(np.eye(dp), h.T))], effects[i], d * dp)
+               for i in range(o)]
+    members.append(Equation(full, [(i, lambda h: h) for i in range(o)],
+                            None if channel is None else channel.matrix, o))
+    norm = Equation(d, [(i, lambda h: kron(np.eye(dp), h)) for i in range(o)],
+                    np.eye(d) / d, o * dp)
+    particular = multiple = None
+    if povm is not None:
+        particular = [
+            np.kron(np.eye(dp) / dp, m.T / d)
+            + (channel.matrix - np.kron(np.eye(dp) / dp, np.eye(d) / d)) / o
+            for m in effects
+        ]
+        multiple = 2.0 * max(1.0 / (d * dp), 1.0 / o)
+    return JointDevice(
+        "pair", [full] * o, members, norm, d, particular, multiple,
+        joint=lambda bs: snap_instrument(bs, d, dp),
+        noise=lambda bs: (snap_povm(bs[:o]),
+                          ChoiMatrix(d, dp, snap_choi_matrix(bs[o], d, dp))),
+    )
+
+
 @dataclass
 class CompatibilityVerdict:
     compatible: bool
@@ -87,175 +232,54 @@ class CompatibilityVerdict:
         return {"compatible": bool(self.compatible), "margin": float(self.margin), "joint": j}
 
 
-def _require_optimal(sol, what):
-    if sol.status != "optimal":
-        raise SolverFailure(f"{what} solve ended with status {sol.status}", sol)
+def max_margin_check(device: JointDevice,
+                     options: SolveOptions | None = None) -> CompatibilityVerdict:
+    """The max-margin program of the device's member equations.  Their input
+    marginals already fix the normalization, so no row is spent on it."""
+    floor = min(np.linalg.eigvalsh(g)[0] for g in device.particular)
+    t0 = -min(0.0, floor) + 1.0
+    u0 = max(0.5, t0 + floor - 0.5)
 
-
-def _padded_elements(collection: PovmCollection):
-    """Effects as a [setting][outcome] grid, short settings padded with zeros."""
-    o = collection.outcomes
-    d = collection.dim
-    grid = []
-    for p in collection.povms:
-        row = [np.asarray(m, dtype=complex) for m in p.elements]
-        row += [np.zeros((d, d), dtype=complex)] * (o - len(row))
-        grid.append(row)
-    return grid
+    cons = []
+    for eq in device.members:
+        cons += hermitian_equality(
+            eq.dim,
+            eq.terms,
+            rhs=eq.operator + eq.scale * t0 * np.eye(eq.dim),
+            scalar_terms=[(0, lambda h, s=eq.scale: s * np.trace(h).real)],
+        )
+    prob = SdpProblem(
+        blocks=list(device.blocks),
+        objective=[np.zeros((n, n), dtype=complex) for n in device.blocks],
+        constraints=cons,
+        scalar_costs=[-1.0],
+    )
+    start = [g - (u0 - t0) * np.eye(g.shape[0]) for g in device.particular]
+    sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])
+    require_optimal(sol, f"{device.name} compatibility")
+    margin = sol.scalar_values[0] - t0
+    joint = None
+    if margin >= -MARGIN_TOL:
+        joint = device.joint([hermitize(b) + margin * np.eye(b.shape[0])
+                              for b in sol.block_values])
+    return CompatibilityVerdict(margin >= -MARGIN_TOL, margin, joint)
 
 
 def check_measurements(collection: PovmCollection,
                        options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether all measurements arise from one parent measurement."""
     collection.validate()
-    n, o, d = collection.n, collection.outcomes, collection.dim
-    lam = assignments(o, n)
-    grid = _padded_elements(collection)
-
-    count = o ** (n - 1)  # assignments fixing one setting's outcome
-    ghat = [
-        sum(grid[x][l[x]] for x in range(n)) / count - (n - 1) * np.eye(d) / o**n
-        for l in lam
-    ]
-    floor = min(np.linalg.eigvalsh(g)[0] for g in ghat)
-    t0 = -min(0.0, floor) + 1.0
-    u0 = max(0.5, t0 + floor - 0.5)
-
-    cons = []
-    for x in range(n):
-        for i in range(o):
-            members = [k for k, l in enumerate(lam) if l[x] == i]
-            cons += hermitian_equality(
-                d,
-                [(k, lambda h: h) for k in members],
-                rhs=grid[x][i] + count * t0 * np.eye(d),
-                scalar_terms=[(0, lambda h: count * np.trace(h).real)],
-            )
-    prob = SdpProblem(
-        blocks=[d] * len(lam),
-        objective=[np.zeros((d, d), dtype=complex)] * len(lam),
-        constraints=cons,
-        scalar_costs=[-1.0],
-    )
-    start = [g - (u0 - t0) * np.eye(d) for g in ghat]
-    sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])
-    _require_optimal(sol, "measurement compatibility")
-    margin = sol.scalar_values[0] - t0
-    joint = None
-    if margin >= -MARGIN_TOL:
-        parent = [hermitize(b) + margin * np.eye(d) for b in sol.block_values]
-        joint = snap_povm(parent)
-    return CompatibilityVerdict(margin >= -MARGIN_TOL, margin, joint)
-
-
-def _channel_particular(chois, n, d_out, d_in):
-    full = d_out**n * d_in
-    g = np.zeros((full, full), dtype=complex)
-    for x, ch in enumerate(chois):
-        g += lift_setting(n, d_out, d_in, x)(ch.matrix) / d_out ** (n - 1)
-    g -= (n - 1) * np.eye(full) / (d_in * d_out**n)
-    return g
+    return max_margin_check(measurement_device(collection), options)
 
 
 def check_channels(channels, options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether the channels are marginals of one joint channel."""
-    chois = [c.validate() for c in channels]
-    n = len(chois)
-    if n < 1:
-        raise ContractError("need at least one channel")
-    d_in, d_out = chois[0].dim_in, chois[0].dim_out
-    if any(c.dim_in != d_in or c.dim_out != d_out for c in chois):
-        raise ContractError("all channels must share input and output dimensions")
-    if n > MAX_SETTINGS:
-        raise ContractError(f"at most {MAX_SETTINGS} channels supported, got {n}")
-    full = d_out**n * d_in
-
-    ghat = _channel_particular(chois, n, d_out, d_in)
-    floor = np.linalg.eigvalsh(ghat)[0]
-    t0 = -min(0.0, floor) + 1.0
-    u0 = max(0.5, t0 + floor - 0.5)
-
-    cons = []
-    for x, ch in enumerate(chois):
-        scale = d_out ** (n - 1)
-        cons += hermitian_equality(
-            d_out * d_in,
-            [(0, lift_setting(n, d_out, d_in, x))],
-            rhs=ch.matrix + scale * t0 * np.eye(d_out * d_in),
-            scalar_terms=[(0, lambda h, s=scale: s * np.trace(h).real)],
-        )
-    cons += hermitian_equality(
-        d_in,
-        [(0, lift_input(n, d_out, d_in))],
-        rhs=np.eye(d_in) / d_in + d_out**n * t0 * np.eye(d_in),
-        scalar_terms=[(0, lambda h: d_out**n * np.trace(h).real)],
-    )
-    prob = SdpProblem(
-        blocks=[full],
-        objective=[np.zeros((full, full), dtype=complex)],
-        constraints=cons,
-        scalar_costs=[-1.0],
-    )
-    start = [ghat - (u0 - t0) * np.eye(full)]
-    sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])
-    _require_optimal(sol, "channel compatibility")
-    margin = sol.scalar_values[0] - t0
-    joint = None
-    if margin >= -MARGIN_TOL:
-        g = hermitize(sol.block_values[0]) + margin * np.eye(full)
-        joint = JointChannel(d_in, n, d_out, snap_choi_matrix(g, d_in, d_out**n))
-    return CompatibilityVerdict(margin >= -MARGIN_TOL, margin, joint)
+    chois, n, d, dp = channel_family(channels)
+    return max_margin_check(channel_device(n, d, dp, chois), options)
 
 
 def check_pair(povm: Povm, channel: ChoiMatrix,
                options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether one instrument induces both the measurement and the channel."""
-    povm.validate()
-    channel.validate()
-    if povm.dim != channel.dim_in:
-        raise ContractError("measurement and channel act on different input spaces")
-    d, dp, o = channel.dim_in, channel.dim_out, povm.outcomes
-    full = dp * d
-
-    jhat = [
-        np.kron(np.eye(dp) / dp, m.T / d)
-        + (channel.matrix - np.kron(np.eye(dp) / dp, np.eye(d) / d)) / o
-        for m in povm.elements
-    ]
-    floor = min(np.linalg.eigvalsh(j)[0] for j in jhat)
-    t0 = -min(0.0, floor) + 1.0
-    u0 = max(0.5, t0 + floor - 0.5)
-
-    def povm_adjoint(h):
-        # adjoint of J -> d * (Tr_out J)^T tested against h on the input space
-        return d * embed_operator(h.T, (dp, d), (1,))
-
-    cons = []
-    for i, m in enumerate(povm.elements):
-        cons += hermitian_equality(
-            d,
-            [(i, povm_adjoint)],
-            rhs=m + d * dp * t0 * np.eye(d),
-            scalar_terms=[(0, lambda h: d * dp * np.trace(h).real)],
-        )
-    cons += hermitian_equality(
-        full,
-        [(i, lambda h: h) for i in range(o)],
-        rhs=channel.matrix + o * t0 * np.eye(full),
-        scalar_terms=[(0, lambda h: o * np.trace(h).real)],
-    )
-    prob = SdpProblem(
-        blocks=[full] * o,
-        objective=[np.zeros((full, full), dtype=complex)] * o,
-        constraints=cons,
-        scalar_costs=[-1.0],
-    )
-    start = [j - (u0 - t0) * np.eye(full) for j in jhat]
-    sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])
-    _require_optimal(sol, "pair compatibility")
-    margin = sol.scalar_values[0] - t0
-    joint = None
-    if margin >= -MARGIN_TOL:
-        els = [hermitize(b) + margin * np.eye(full) for b in sol.block_values]
-        joint = snap_instrument(els, d, dp)
-    return CompatibilityVerdict(margin >= -MARGIN_TOL, margin, joint)
+    d, dp, o = pair_dims(povm, channel)
+    return max_margin_check(pair_device(o, d, dp, povm, channel), options)

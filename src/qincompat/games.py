@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import lift_input, lift_setting
+from .compat import JointDevice, channel_device, pair_device
 from .linalg import (
     ContractError,
     DimensionError,
@@ -28,6 +28,7 @@ from .linalg import (
     op_norm,
     partial_trace,
     partial_transpose,
+    require_hermitian,
 )
 from .qobjects import (
     ChoiMatrix,
@@ -43,7 +44,7 @@ from .qobjects import (
     random_state,
 )
 from .robustness import WitnessSet
-from .sdp import SdpProblem, SolveOptions, SolverFailure, hermitian_equality, solve
+from .sdp import SdpProblem, SolveOptions, hermitian_equality, require_optimal, solve
 
 PROB_TOL = 1e-12
 STATE_TOL = 1e-9
@@ -84,18 +85,18 @@ class DiscriminationGame:
         return self.ensembles[0][0][1].shape[0]
 
     def validate(self, tol: float = STATE_TOL) -> "DiscriminationGame":
-        if np.any(self.prior < -PROB_TOL) or abs(self.prior.sum() - 1) > PROB_TOL:
+        # the probability tests are phrased so that NaN fails them
+        if not (np.all(self.prior >= -PROB_TOL) and abs(self.prior.sum() - 1) <= PROB_TOL):
             raise ContractError("setting prior is not a probability distribution")
         sd = self.state_dim
         for x, ens in enumerate(self.ensembles):
             ps = np.array([p for p, _ in ens])
-            if np.any(ps < -PROB_TOL) or abs(ps.sum() - 1) > PROB_TOL:
+            if not (np.all(ps >= -PROB_TOL) and abs(ps.sum() - 1) <= PROB_TOL):
                 raise ContractError(f"conditional distribution for setting {x} is invalid")
             for i, (_, rho) in enumerate(ens):
                 if rho.shape != (sd, sd):
                     raise DimensionError("all states must share one space")
-                if np.abs(rho - rho.conj().T).max() > 1e-9:
-                    raise ContractError(f"state {i}|{x} is not Hermitian")
+                rho = require_hermitian(rho, 1e-9, what=f"state {i}|{x}")
                 if np.linalg.eigvalsh(rho)[0] < -tol:
                     raise ContractError(f"state {i}|{x} is not PSD")
                 if abs(np.trace(rho).real - 1) > tol:
@@ -211,9 +212,32 @@ def _assisted_coeff(rho, m, d: int, dp: int, db: int) -> np.ndarray:
     return hermitize(d * partial_trace(prod, (dp, d, db), (0, 1)))
 
 
-def _require_optimal(sol, what):
-    if sol.status != "optimal":
-        raise SolverFailure(f"{what} solve ended with status {sol.status}", sol)
+def _assisted_dims(game: DiscriminationGame, meas_dim: int):
+    """Base dimension of an assisted game's states on base x base, and the
+    output dimension of a measurement on output x base."""
+    d = int(round(np.sqrt(game.state_dim)))
+    if d * d != game.state_dim:
+        raise DimensionError("assisted games need states on a square space")
+    if meas_dim % d:
+        raise DimensionError("measurement space must factor as output x base")
+    return d, meas_dim // d
+
+
+def best_compatible_program(device: JointDevice, coeffs,
+                            options: SolveOptions | None, what: str) -> float:
+    """Best score of a compatible resource -- the marginals of one joint
+    device -- generated from the device's description: maximize
+    sum_m Tr[coeffs[m] marginal_m(G)] over G >= 0 with input marginal I / k."""
+    objective = [np.zeros((n, n), dtype=complex) for n in device.blocks]
+    for eq, k in zip(device.members, coeffs):
+        for b, fn in eq.terms:
+            objective[b] = objective[b] - fn(k)
+    cons = hermitian_equality(device.norm.dim, device.norm.terms, rhs=device.norm.operator)
+    prob = SdpProblem(blocks=list(device.blocks), objective=objective, constraints=cons)
+    scale = device.norm.scale * device.k
+    sol = solve(prob, options, initial_blocks=[np.eye(n) / scale for n in device.blocks])
+    require_optimal(sol, what)
+    return float(-sol.primal_value)
 
 
 def best_compatible_success(game: DiscriminationGame, meas: PovmCollection,
@@ -231,19 +255,12 @@ def best_compatible_success(game: DiscriminationGame, meas: PovmCollection,
         if meas.n != game.n:
             raise DimensionError("one measurement per setting required")
         if game.assisted:
-            d = int(round(np.sqrt(game.state_dim)))
-            if d * d != game.state_dim:
-                raise DimensionError("assisted games need states on a square space")
-            db = d
-            if meas.dim % db:
-                raise DimensionError("measurement space must factor as output x base")
-            dp = meas.dim // db
+            d, dp = _assisted_dims(game, meas.dim)
         else:
             d = game.state_dim
             dp = meas.dim
-        n = game.n
-        w = np.zeros((dp**n * d, dp**n * d), dtype=complex)
-        for x in range(n):
+        coeffs = []
+        for x in range(game.n):
             if len(game.ensembles[x]) != meas.povms[x].outcomes:
                 raise DimensionError("ensemble size and measurement outcomes differ")
             kx = np.zeros((dp * d, dp * d), dtype=complex)
@@ -251,15 +268,12 @@ def best_compatible_success(game: DiscriminationGame, meas: PovmCollection,
                 if p == 0.0:
                     continue
                 if game.assisted:
-                    kx += p * _assisted_coeff(rho, m, d, dp, db)
+                    kx += p * _assisted_coeff(rho, m, d, dp, d)
                 else:
                     kx += p * d * kron(m, rho.T)
-            w += game.prior[x] * lift_setting(n, dp, d, x)(kx)
-        cons = hermitian_equality(d, [(0, lift_input(n, dp, d))], rhs=np.eye(d) / d)
-        prob = SdpProblem(blocks=[dp**n * d], objective=[-w], constraints=cons)
-        sol = solve(prob, options, initial_blocks=[np.eye(dp**n * d) / (dp**n * d)])
-        _require_optimal(sol, "compatible-best (channels)")
-        return float(-sol.primal_value)
+            coeffs.append(game.prior[x] * kx)
+        return best_compatible_program(channel_device(game.n, d, dp), coeffs, options,
+                                       "compatible-best (channels)")
 
     if kind == "pair":
         if meas.n != 1:
@@ -267,34 +281,20 @@ def best_compatible_success(game: DiscriminationGame, meas: PovmCollection,
         final = meas.povms[0]
         if game.n != 2 or not game.assisted:
             raise ContractError("pair games have two ensembles of assisted states")
-        d = int(round(np.sqrt(game.state_dim)))
-        if d * d != game.state_dim:
-            raise DimensionError("assisted games need states on a square space")
-        if final.dim % d:
-            raise DimensionError("final measurement space must factor as output x base")
-        dp = final.dim // d
+        d, dp = _assisted_dims(game, final.dim)
         o = len(game.ensembles[0])
         if len(game.ensembles[1]) != final.outcomes:
             raise DimensionError("ensemble size and measurement outcomes differ")
+        # the instrument's measurement meets setting 1, its channel setting 2
+        coeffs = [game.prior[0] * p * partial_trace(rho, (d, d), (0,))
+                  for p, rho in game.ensembles[0]]
         kshared = np.zeros((dp * d, dp * d), dtype=complex)
         for (p, rho), li in zip(game.ensembles[1], final.elements):
             if p == 0.0:
                 continue
             kshared += game.prior[1] * p * _assisted_coeff(rho, li, d, dp, d)
-        ks = []
-        for p, rho in game.ensembles[0]:
-            sigma = partial_trace(rho, (d, d), (0,))
-            ks.append(game.prior[0] * p * d * kron(np.eye(dp), sigma.T) + kshared)
-        cons = hermitian_equality(
-            d, [(i, lambda h: kron(np.eye(dp), h)) for i in range(o)],
-            rhs=np.eye(d) / d,
-        )
-        prob = SdpProblem(blocks=[dp * d] * o, objective=[-k for k in ks],
-                          constraints=cons)
-        start = [np.eye(dp * d) / (o * dp * d)] * o
-        sol = solve(prob, options, initial_blocks=start)
-        _require_optimal(sol, "compatible-best (pair)")
-        return float(-sol.primal_value)
+        return best_compatible_program(pair_device(o, d, dp), coeffs + [kshared], options,
+                                       "compatible-best (pair)")
 
     raise ContractError(f"unknown strategy kind {kind!r}")
 

@@ -158,6 +158,9 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np
     """
     a = as_matrix(a)
     dev = np.abs(a - a.conj().T).max()
+    if not np.isfinite(dev):
+        # a NaN or infinite entry makes its own deviation non-finite
+        raise ContractError(f"{what} has non-finite entries")
     if dev > tol:
         raise ContractError(f"{what} is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
     return (a + a.conj().T) / 2
@@ -241,4 +244,6 @@ def matrix_from_json(obj) -> np.ndarray:
         if len(pair) != 2:
             raise ContractError(f"entry {i} is not a [re, im] pair")
         flat[i] = float(pair[0]) + 1j * float(pair[1])
+        if not np.isfinite(flat[i]):
+            raise ContractError(f"matrix entry {i} is non-finite")
     return flat.reshape(rows, cols)

@@ -359,14 +359,8 @@ class JointChannel:
         return (self.dim_out,) * self.n_outputs + (self.dim_in,)
 
     def validate(self, tol: float = NORM_TOL) -> "JointChannel":
-        m = require_hermitian(self.choi, what="joint Choi matrix")
-        if np.linalg.eigvalsh(m)[0] < -tol:
-            raise ContractError("joint Choi matrix is not PSD")
-        if abs(np.trace(m).real - 1.0) > tol:
-            raise ContractError("joint Choi matrix must have unit trace")
-        marg = partial_trace(m, self.shape, (self.n_outputs,))
-        if np.abs(marg - np.eye(self.dim_in) / self.dim_in).max() > tol:
-            raise ContractError("joint input marginal deviates from I/d")
+        # one channel into the product of its outputs
+        ChoiMatrix(self.dim_in, self.dim_out**self.n_outputs, self.choi).validate(tol)
         return self
 
     def to_json(self) -> dict:
@@ -428,12 +422,14 @@ def pad_choi(choi: ChoiMatrix, dim_out: int) -> ChoiMatrix:
 # type validators accept them.  The perturbation is on the order of the
 # solver residual.
 
+def _clip_psd(m) -> np.ndarray:
+    """Hermitian part of ``m`` with its negative eigenvalues set to zero."""
+    w, v = np.linalg.eigh(hermitize(m))
+    return v @ np.diag(np.clip(w, 0.0, None)) @ v.conj().T
+
+
 def snap_povm(elements) -> Povm:
-    clipped = []
-    for m in elements:
-        m = hermitize(m)
-        w, v = np.linalg.eigh(m)
-        clipped.append(v @ np.diag(np.clip(w, 0.0, None)) @ v.conj().T)
+    clipped = [_clip_psd(m) for m in elements]
     total = hermitize(sum(clipped))
     w, v = np.linalg.eigh(total)
     if w[0] <= 1e-12:
@@ -445,8 +441,7 @@ def snap_povm(elements) -> Povm:
 def snap_choi_matrix(matrix, dim_in: int, dim_out_total: int) -> np.ndarray:
     m = hermitize(matrix)
     for _ in range(3):
-        w, v = np.linalg.eigh(m)
-        m = v @ np.diag(np.clip(w, 0.0, None)) @ v.conj().T
+        m = _clip_psd(m)
         tr = np.trace(m).real
         if tr > 1e-12:
             m = m / tr
@@ -459,11 +454,7 @@ def snap_choi_matrix(matrix, dim_in: int, dim_out_total: int) -> np.ndarray:
 
 def snap_instrument(elements, dim_in: int, dim_out: int) -> Instrument:
     o = len(elements)
-    clipped = []
-    for m in elements:
-        m = hermitize(m)
-        w, v = np.linalg.eigh(m)
-        clipped.append(v @ np.diag(np.clip(w, 0.0, None)) @ v.conj().T)
+    clipped = [_clip_psd(m) for m in elements]
     total = sum(clipped)
     tr = np.trace(total).real
     if tr > 1e-12:

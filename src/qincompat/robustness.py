@@ -13,8 +13,10 @@ compatible.  Three conic programs compute it:
   the primal's by strong duality (both cones have strictly feasible points,
   which are also injected as solver starting points).
 
-The two routes are encoded independently and solved separately, so agreement
-of their values is a genuine numerical cross-check, reported as ``gap``.
+The primal is generated from the kind's joint-device description in
+``compat``; each dual is coded by hand, taking only its starting point from
+that description.  The two routes are solved separately, so agreement of
+their values is a genuine numerical cross-check, reported as ``gap``.
 """
 
 from __future__ import annotations
@@ -23,21 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import MAX_SETTINGS, assignments, lift_input, lift_setting
-from .linalg import ContractError, hermitian_basis, hermitize, kron
-from .qobjects import (
-    ChoiMatrix,
-    Instrument,
-    JointChannel,
-    Povm,
-    PovmCollection,
-    pad_choi,
-    qc_channel,
-    snap_choi_matrix,
-    snap_instrument,
-    snap_povm,
+from .compat import (
+    JointDevice,
+    assignments,
+    channel_device,
+    channel_family,
+    lift_input,
+    lift_setting,
+    measurement_device,
+    padded_effects,
+    pair_device,
+    pair_dims,
 )
-from .sdp import LinearConstraint, SdpProblem, SolveOptions, SolverFailure, hermitian_equality, solve
+from .linalg import ContractError, hermitian_basis, hermitize, kron
+from .qobjects import ChoiMatrix, Povm, PovmCollection, pad_choi, qc_channel
+from .sdp import LinearConstraint, SdpProblem, SolveOptions, hermitian_equality, require_optimal, solve
 
 # below this the optimal mixing weight is numerically zero and dividing the
 # slack blocks by it would amplify solver noise, so no noise is reconstructed
@@ -137,11 +139,6 @@ def identity_pair_closed_form(d: int) -> float:
     return (d - 1) / (d + 1)
 
 
-def _require_optimal(sol, what):
-    if sol.status != "optimal":
-        raise SolverFailure(f"{what} solve ended with status {sol.status}", sol)
-
-
 class _DualForm:
     """Assemble a standard-form problem whose Lagrange dual is the witness
     program: maximize sum of weights against Hermitian parameters subject to
@@ -185,69 +182,44 @@ class _DualForm:
         )
 
 
-def _check_channel_family(channels):
-    chois = [c.validate() for c in channels]
-    n = len(chois)
-    if n < 1:
-        raise ContractError("need at least one channel")
-    if n > MAX_SETTINGS:
-        raise ContractError(f"at most {MAX_SETTINGS} channels supported, got {n}")
-    d, dp = chois[0].dim_in, chois[0].dim_out
-    if any(c.dim_in != d or c.dim_out != dp for c in chois):
-        raise ContractError("all channels must share input and output dimensions")
-    return chois, n, d, dp
+def robustness_primal(kind: str, device: JointDevice, dual,
+                      options: SolveOptions | None = None) -> RobustnessReport:
+    """Robustness primal generated from a joint-device description.
 
-
-def _channel_slater(chois, n, d, dp):
-    tau0 = 2.0 * dp * d * max(np.linalg.eigvalsh(c.matrix)[-1] for c in chois) + 1.0
-    full = dp**n * d
-    g0 = tau0 * np.eye(full) / (dp**n * d)
-    zs = [tau0 / (dp * d) * np.eye(dp * d) - c.matrix for c in chois]
-    return tau0, g0, zs
-
-
-def robustness_channels_primal(channels, options: SolveOptions | None = None) -> RobustnessReport:
-    """Robustness of a channel collection, with noise and mixture reconstruction."""
-    chois, n, d, dp = _check_channel_family(channels)
-    full = dp**n * d
-
+    Minimize t over joint blocks G >= 0 and noise blocks N_m >= 0 with
+    marginal_m(G) - N_m = member_m and Sigma(G) = t * I / k.  The optimum is
+    1 + s, G / t the compatible mixture and N_m / s the noise; ``dual()``
+    returns the independently computed witness."""
+    nj = len(device.blocks)
     cons = []
-    for x, c in enumerate(chois):
-        cons += hermitian_equality(
-            dp * d,
-            [(0, lift_setting(n, dp, d, x)), (1 + x, lambda h: -h)],
-            rhs=c.matrix,
-        )
+    for m, eq in enumerate(device.members):
+        cons += hermitian_equality(eq.dim, eq.terms + [(nj + m, lambda h: -h)], rhs=eq.operator)
     cons += hermitian_equality(
-        d,
-        [(0, lift_input(n, dp, d))],
-        scalar_terms=[(0, lambda h: -np.trace(h).real / d)],
+        device.norm.dim,
+        device.norm.terms,
+        scalar_terms=[(0, lambda h: -np.trace(h).real / device.k)],
     )
+    dims = list(device.blocks) + [eq.dim for eq in device.members]
     prob = SdpProblem(
-        blocks=[full] + [dp * d] * n,
-        objective=[np.eye(full, dtype=complex)] + [np.zeros((dp * d, dp * d), dtype=complex)] * n,
+        blocks=dims,
+        objective=[np.zeros((n, n), dtype=complex) for n in dims],
         constraints=cons,
-        scalar_costs=[0.0],
+        scalar_costs=[1.0],
     )
-    tau0, g0, zs = _channel_slater(chois, n, d, dp)
-    sol = solve(prob, options, initial_blocks=[g0] + zs, initial_scalars=[tau0])
-    _require_optimal(sol, "channel robustness primal")
+    g0, n0, t0 = device.robustness_start()
+    sol = solve(prob, options, initial_blocks=g0 + n0, initial_scalars=[t0])
+    require_optimal(sol, f"{device.name} robustness primal")
 
+    t = sol.scalar_values[0]
     r = sol.primal_value - 1.0
-    tau = sol.scalar_values[0]
-    witness = robustness_channels_dual(channels, options)
-    mixture = JointChannel(
-        d, n, dp, snap_choi_matrix(sol.block_values[0] / tau, d, dp**n)
-    )
+    witness = dual()
+    mixture = device.joint([b / t for b in sol.block_values[:nj]])
     noise = None
     if r > ZERO_NOISE_TOL:
-        noise = [
-            ChoiMatrix(d, dp, snap_choi_matrix(sol.block_values[1 + x] / r, d, dp))
-            for x in range(n)
-        ]
+        noise = device.noise([b / r for b in sol.block_values[nj:]])
     opts = options or SolveOptions()
     return RobustnessReport(
-        kind="channels",
+        kind=kind,
         primal_value=r,
         dual_value=witness.value,
         gap=abs(r - witness.value),
@@ -259,9 +231,16 @@ def robustness_channels_primal(channels, options: SolveOptions | None = None) ->
     )
 
 
+def robustness_channels_primal(channels, options: SolveOptions | None = None) -> RobustnessReport:
+    """Robustness of a channel collection, with noise and mixture reconstruction."""
+    chois, n, d, dp = channel_family(channels)
+    return robustness_primal("channels", channel_device(n, d, dp, chois),
+                             lambda: robustness_channels_dual(channels, options), options)
+
+
 def robustness_channels_dual(channels, options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a channel collection."""
-    chois, n, d, dp = _check_channel_family(channels)
+    chois, n, d, dp = channel_family(channels)
     full = dp**n * d
 
     df = _DualForm()
@@ -276,88 +255,26 @@ def robustness_channels_dual(channels, options: SolveOptions | None = None) -> W
     df.couple(yv, z, lift_input(n, dp, d))
     df.couple(yv, u, lambda h: -np.array([[np.trace(h).real]]))
 
-    tau0, g0, zs = _channel_slater(chois, n, d, dp)
-    start = [g0] + zs + [np.array([[tau0 / d]])]
-    sol = solve(df.problem(), options, initial_blocks=start)
-    _require_optimal(sol, "channel robustness dual")
+    joint, noise, t = channel_device(n, d, dp, chois).robustness_start()
+    sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t / d]])])
+    require_optimal(sol, "channel robustness dual")
     ops = [hermitize(sol.dual_blocks[p]) for p in ps]
     return WitnessSet("channels", sol.dual_value - 1.0, channel_ops=ops)
-
-
-def _measurement_grid(collection: PovmCollection):
-    o, d = collection.outcomes, collection.dim
-    grid = []
-    for p in collection.povms:
-        row = [np.asarray(m, dtype=complex) for m in p.elements]
-        row += [np.zeros((d, d), dtype=complex)] * (o - len(row))
-        grid.append(row)
-    return grid
 
 
 def robustness_measurements(collection: PovmCollection,
                             options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement collection, primal and dual routes."""
     collection.validate()
-    n, o, d = collection.n, collection.outcomes, collection.dim
-    lam = assignments(o, n)
-    grid = _measurement_grid(collection)
-    nl = len(lam)
-
-    cons = hermitian_equality(
-        d,
-        [(k, lambda h: h) for k in range(nl)],
-        scalar_terms=[(0, lambda h: -np.trace(h).real)],
-    )
-    for x in range(n):
-        for i in range(o):
-            members = [k for k, l in enumerate(lam) if l[x] == i]
-            cons += hermitian_equality(
-                d,
-                [(k, lambda h: h) for k in members] + [(nl + x * o + i, lambda h: -h)],
-                rhs=grid[x][i],
-            )
-    prob = SdpProblem(
-        blocks=[d] * nl + [d] * (n * o),
-        objective=[np.zeros((d, d), dtype=complex)] * (nl + n * o),
-        constraints=cons,
-        scalar_costs=[1.0],
-    )
-    c0 = 2.0 / o ** (n - 1)
-    start = [c0 * np.eye(d)] * nl + [
-        o ** (n - 1) * c0 * np.eye(d) - grid[x][i] for x in range(n) for i in range(o)
-    ]
-    sol = solve(prob, options, initial_blocks=start, initial_scalars=[o**n * c0])
-    _require_optimal(sol, "measurement robustness primal")
-
-    t = sol.scalar_values[0]
-    r = sol.primal_value - 1.0
-    witness = _measurements_dual(collection, options)
-    parent = snap_povm([b / t for b in sol.block_values[:nl]])
-    noise = None
-    if r > ZERO_NOISE_TOL:
-        noise = PovmCollection([
-            snap_povm([sol.block_values[nl + x * o + i] / r for i in range(o)])
-            for x in range(n)
-        ])
-    opts = options or SolveOptions()
-    return RobustnessReport(
-        kind="measurements",
-        primal_value=r,
-        dual_value=witness.value,
-        gap=abs(r - witness.value),
-        witness=witness,
-        noise=noise,
-        mixture_joint=parent,
-        solver={"primal_iterations": sol.iterations, "feas_tol": opts.feas_tol,
-                "gap_tol": opts.gap_tol},
-    )
+    return robustness_primal("measurements", measurement_device(collection),
+                             lambda: _measurements_dual(collection, options), options)
 
 
 def _measurements_dual(collection: PovmCollection,
                        options: SolveOptions | None = None) -> WitnessSet:
     n, o, d = collection.n, collection.outcomes, collection.dim
     lam = assignments(o, n)
-    grid = _measurement_grid(collection)
+    grid = padded_effects(collection)
 
     df = _DualForm()
     zs = [df.slack(d, np.zeros((d, d))) for _ in lam]
@@ -375,14 +292,9 @@ def _measurements_dual(collection: PovmCollection,
         df.couple(yv, zs[k], lambda h: h)
     df.couple(yv, u, lambda h: -np.array([[np.trace(h).real]]))
 
-    c0 = 2.0 / o ** (n - 1)
-    start = (
-        [c0 * np.eye(d)] * len(lam)
-        + [o ** (n - 1) * c0 * np.eye(d) - grid[x][i] for x in range(n) for i in range(o)]
-        + [np.array([[o**n * c0 / 1.0]])]
-    )
-    sol = solve(df.problem(), options, initial_blocks=start)
-    _require_optimal(sol, "measurement robustness dual")
+    joint, noise, t = measurement_device(collection).robustness_start()
+    sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t]])])
+    require_optimal(sol, "measurement robustness dual")
     ops = [[hermitize(sol.dual_blocks[ps[x][i]]) for i in range(o)] for x in range(n)]
     return WitnessSet("measurements", sol.dual_value - 1.0, measurement_ops=ops)
 
@@ -393,92 +305,18 @@ def robustness_measurements_dual(collection: PovmCollection,
     return _measurements_dual(collection, options)
 
 
-def _check_pair(povm: Povm, channel: ChoiMatrix):
-    povm.validate()
-    channel.validate()
-    if povm.dim != channel.dim_in:
-        raise ContractError("measurement and channel act on different input spaces")
-    return channel.dim_in, channel.dim_out, povm.outcomes
-
-
-def _pair_povm_adjoint(d, dp):
-    def fn(h):
-        return d * kron(np.eye(dp), h.T)
-
-    return fn
-
-
-def _pair_slater(povm, channel, d, dp, o):
-    c0 = 2.0 * max(1.0 / (d * dp), 1.0 / o)
-    full = dp * d
-    js = [c0 * np.eye(full)] * o
-    fs = [c0 * d * dp * np.eye(d) - m for m in povm.elements]
-    w = o * c0 * np.eye(full) - channel.matrix
-    return c0, js, fs, w
-
-
 def robustness_pair_primal(povm: Povm, channel: ChoiMatrix,
                            options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement-channel pair, with reconstruction."""
-    d, dp, o = _check_pair(povm, channel)
-    full = dp * d
-    adj = _pair_povm_adjoint(d, dp)
-
-    cons = []
-    for i, m in enumerate(povm.elements):
-        cons += hermitian_equality(
-            d, [(i, adj), (o + i, lambda h: -h)], rhs=m,
-        )
-    cons += hermitian_equality(
-        full,
-        [(i, lambda h: h) for i in range(o)] + [(2 * o, lambda h: -h)],
-        rhs=channel.matrix,
-    )
-    cons += hermitian_equality(
-        d,
-        [(i, lambda h: kron(np.eye(dp), h)) for i in range(o)],
-        scalar_terms=[(0, lambda h: -np.trace(h).real / d)],
-    )
-    prob = SdpProblem(
-        blocks=[full] * o + [d] * o + [full],
-        objective=[np.zeros((full, full), dtype=complex)] * o
-        + [np.zeros((d, d), dtype=complex)] * o
-        + [np.zeros((full, full), dtype=complex)],
-        constraints=cons,
-        scalar_costs=[1.0],
-    )
-    c0, js, fs, w = _pair_slater(povm, channel, d, dp, o)
-    sol = solve(prob, options, initial_blocks=js + fs + [w],
-                initial_scalars=[c0 * o * dp * d])
-    _require_optimal(sol, "pair robustness primal")
-
-    t = sol.scalar_values[0]
-    r = sol.primal_value - 1.0
-    witness = robustness_pair_dual(povm, channel, options)
-    mixture = snap_instrument([b / t for b in sol.block_values[:o]], d, dp)
-    noise = None
-    if r > ZERO_NOISE_TOL:
-        noise_povm = snap_povm([sol.block_values[o + i] / r for i in range(o)])
-        noise_choi = ChoiMatrix(d, dp, snap_choi_matrix(sol.block_values[2 * o] / r, d, dp))
-        noise = (noise_povm, noise_choi)
-    opts = options or SolveOptions()
-    return RobustnessReport(
-        kind="pair",
-        primal_value=r,
-        dual_value=witness.value,
-        gap=abs(r - witness.value),
-        witness=witness,
-        noise=noise,
-        mixture_joint=mixture,
-        solver={"primal_iterations": sol.iterations, "feas_tol": opts.feas_tol,
-                "gap_tol": opts.gap_tol},
-    )
+    d, dp, o = pair_dims(povm, channel)
+    return robustness_primal("pair", pair_device(o, d, dp, povm, channel),
+                             lambda: robustness_pair_dual(povm, channel, options), options)
 
 
 def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
                          options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a pair."""
-    d, dp, o = _check_pair(povm, channel)
+    d, dp, o = pair_dims(povm, channel)
     full = dp * d
 
     df = _DualForm()
@@ -499,20 +337,13 @@ def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
         df.couple(yv, zs[i], lambda h: kron(np.eye(dp), h))
     df.couple(yv, u, lambda h: -np.array([[np.trace(h).real]]))
 
-    c0, js, fs, w = _pair_slater(povm, channel, d, dp, o)
-    start = js + fs + [w, np.array([[c0 * o * dp]])]
-    sol = solve(df.problem(), options, initial_blocks=start)
-    _require_optimal(sol, "pair robustness dual")
+    joint, noise, t = pair_device(o, d, dp, povm, channel).robustness_start()
+    sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t / d]])])
+    require_optimal(sol, "pair robustness dual")
     a_ops = [hermitize(sol.dual_blocks[p]) for p in pa]
     b_op = hermitize(sol.dual_blocks[pb])
     return WitnessSet("pair", sol.dual_value - 1.0,
                       pair_measure_ops=a_ops, pair_channel_op=b_op)
-
-
-def _padded_collection(collection: PovmCollection) -> list[Povm]:
-    """Measurements padded with zero effects to a common outcome count."""
-    grid = _measurement_grid(collection)
-    return [Povm(row) for row in grid]
 
 
 def verify_prop1(collection: PovmCollection,
@@ -521,7 +352,8 @@ def verify_prop1(collection: PovmCollection,
     measure-and-record channels; the two must agree."""
     collection.validate()
     rm = robustness_measurements(collection, options)
-    channels = [qc_channel(p) for p in _padded_collection(collection)]
+    # measurements padded with zero effects to a common outcome count
+    channels = [qc_channel(Povm(row)) for row in padded_effects(collection)]
     rc = robustness_channels_primal(channels, options)
     return {
         "measurement_robustness": rm.primal_value,

@@ -21,7 +21,7 @@ caller knows one; otherwise a scaled-identity cold start is used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod, sqrt
+from math import sqrt
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +41,12 @@ class SolverFailure(RuntimeError):
     def __init__(self, message, solution=None):
         super().__init__(message)
         self.solution = solution
+
+
+def require_optimal(sol, what):
+    """Raise ``SolverFailure`` unless the solve reached the optimal status."""
+    if sol.status != "optimal":
+        raise SolverFailure(f"{what} solve ended with status {sol.status}", sol)
 
 
 @dataclass(frozen=True)
@@ -353,16 +359,6 @@ def _ipm(dims, cs, amat, b, opts, x0=None):
             ]
             dxs = [(d + d.T) / 2 for d in dxs]
             return dxs, dy, dss
-
-        def max_step(mats, scaled_of, lams_):
-            a = np.inf
-            for mtx, sc, lam in zip(mats, scaled_of, lams_):
-                g = sc(mtx)
-                g = (g + g.T) / 2 / np.sqrt(np.outer(lam, lam))
-                wmin = np.linalg.eigvalsh(g)[0]
-                if wmin < -1e-14:
-                    a = min(a, -1.0 / wmin)
-            return a
 
         def boundary(dlist, left, lams_):
             # largest step keeping the scaled block positive definite

@@ -134,6 +134,45 @@ def test_missing_file_and_unknown_command(tmp_path, capsys):
     assert code == 0
 
 
+def test_nan_povm_exits_one_naming_non_finite(tmp_path, capsys):
+    coll = PovmCollection([basis_povm(2), projective_from_hermitian(SX)]).to_json()
+    coll["povms"][0]["elements"][0]["data"][0] = [float("nan"), 0.0]
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(coll))
+    code, out, err = run_cli(
+        ["robustness", "measurements", "--input", str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_documented_input_format(tmp_path, capsys):
+    # the Z and Y bases written out by hand in the format of README.md
+    f = tmp_path / "zy.json"
+    f.write_text("""{"povms": [
+      {"elements": [
+        {"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"rows": 2, "cols": 2, "data": [[0, 0], [0, 0], [0, 0], [1, 0]]}]},
+      {"elements": [
+        {"rows": 2, "cols": 2, "data": [[0.5, 0], [0, -0.5], [0, 0.5], [0.5, 0]]},
+        {"rows": 2, "cols": 2, "data": [[0.5, 0], [0, 0.5], [0, -0.5], [0.5, 0]]}]}]}
+    """)
+    code, out, _ = run_cli(["robustness", "measurements", "--input", str(f)], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["robustness"] - (3 - 2 * np.sqrt(2))) < 1e-6
+
+
+def test_numerical_breakdown_exits_two(tmp_path, capsys, monkeypatch):
+    def breakdown(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "robustness_channels_primal", breakdown)
+    code, _, err = run_cli(
+        ["robustness", "channels", "--input", write_idpair(tmp_path)], capsys)
+    assert code == 2
+    assert "solver failure" in err
+
+
 def test_unreachable_tolerance_exits_two(tmp_path, capsys):
     code, _, err = run_cli(
         ["robustness", "channels", "--input", write_idpair(tmp_path),

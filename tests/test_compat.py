@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from qincompat.linalg import ContractError
+from qincompat.linalg import ContractError, hermitian_basis, partial_trace
 from qincompat.compat import (
     MARGIN_TOL,
     assignments,
+    channel_device,
     check_channels,
     check_measurements,
     check_pair,
+    measurement_device,
+    pair_device,
 )
 from qincompat.qobjects import (
+    Instrument,
+    JointChannel,
     PovmCollection,
     Povm,
     basis_povm,
@@ -21,6 +26,7 @@ from qincompat.qobjects import (
     instrument_total,
     marginal,
     projective_from_hermitian,
+    random_channel,
     random_joint_channel,
     random_povm,
     random_state,
@@ -159,3 +165,82 @@ def test_margin_tolerance_band():
     # boundary case lands within the documented tolerance of zero
     v = check_measurements(PovmCollection([z_povm(), z_povm()]))
     assert v.margin >= -MARGIN_TOL
+
+
+# -- the joint-device descriptions behind every check, primal and game ----
+#
+# Each case returns a device described with the marginals of a random valid
+# joint device as its members, and the forward maps from joint blocks to
+# (member marginals, input marginal), written independently of the device.
+
+
+def _channel_case(rng):
+    n, d, dp = 2, 2, 3
+
+    def marginals(blocks):
+        joint = JointChannel(d, n, dp, blocks[0])
+        return ([marginal(joint, x + 1).matrix for x in range(n)],
+                partial_trace(blocks[0], joint.shape, (n,)))
+
+    joint = random_joint_channel(d, n, dp, rng)
+    return channel_device(n, d, dp, [marginal(joint, x + 1) for x in range(n)]), marginals
+
+
+def _measurement_case(rng):
+    n, o, d = 2, 3, 2
+
+    def marginals(blocks):
+        # outcome coarse-graining of the parent, outcomes in lexicographic order
+        parent = np.array(blocks).reshape((o,) * n + (d, d))
+        members = [np.sum(parent, axis=tuple(y for y in range(n) if y != x))[i]
+                   for x in range(n) for i in range(o)]
+        return members, sum(blocks)
+
+    gs = []
+    for _ in range(o**n):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        gs.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(gs))
+    root = v @ np.diag(w**-0.5) @ v.conj().T
+    members, _ = marginals([root @ g @ root for g in gs])
+    coll = PovmCollection([Povm(members[x * o:(x + 1) * o]) for x in range(n)])
+    return measurement_device(coll), marginals
+
+
+def _pair_case(rng):
+    o, d, dp = 2, 2, 3
+
+    def marginals(blocks):
+        ins = Instrument(d, dp, blocks)
+        total = instrument_total(ins).matrix
+        return instrument_povm(ins).elements + [total], partial_trace(total, (dp, d), (1,))
+
+    # outcome i of the instrument: the block of a channel into C^o (x) C^dp
+    big = random_channel(d, o * dp, 2, rng).matrix.reshape(o, dp * d, o, dp * d)
+    ins = Instrument(d, dp, [big[i, :, i, :] for i in range(o)])
+    return pair_device(o, d, dp, instrument_povm(ins), instrument_total(ins)), marginals
+
+
+@pytest.mark.parametrize("case", [_channel_case, _measurement_case, _pair_case])
+def test_member_equations_are_adjoint_to_marginals(case):
+    rng = np.random.default_rng(3)
+    device, marginals = case(rng)
+    eqs = device.members + [device.norm]
+    # the identity is linear, so random Hermitian blocks cover every device
+    blocks = []
+    for n in device.blocks:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        blocks.append((g + g.conj().T) / 2)
+    members, inp = marginals(blocks)
+    for eq, marg in zip(eqs, members + [inp]):
+        for h in hermitian_basis(eq.dim):
+            lhs = sum(np.trace(fn(h) @ blocks[b]).real for b, fn in eq.terms)
+            assert abs(lhs - np.trace(h @ marg).real) < 1e-12
+    # identity blocks give scale * I; the particular solution fits the
+    # members and the t = 1 normalization
+    members, inp = marginals([np.eye(n) for n in device.blocks])
+    for eq, marg in zip(eqs, members + [inp]):
+        assert np.abs(marg - eq.scale * np.eye(eq.dim)).max() < 1e-12
+    members, inp = marginals(device.particular)
+    for eq, marg in zip(eqs, members + [inp]):
+        assert np.abs(marg - eq.operator).max() < 1e-12

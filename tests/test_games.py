@@ -256,3 +256,11 @@ def test_game_validation_rejects_bad_inputs():
         DiscriminationGame(prior=[1.0], ensembles=[[(0.5, z0)]]).validate()
     with pytest.raises(ContractError):
         DiscriminationGame(prior=[1.0], ensembles=[[(1.0, 2 * z0)]]).validate()
+    nan = float("nan")
+    with pytest.raises(ContractError):
+        DiscriminationGame(prior=[nan, 1.0],
+                           ensembles=[[(1.0, z0)], [(1.0, z0)]]).validate()
+    with pytest.raises(ContractError):
+        DiscriminationGame(prior=[1.0], ensembles=[[(1.0, z0), (nan, z0)]]).validate()
+    with pytest.raises(ContractError):
+        DiscriminationGame(prior=[1.0], ensembles=[[(1.0, z0 + nan * np.eye(2))]]).validate()

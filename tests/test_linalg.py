@@ -230,3 +230,7 @@ def test_matrix_json_malformed():
         matrix_from_json({"rows": 2, "data": []})
     with pytest.raises(ContractError):
         matrix_from_json({"rows": 0, "cols": 1, "data": []})
+    with pytest.raises(ContractError):
+        matrix_from_json({"rows": 1, "cols": 1, "data": [[float("nan"), 0]]})
+    with pytest.raises(ContractError):
+        matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [0, float("inf")]]})

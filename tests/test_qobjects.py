@@ -174,6 +174,8 @@ def test_povm_validation():
         Povm([np.eye(2), np.eye(2)]).validate()
     with pytest.raises(ContractError):
         Povm([SZ, np.eye(2) - SZ]).validate()  # not PSD
+    with pytest.raises(ContractError):
+        Povm([[[np.nan, 0], [0, 0]], np.eye(2)]).validate()
 
 
 def test_projective_from_hermitian():
@@ -316,3 +318,7 @@ def test_validation_rejects_bad_choi():
         ChoiMatrix(2, 2, np.eye(4) / 4 + 0.1 * kron(np.eye(2), SZ) / 2).validate()
     with pytest.raises(ContractError):
         ChoiMatrix(2, 2, np.eye(4) / 2).validate()  # trace 2
+    with pytest.raises(ContractError):
+        m = np.eye(4) / 4
+        m[0, 1] = np.nan
+        ChoiMatrix(2, 2, m).validate()

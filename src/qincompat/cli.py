@@ -317,6 +317,8 @@ def _cmd_verify(args, opts):
     fn, defaults = _SUITES[args.suite]
     seed = defaults["seed"] if args.seed is None else args.seed
     trials = defaults["trials"] if args.trials is None else args.trials
+    if trials < 0:
+        raise ContractError(f"--trials must be at least 0, got {trials}")
     checks = []
     extra = fn(args.dim, seed, trials, opts, checks)
     passed = all(c["pass"] for c in checks)
@@ -408,6 +410,11 @@ def _json_default(o):
 
 
 def _run(args) -> tuple[dict, int]:
+    for flag, tol in (("--tol-gap", args.tol_gap), ("--tol-feas", args.tol_feas)):
+        # every stopping test compares against the tolerance, so NaN or a
+        # nonpositive value would only run the solver to max_iter
+        if not (np.isfinite(tol) and tol > 0):
+            raise ContractError(f"{flag} must be a finite number > 0, got {tol}")
     opts = SolveOptions(feas_tol=args.tol_feas, gap_tol=args.tol_gap)
     dispatch = {"robustness": _cmd_robustness, "compat": _cmd_compat,
                 "verify": _cmd_verify, "demo": _cmd_demo}

@@ -408,6 +408,8 @@ def unassisted_bound_check(d: int, trials: int, rng_seed: int = 0,
     entangled reference is doing real work."""
     if d < 2:
         raise DimensionError("need dimension at least 2")
+    if trials < 1:
+        raise ContractError(f"need at least one sampled game, got trials={trials}")
     rng = np.random.default_rng(rng_seed)
     bound = 2 * (d + 1) / (d + 3)
     ids = [identity_channel(d), identity_channel(d)]

@@ -11,6 +11,12 @@ point method on the real symmetric embedding.  The implementation is dense
 and deterministic: no randomized pivoting, no threading-dependent reductions,
 so repeated solves of the same problem return bit-identical results.
 
+Each iteration forms the Schur complement M = A W A^T block by block.  With
+the NT scaling W_b = R_b R_b^T, M_kl = sum_b <R_b^T A_kb R_b, R_b^T A_lb R_b>:
+the rows touching a block are unpacked from svec form into one stack with a
+single gather, scaled by R_b with two batched products, and contribute one
+symmetric rank-k product, so M is symmetric by construction.
+
 Redundant equality rows are removed with a pivoted QR factorization before
 the iteration starts (rank threshold ``RANK_TOL`` relative to the largest
 pivot); an inconsistent equality system is reported as infeasible outright.
@@ -21,6 +27,7 @@ caller knows one; otherwise a scaled-identity cold start is used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -195,8 +202,30 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
     )
 
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
 def _svec_indices(n):
-    return np.triu_indices(n, 1)
+    return tuple(_frozen(i) for i in np.triu_indices(n, 1))
+
+
+@lru_cache(maxsize=None)
+def _unpack_map(n):
+    """svec position and divisor of each entry of an n x n matrix, row-major,
+    so that one gather ``v[..., pos] / scale`` unpacks a whole stack of svec
+    vectors into matrices."""
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[np.diag_indices(n)] = np.arange(n)
+    iu = _svec_indices(n)
+    off = n + np.arange(iu[0].size)
+    pos[iu] = off
+    pos[iu[1], iu[0]] = off
+    scale = np.full((n, n), sqrt(2.0))
+    np.fill_diagonal(scale, 1.0)
+    return _frozen(pos.ravel()), _frozen(scale.ravel())
 
 
 def _svec(m: np.ndarray) -> np.ndarray:
@@ -206,13 +235,8 @@ def _svec(m: np.ndarray) -> np.ndarray:
 
 
 def _smat(v: np.ndarray, n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    np.fill_diagonal(m, v[:n])
-    iu = _svec_indices(n)
-    off = v[n:] / sqrt(2.0)
-    m[iu] = off
-    m[(iu[1], iu[0])] = off
-    return m
+    pos, scale = _unpack_map(n)
+    return (v[pos] / scale).reshape(n, n)
 
 
 class _Blocks:
@@ -232,6 +256,66 @@ class _Blocks:
             _smat(v[self.offsets[b]: self.offsets[b + 1]], n)
             for b, n in enumerate(self.dims)
         ]
+
+
+def _schur_plan(amat, layout):
+    """Per block with any nonzero coefficient: its index, side, the rows of
+    ``amat`` that touch it, and the svec columns that unpack it row-major."""
+    plan = []
+    for bidx, n in enumerate(layout.dims):
+        lo, hi = layout.offsets[bidx], layout.offsets[bidx + 1]
+        rows = np.flatnonzero(amat[:, lo:hi].any(axis=1))
+        if rows.size:
+            pos, scale = _unpack_map(n)
+            plan.append((bidx, n, rows, lo + pos, scale))
+    return plan
+
+
+def _schur_complement(amat, plan, rs):
+    """Schur complement M = A W A^T of the NT scaling W_b = R_b R_b^T.
+
+    Row k of ``amat`` holds svec(A_kb) on every block b, so
+    M_kl = sum_b tr(W_b A_kb W_b A_lb) = sum_b <R_b^T A_kb R_b, R_b^T A_lb R_b>.
+    Each block unpacks the rows that touch it into one (k, n, n) stack,
+    scales it with two batched products and adds one symmetric rank-k
+    product into those rows and columns of M.
+    """
+    m = amat.shape[0]
+    schur = np.zeros((m, m))
+    for bidx, n, rows, cols, scale in plan:
+        r = rs[bidx]
+        f = amat[rows[:, None], cols]
+        f /= scale
+        f = f.reshape(rows.size, n, n)
+        # the stack is the largest array of the build: scale it in place
+        np.matmul(r.T, f @ r, out=f)
+        g = f.reshape(rows.size, n * n)
+        schur[np.ix_(rows, rows)] += g @ g.T
+    return schur
+
+
+def _svd(m):
+    """SVD by LAPACK gesdd, retried with gesvd when gesdd fails to converge.
+
+    gesdd can fail on well-conditioned input; gesvd is slower but robust.
+    """
+    try:
+        return np.linalg.svd(m)
+    except np.linalg.LinAlgError:
+        return scipy.linalg.svd(m, lapack_driver="gesvd")
+
+
+def _independent_rows(amat):
+    """Sorted indices of a maximal set of linearly independent rows.
+
+    The rank comes from a pivoted QR of A^T: pivots of R above ``RANK_TOL``
+    times the largest one.  Only R is formed, and only while ranking.
+    """
+    r, piv = scipy.linalg.qr(amat.T, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    top = diag[0] if diag.size else 0.0
+    rank = int(np.sum(diag > RANK_TOL * max(top, 1.0))) if top > 0 else 0
+    return np.sort(piv[:rank])
 
 
 def _chol_psd(m, what):
@@ -266,6 +350,7 @@ def _ipm(dims, cs, amat, b, opts, x0=None):
     eta = 1.0 + max((np.linalg.norm(c) for c in cs), default=0.0)
     ss = [eta * np.eye(n) for n in dims]
     y = np.zeros(m)
+    plan = _schur_plan(amat, layout)
 
     status = "max_iter"
     iters = 0
@@ -319,7 +404,7 @@ def _ipm(dims, cs, amat, b, opts, x0=None):
         for x, s in zip(xs, ss):
             lx = _chol_psd(x, "primal block")
             ls = _chol_psd(s, "dual block")
-            u, sig, vt = np.linalg.svd(ls.T @ lx)
+            u, sig, vt = _svd(ls.T @ lx)
             sig = np.maximum(sig, 1e-300)
             r = (lx @ vt.T) / np.sqrt(sig)
             rinv = (u.T @ ls.T) / np.sqrt(sig)[:, None]
@@ -328,19 +413,9 @@ def _ipm(dims, cs, amat, b, opts, x0=None):
             lams.append(sig)
             ws.append(r @ r.T)
 
-        # Schur complement  M = A W A^T (svec form), shared by both solves
+        # Schur complement, shared by both solves
         if m:
-            sw = np.empty((m, layout.total))
-            for k in range(m):
-                row = amat[k]
-                pieces = []
-                for bidx, (w, n) in enumerate(zip(ws, layout.dims)):
-                    ab = _smat(row[layout.offsets[bidx]: layout.offsets[bidx + 1]], n)
-                    pieces.append(_svec(w @ ab @ w))
-                sw[k] = np.concatenate(pieces)
-            schur = sw @ amat.T
-            schur = (schur + schur.T) / 2
-            schur_l = _chol_psd(schur, "Schur complement")
+            schur_l = _chol_psd(_schur_complement(amat, plan, rs), "Schur complement")
 
         def direction(dhats):
             rdr = [r @ dh @ r.T for r, dh in zip(rs, dhats)]
@@ -427,19 +502,16 @@ def _ipm(dims, cs, amat, b, opts, x0=None):
     }
 
 
-def solve(problem: SdpProblem, options: SolveOptions | None = None,
-          initial_blocks=None, initial_scalars=None) -> SdpSolution:
-    """Solve the problem and return primal blocks, scalars, and multipliers.
+def _svec_form(problem):
+    """The problem over the reals, with its constraints as rows of svec data.
 
-    ``initial_blocks``/``initial_scalars``, when given, must be a strictly
-    feasible (or near-feasible interior) primal point in the problem's own
-    complex coordinates; the iteration then starts there instead of the cold
-    start.  Multipliers in the returned solution are indexed by the original
-    constraint order, with zeros on rows dropped as redundant.
+    Scalars become 1x1 real blocks at the tail and complex blocks are
+    embedded.  Returns the embedded block sides, the objective blocks, the
+    constraint matrix A (one svec row per constraint), the right-hand side,
+    and the indices of the blocks that were real before the embedding.  The
+    per-row coefficient matrices die here, so they do not sit next to A
+    while the iteration runs.
     """
-    opts = options or SolveOptions()
-    problem.validate()
-
     nblocks = len(problem.blocks)
     nscalars = len(problem.scalar_costs)
 
@@ -465,12 +537,32 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     cs = [c.real for c in emb.objective]
     mfull = len(emb.constraints)
     layout = _Blocks(dims)
-    amat_full = np.zeros((mfull, layout.total))
-    bfull = np.empty(mfull)
+    amat = np.zeros((mfull, layout.total))
+    b = np.empty(mfull)
     for k, con in enumerate(emb.constraints):
-        bfull[k] = con.rhs
+        b[k] = con.rhs
         for bidx, a in con.coeffs.items():
-            amat_full[k, layout.offsets[bidx]: layout.offsets[bidx + 1]] = _svec(a.real)
+            amat[k, layout.offsets[bidx]: layout.offsets[bidx + 1]] = _svec(a.real)
+    return dims, cs, amat, b, work.real_blocks
+
+
+def solve(problem: SdpProblem, options: SolveOptions | None = None,
+          initial_blocks=None, initial_scalars=None) -> SdpSolution:
+    """Solve the problem and return primal blocks, scalars, and multipliers.
+
+    ``initial_blocks``/``initial_scalars``, when given, must be a strictly
+    feasible (or near-feasible interior) primal point in the problem's own
+    complex coordinates; the iteration then starts there instead of the cold
+    start.  Multipliers in the returned solution are indexed by the original
+    constraint order, with zeros on rows dropped as redundant.
+    """
+    opts = options or SolveOptions()
+    problem.validate()
+
+    nblocks = len(problem.blocks)
+    nscalars = len(problem.scalar_costs)
+    dims, cs, amat, b, real_blocks = _svec_form(problem)
+    mfull = amat.shape[0]
 
     x0 = None
     if initial_blocks is not None:
@@ -484,36 +576,28 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
         x0 = []
         for bidx, v in enumerate(full):
             v = (v + v.conj().T) / 2
-            if bidx in work.real_blocks:
+            if bidx in real_blocks:
                 x0.append(v.real)
             else:
                 x0.append(_embed_herm(v))
 
     # drop linearly dependent rows; detect inconsistency
-    if mfull:
-        q, r, piv = scipy.linalg.qr(amat_full.T, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        top = diag[0] if diag.size else 0.0
-        rank = int(np.sum(diag > RANK_TOL * max(top, 1.0))) if top > 0 else 0
-        kept = np.sort(piv[:rank])
-        if rank < mfull:
-            sol, *_ = np.linalg.lstsq(amat_full, bfull, rcond=None)
-            resid = np.abs(amat_full @ sol - bfull).max() if mfull else 0.0
-            if resid > 1e-9 * (1.0 + np.abs(bfull).max()):
-                zero = [np.zeros((n, n), dtype=complex) for n in problem.blocks]
-                return SdpSolution(
-                    status="infeasible", primal_value=np.nan, dual_value=np.nan,
-                    block_values=zero, scalar_values=[np.nan] * nscalars,
-                    y=np.zeros(mfull), dual_blocks=zero, gap=np.nan,
-                    iterations=0, primal_residual=resid, dual_residual=np.nan,
-                )
-    else:
-        kept = np.zeros(0, dtype=int)
-    amat = amat_full[kept]
-    b = bfull[kept]
+    kept = _independent_rows(amat) if mfull else np.zeros(0, dtype=int)
+    if kept.size < mfull:
+        sol, *_ = np.linalg.lstsq(amat, b, rcond=None)
+        resid = np.abs(amat @ sol - b).max()
+        if resid > 1e-9 * (1.0 + np.abs(b).max()):
+            zero = [np.zeros((n, n), dtype=complex) for n in problem.blocks]
+            return SdpSolution(
+                status="infeasible", primal_value=np.nan, dual_value=np.nan,
+                block_values=zero, scalar_values=[np.nan] * nscalars,
+                y=np.zeros(mfull), dual_blocks=zero, gap=np.nan,
+                iterations=0, primal_residual=resid, dual_residual=np.nan,
+            )
+        amat, b = amat[kept], b[kept]
     scales = np.linalg.norm(amat, axis=1)
     scales[scales == 0] = 1.0
-    amat = amat / scales[:, None]
+    amat /= scales[:, None]
     b = b / scales
 
     res = _ipm(dims, cs, amat, b, opts, x0=x0)

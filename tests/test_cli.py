@@ -181,6 +181,16 @@ def test_unreachable_tolerance_exits_two(tmp_path, capsys):
     assert "solver failure" in err
 
 
+@pytest.mark.parametrize("flag", ["--tol-gap", "--tol-feas"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_tolerance_exits_one(tmp_path, capsys, flag, value):
+    code, out, err = run_cli(
+        ["robustness", "measurements", "--input", write_zx(tmp_path), flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
 def test_verify_duality_passes(capsys):
     code, out, _ = run_cli(["verify", "duality", "--trials", "1"], capsys)
     assert code == 0
@@ -250,6 +260,14 @@ def test_demo_cloning(capsys):
     assert abs(rep["depolarizing_visibility"] - 2 / 3) < 1e-12
     assert rep["marginal_deviation"] < 1e-9
     assert rep["marginals_compatible"] is True
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_verify_appendix_c_needs_a_sampled_game(capsys, trials):
+    code, out, err = run_cli(["verify", "appendixC", "--trials", trials], capsys)
+    assert code == 1
+    assert out == ""
+    assert "trials" in err
 
 
 def test_verify_appendix_c_small(capsys):

@@ -234,6 +234,13 @@ def test_unassisted_bound_sampled():
     assert res["assisted_value"] == pytest.approx(4 / 3)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_unassisted_bound_needs_a_sampled_game(trials):
+    from qincompat.linalg import ContractError
+    with pytest.raises(ContractError):
+        unassisted_bound_check(2, trials=trials)
+
+
 def test_game_json_roundtrip():
     rng = np.random.default_rng(53)
     game = random_game(2, 2, 2, rng, assisted=True).validate()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qincompat import sdp
 from qincompat.linalg import hermitian_basis
 from qincompat.sdp import (
     LinearConstraint,
@@ -244,3 +245,71 @@ def test_tolerances_respected():
     assert sol.status == "optimal"
     assert sol.gap <= 1e-10 * (1 + abs(sol.primal_value))
     assert abs(sol.primal_value - value) < 1e-7
+
+
+def test_svd_falls_back_when_gesdd_fails(monkeypatch):
+    # gesdd can fail to converge on well-conditioned input; the NT scaling
+    # must then retry with gesvd instead of aborting the solve
+    rng = np.random.default_rng(11)
+    prob, value = constructed_instance(rng)
+    want = solve(prob)
+    real_svd = np.linalg.svd
+    calls = []
+
+    def flaky_svd(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(sdp.np.linalg, "svd", flaky_svd)
+    got = solve(prob)
+    assert len(calls) > 1
+    assert got.status == "optimal"
+    assert abs(got.primal_value - want.primal_value) < 1e-9
+    assert abs(got.primal_value - value) < 1e-6 * (1 + abs(value))
+
+
+def test_schur_complement_matches_definition():
+    # a complex block, a real block and two scalars (1x1 real blocks, as
+    # solve lays them out), with rows that touch only some of the blocks
+    rng = np.random.default_rng(17)
+    blocks = [3, 2, 1, 1]
+    real = frozenset({1, 2, 3})
+    cons = []
+    for k in range(12):
+        touched = [b for b in range(len(blocks)) if rng.random() < 0.5] or [k % len(blocks)]
+        coeffs = {}
+        for b in touched:
+            a = random_herm(rng, blocks[b])
+            coeffs[b] = a.real.astype(complex) if b in real else a
+        cons.append(LinearConstraint(coeffs, 0.0))
+    prob = SdpProblem(
+        blocks=blocks,
+        objective=[np.zeros((n, n), dtype=complex) for n in blocks],
+        constraints=cons,
+        real_blocks=real,
+    )
+    emb = real_embed(prob)
+    dims = emb.blocks
+    layout = sdp._Blocks(dims)
+    dense = [
+        [con.coeffs[b].real if b in con.coeffs else np.zeros((n, n)) for b, n in enumerate(dims)]
+        for con in emb.constraints
+    ]
+    amat = np.array([layout.stack(row) for row in dense])
+    rs = [rng.standard_normal((n, n)) + n * np.eye(n) for n in dims]
+    ws = [r @ r.T for r in rs]
+
+    got = sdp._schur_complement(amat, sdp._schur_plan(amat, layout), rs)
+    want = np.array([
+        [sum(np.trace(w @ ak @ w @ al) for w, ak, al in zip(ws, rk, rl)) for rl in dense]
+        for rk in dense
+    ])
+    assert np.array_equal(got, got.T)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # rows sharing no block do not couple
+    for k, rk in enumerate(emb.constraints):
+        for l, rl in enumerate(emb.constraints):
+            if not set(rk.coeffs) & set(rl.coeffs):
+                assert got[k, l] == 0.0

@@ -415,6 +415,9 @@ def _run(args) -> tuple[dict, int]:
         # nonpositive value would only run the solver to max_iter
         if not (np.isfinite(tol) and tol > 0):
             raise ContractError(f"{flag} must be a finite number > 0, got {tol}")
+    if args.dim < 2:
+        # every demo and suite needs a nontrivial Hilbert space
+        raise ContractError(f"--dim must be at least 2, got {args.dim}")
     opts = SolveOptions(feas_tol=args.tol_feas, gap_tol=args.tol_gap)
     dispatch = {"robustness": _cmd_robustness, "compat": _cmd_compat,
                 "verify": _cmd_verify, "demo": _cmd_demo}

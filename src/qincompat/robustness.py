@@ -51,7 +51,9 @@ class WitnessSet:
     """Dual witness: PSD operators whose functional is at most 1 on every
     compatible collection and 1 + robustness on the certified one.
 
-    ``value`` is the certified robustness (functional minus one)."""
+    ``value`` is the certified robustness (functional minus one);
+    ``iterations`` counts the dual solve's iterations and is not part of the
+    witness JSON."""
 
     kind: str
     value: float
@@ -59,6 +61,7 @@ class WitnessSet:
     measurement_ops: list | None = None
     pair_measure_ops: list | None = None
     pair_channel_op: np.ndarray | None = None
+    iterations: int = 0
 
     def evaluate(self, *objects) -> float:
         """Witness functional on a collection of the matching kind."""
@@ -226,8 +229,8 @@ def robustness_primal(kind: str, device: JointDevice, dual,
         witness=witness,
         noise=noise,
         mixture_joint=mixture,
-        solver={"primal_iterations": sol.iterations, "feas_tol": opts.feas_tol,
-                "gap_tol": opts.gap_tol},
+        solver={"primal_iterations": sol.iterations, "dual_iterations": witness.iterations,
+                "feas_tol": opts.feas_tol, "gap_tol": opts.gap_tol},
     )
 
 
@@ -259,7 +262,8 @@ def robustness_channels_dual(channels, options: SolveOptions | None = None) -> W
     sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t / d]])])
     require_optimal(sol, "channel robustness dual")
     ops = [hermitize(sol.dual_blocks[p]) for p in ps]
-    return WitnessSet("channels", sol.dual_value - 1.0, channel_ops=ops)
+    return WitnessSet("channels", sol.dual_value - 1.0, channel_ops=ops,
+                      iterations=sol.iterations)
 
 
 def robustness_measurements(collection: PovmCollection,
@@ -296,7 +300,8 @@ def _measurements_dual(collection: PovmCollection,
     sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t]])])
     require_optimal(sol, "measurement robustness dual")
     ops = [[hermitize(sol.dual_blocks[ps[x][i]]) for i in range(o)] for x in range(n)]
-    return WitnessSet("measurements", sol.dual_value - 1.0, measurement_ops=ops)
+    return WitnessSet("measurements", sol.dual_value - 1.0, measurement_ops=ops,
+                      iterations=sol.iterations)
 
 
 def robustness_measurements_dual(collection: PovmCollection,
@@ -343,7 +348,8 @@ def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
     a_ops = [hermitize(sol.dual_blocks[p]) for p in pa]
     b_op = hermitize(sol.dual_blocks[pb])
     return WitnessSet("pair", sol.dual_value - 1.0,
-                      pair_measure_ops=a_ops, pair_channel_op=b_op)
+                      pair_measure_ops=a_ops, pair_channel_op=b_op,
+                      iterations=sol.iterations)
 
 
 def verify_prop1(collection: PovmCollection,

@@ -6,16 +6,29 @@ A problem is
     subject to  sum_b <A_kb, X_b> + sum_j a_kj u_j = rhs_k   for every row k,
                 X_b >= 0 (Hermitian PSD blocks),  u_j >= 0 (scalars),
 
-solved with a Nesterov-Todd scaled Mehrotra predictor-corrector interior
-point method on the real symmetric embedding.  The implementation is dense
-and deterministic: no randomized pivoting, no threading-dependent reductions,
-so repeated solves of the same problem return bit-identical results.
+with <A, X> = Re tr(AX), solved with a Nesterov-Todd scaled Mehrotra
+predictor-corrector interior point method directly on the complex Hermitian
+blocks.  The implementation is dense and deterministic: no randomized
+pivoting, no threading-dependent reductions, so repeated solves of the same
+problem return bit-identical results.
 
-Each iteration forms the Schur complement M = A W A^T block by block.  With
-the NT scaling W_b = R_b R_b^T, M_kl = sum_b <R_b^T A_kb R_b, R_b^T A_lb R_b>:
-the rows touching a block are unpacked from svec form into one stack with a
-single gather, scaled by R_b with two batched products, and contribute one
-symmetric rank-k product, so M is symmetric by construction.
+The variables are grouped by side and by kind (complex, or real for the
+declared real blocks and the scalars, which are real 1x1 variables), in order
+of first appearance.  Each group keeps its iterates in one (nb, n, n) stack,
+so the NT scaling (Cholesky, SVD), the directions and the step search are one
+batched LAPACK or BLAS call per group and step.  The constraint matrix A is
+real: row k holds svec(A_kv) for every variable v, group after group, where
+svec of a complex block lists the diagonal, then sqrt(2) times the real and
+the imaginary parts of the upper triangle (n^2 reals), and svec of a real
+block the diagonal and sqrt(2) times the upper triangle, so that
+<A, X> = svec(A) . svec(X).
+
+Each iteration forms the Schur complement M = A W A^T group by group.  With
+the NT scaling W_v = R_v R_v^H, M_kl = sum_v <R_v^H A_kv R_v, R_v^H A_lv R_v>:
+the rows touching a group are unpacked from svec form into one stack with a
+single gather, scaled by R with two batched products, and contribute one
+symmetric rank-k product of the stack's float view, so M is symmetric by
+construction.
 
 Redundant equality rows are removed with a pivoted QR factorization before
 the iteration starts (rank threshold ``RANK_TOL`` relative to the largest
@@ -163,20 +176,14 @@ def _embed_herm(m: np.ndarray) -> np.ndarray:
     return np.block([[x, -y], [y, x]])
 
 
-def _unembed(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0] // 2
-    x = (m[:n, :n] + m[n:, n:]) / 2
-    y = (m[n:, :n] - m[:n, n:]) / 2
-    return x + 1j * y
-
-
 def real_embed(problem: SdpProblem) -> SdpProblem:
     """Rewrite complex Hermitian blocks over the reals.
 
     Each complex block of side n becomes a real symmetric block of side 2n;
     its data matrices are embedded and halved so every inner product, and
     with it the primal and dual objective values, is preserved.  Blocks
-    already declared real pass through unchanged.
+    already declared real pass through unchanged.  ``solve`` works on the
+    complex blocks directly and does not use this transform.
     """
     problem.validate()
     blocks, objective = [], []
@@ -207,102 +214,148 @@ def _frozen(a):
     return a
 
 
-@lru_cache(maxsize=None)
-def _svec_indices(n):
-    return tuple(_frozen(i) for i in np.triu_indices(n, 1))
+def _ct(a):
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def _herm(a):
+    return (a + _ct(a)) / 2
+
+
+def _inner(xs, ss):
+    """sum_v Re tr(X_v S_v) over lists of stacks."""
+    return sum(np.vdot(s, x).real for x, s in zip(xs, ss))
 
 
 @lru_cache(maxsize=None)
-def _unpack_map(n):
-    """svec position and divisor of each entry of an n x n matrix, row-major,
-    so that one gather ``v[..., pos] / scale`` unpacks a whole stack of svec
-    vectors into matrices."""
-    pos = np.empty((n, n), dtype=np.intp)
-    pos[np.diag_indices(n)] = np.arange(n)
-    iu = _svec_indices(n)
-    off = n + np.arange(iu[0].size)
-    pos[iu] = off
-    pos[iu[1], iu[0]] = off
-    scale = np.full((n, n), sqrt(2.0))
-    np.fill_diagonal(scale, 1.0)
-    return _frozen(pos.ravel()), _frozen(scale.ravel())
+def _svec_maps(n, cplx):
+    """Gathers between svec vectors and the flat float view of n x n blocks.
+
+    The flat view is row-major; a complex entry is its (re, im) pair.  svec
+    lists the diagonal, sqrt(2) times the real parts of the upper triangle
+    and, for a complex block, sqrt(2) times their imaginary parts, so that
+    <A, X> = Re tr(AX) = svec(A) . svec(X).  Packing is ``flat[..., take] *
+    up``; unpacking is ``v[..., pos] * down``.
+    """
+    width = 2 if cplx else 1
+    d = np.arange(n)
+    iu, ju = np.triu_indices(n, 1)
+    p = iu.size
+    r2 = sqrt(2.0)
+    up_re = width * (iu * n + ju)
+    take = [width * (d * n + d), up_re] + ([up_re + 1] if cplx else [])
+    up = [np.ones(n), np.full(p, r2)] + ([np.full(p, r2)] if cplx else [])
+
+    pos = np.zeros((n, n, width), dtype=np.intp)
+    down = np.zeros((n, n, width))
+    pos[d, d, 0] = d
+    down[d, d, 0] = 1.0
+    pos[iu, ju, 0] = pos[ju, iu, 0] = n + np.arange(p)
+    down[iu, ju, 0] = down[ju, iu, 0] = 1 / r2
+    if cplx:
+        # the lower triangle holds the conjugates
+        pos[iu, ju, 1] = pos[ju, iu, 1] = n + p + np.arange(p)
+        down[iu, ju, 1] = 1 / r2
+        down[ju, iu, 1] = -1 / r2
+    return (_frozen(np.concatenate(take)), _frozen(np.concatenate(up)),
+            _frozen(pos.ravel()), _frozen(down.ravel()))
 
 
-def _svec(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    iu = _svec_indices(n)
-    return np.concatenate([np.diag(m), sqrt(2.0) * m[iu]])
+def _svec(x):
+    """svec rows (k, size) of a (k, n, n) stack, complex Hermitian or real
+    symmetric by its dtype."""
+    cplx = np.iscomplexobj(x)
+    take, up, _, _ = _svec_maps(x.shape[-1], cplx)
+    flat = (x.view(np.float64) if cplx else x).reshape(len(x), -1)
+    return np.take(flat, take, axis=1) * up
 
 
-def _smat(v: np.ndarray, n: int) -> np.ndarray:
-    pos, scale = _unpack_map(n)
-    return (v[pos] / scale).reshape(n, n)
+def _smat(v, n, cplx):
+    """(k, n, n) stack of blocks from svec rows ``v`` of shape (k, size)."""
+    _, _, pos, down = _svec_maps(n, cplx)
+    f = np.take(v, pos, axis=1) * down
+    return (f.view(np.complex128) if cplx else f).reshape(len(v), n, n)
 
 
-class _Blocks:
-    """svec bookkeeping for a list of real symmetric blocks."""
+def _block_stack(mats, cplx):
+    if cplx:
+        return np.array(mats, dtype=complex)
+    return np.array([np.real(a) for a in mats], dtype=float)
 
-    def __init__(self, dims):
-        self.dims = list(dims)
-        self.sizes = [n * (n + 1) // 2 for n in dims]
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(int)
-        self.total = int(self.offsets[-1])
+
+class _Group:
+    """The variables of one side and kind (complex or real), stacked.
+
+    Their svec columns are contiguous in A, member after member, and their
+    iterates live in one (nb, n, n) array, so each step of the iteration is
+    one batched call per group.
+    """
+
+    def __init__(self, n, cplx, members, lo):
+        self.n, self.cplx, self.members = n, cplx, members
+        self.nb = len(members)
+        self.size = n * n if cplx else n * (n + 1) // 2
+        self.lo, self.hi = lo, lo + self.nb * self.size
 
     def stack(self, mats):
-        return np.concatenate([_svec(m) for m in mats]) if mats else np.zeros(0)
+        """This group's members of a list indexed by variable."""
+        return _block_stack([mats[v] for v in self.members], self.cplx)
 
-    def split(self, v):
-        return [
-            _smat(v[self.offsets[b]: self.offsets[b + 1]], n)
-            for b, n in enumerate(self.dims)
-        ]
+    def eye(self):
+        return np.repeat(np.eye(self.n, dtype=complex if self.cplx else float)[None], self.nb, axis=0)
+
+    def unpack(self, v):
+        return _smat(v[self.lo: self.hi].reshape(self.nb, self.size), self.n, self.cplx)
 
 
-def _schur_plan(amat, layout):
-    """Per block with any nonzero coefficient: its index, side, the rows of
-    ``amat`` that touch it, and the svec columns that unpack it row-major."""
+def _schur_plan(amat, groups):
+    """Per group with any nonzero coefficient: its index, the rows of
+    ``amat`` that touch it, and the svec columns and factors that unpack all
+    its members row-major."""
     plan = []
-    for bidx, n in enumerate(layout.dims):
-        lo, hi = layout.offsets[bidx], layout.offsets[bidx + 1]
-        rows = np.flatnonzero(amat[:, lo:hi].any(axis=1))
+    for gi, g in enumerate(groups):
+        rows = np.flatnonzero(amat[:, g.lo: g.hi].any(axis=1))
         if rows.size:
-            pos, scale = _unpack_map(n)
-            plan.append((bidx, n, rows, lo + pos, scale))
+            _, _, pos, down = _svec_maps(g.n, g.cplx)
+            cols = (g.lo + g.size * np.arange(g.nb)[:, None] + pos).ravel()
+            plan.append((gi, g, rows, cols, np.tile(down, g.nb)))
     return plan
 
 
 def _schur_complement(amat, plan, rs):
-    """Schur complement M = A W A^T of the NT scaling W_b = R_b R_b^T.
+    """Schur complement M = A W A^T of the NT scaling W_v = R_v R_v^H.
 
-    Row k of ``amat`` holds svec(A_kb) on every block b, so
-    M_kl = sum_b tr(W_b A_kb W_b A_lb) = sum_b <R_b^T A_kb R_b, R_b^T A_lb R_b>.
-    Each block unpacks the rows that touch it into one (k, n, n) stack,
-    scales it with two batched products and adds one symmetric rank-k
-    product into those rows and columns of M.
+    Row k of ``amat`` holds svec(A_kv) on every variable v, so
+    M_kl = sum_v Re tr(W_v A_kv W_v A_lv) = sum_v <R_v^H A_kv R_v, R_v^H A_lv R_v>.
+    Each group unpacks the rows that touch it into one (k, nb, n, n) stack,
+    scales it with two batched products and adds the rank-k product of its
+    float view (Re G G^H) into those rows and columns of M.
     """
     m = amat.shape[0]
     schur = np.zeros((m, m))
-    for bidx, n, rows, cols, scale in plan:
-        r = rs[bidx]
+    for gi, g, rows, cols, down in plan:
+        r = rs[gi]
         f = amat[rows[:, None], cols]
-        f /= scale
-        f = f.reshape(rows.size, n, n)
+        f *= down
+        stack = (f.view(np.complex128) if g.cplx else f).reshape(rows.size, g.nb, g.n, g.n)
         # the stack is the largest array of the build: scale it in place
-        np.matmul(r.T, f @ r, out=f)
-        g = f.reshape(rows.size, n * n)
-        schur[np.ix_(rows, rows)] += g @ g.T
+        np.matmul(_ct(r), stack @ r, out=stack)
+        schur[np.ix_(rows, rows)] += f @ f.T
     return schur
 
 
 def _svd(m):
-    """SVD by LAPACK gesdd, retried with gesvd when gesdd fails to converge.
+    """Batched SVD by LAPACK gesdd; when gesdd fails to converge, every block
+    is retried with gesvd.
 
     gesdd can fail on well-conditioned input; gesvd is slower but robust.
     """
     try:
         return np.linalg.svd(m)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(m, lapack_driver="gesvd")
+        u, s, vh = zip(*(scipy.linalg.svd(b, lapack_driver="gesvd") for b in m))
+        return np.stack(u), np.stack(s), np.stack(vh)
 
 
 def _independent_rows(amat):
@@ -321,7 +374,7 @@ def _independent_rows(amat):
 def _chol_psd(m, what):
     """Cholesky with a graduated jitter fallback for nearly singular input."""
     shift = 0.0
-    base = max(np.trace(m) / m.shape[0], 1.0) if m.size else 1.0
+    base = max(np.trace(m).real / m.shape[0], 1.0) if m.size else 1.0
     for attempt in range(4):
         try:
             return np.linalg.cholesky(m + shift * np.eye(m.shape[0]))
@@ -330,27 +383,44 @@ def _chol_psd(m, what):
     raise SolverFailure(f"{what} factorization failed")
 
 
-def _ipm(dims, cs, amat, b, opts, x0=None):
-    """Core iteration on real symmetric blocks.  Returns a result dict."""
-    layout = _Blocks(dims)
-    n_tot = sum(dims)
+def _chol(x, what):
+    """Batched Cholesky of a stack; when it fails, every block is factored
+    on its own with the jitter fallback of ``_chol_psd``."""
+    try:
+        return np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return np.stack([_chol_psd(b, what) for b in x])
+
+
+def _ipm(groups, cs, amat, b, opts, x0=None):
+    """Core iteration on the block groups.  ``cs``, ``x0`` and the iterates
+    hold one (nb, n, n) stack per group.  Returns a result dict."""
+    n_tot = sum(g.nb * g.n for g in groups)
     m = amat.shape[0]
-    cvec = layout.stack(cs)
+
+    def pack(stacks):
+        return np.concatenate([_svec(x).ravel() for x in stacks])
+
+    def unpack(v):
+        return [g.unpack(v) for g in groups]
+
+    cvec = pack(cs)
     bnorm = 1.0 + np.linalg.norm(b)
     cnorm = 1.0 + np.linalg.norm(cvec)
 
     if x0 is not None:
-        xs = []
-        for mtx, n in zip(x0, dims):
-            w = np.linalg.eigvalsh(mtx)
-            xs.append(mtx + max(1e-6 - w[0], 0.0) * np.eye(n))
+        # lift every block to a smallest eigenvalue of at least 1e-6
+        xs = [
+            x + np.maximum(1e-6 - np.linalg.eigvalsh(x)[:, 0], 0.0)[:, None, None] * np.eye(g.n)
+            for g, x in zip(groups, x0)
+        ]
     else:
         scale = 10.0 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
-        xs = [scale * np.eye(n) for n in dims]
-    eta = 1.0 + max((np.linalg.norm(c) for c in cs), default=0.0)
-    ss = [eta * np.eye(n) for n in dims]
+        xs = [scale * g.eye() for g in groups]
+    eta = 1.0 + max(np.linalg.norm(c, axis=(1, 2)).max() for c in cs)
+    ss = [eta * g.eye() for g in groups]
     y = np.zeros(m)
-    plan = _schur_plan(amat, layout)
+    plan = _schur_plan(amat, groups)
 
     status = "max_iter"
     iters = 0
@@ -361,30 +431,29 @@ def _ipm(dims, cs, amat, b, opts, x0=None):
     def certificates():
         # Farkas-style checks on the current iterate, scale-normalized.
         nonlocal status
-        t = float(b @ y) if m else 0.0
+        t = float(b @ y)
         if t > 1e-10:
-            z = layout.split(amat.T @ y / t)
-            q = max((np.linalg.eigvalsh(zb)[-1] for zb in z), default=0.0)
-            znorm = sqrt(sum(np.linalg.norm(zb) ** 2 for zb in z))
-            if q <= 1e-9 * (1.0 + znorm):
+            zvec = amat.T @ y / t
+            q = max(np.linalg.eigvalsh(z)[:, -1].max() for z in unpack(zvec))
+            if q <= 1e-9 * (1.0 + np.linalg.norm(zvec)):
                 status = "infeasible"
                 return True
-        obj = float(cvec @ layout.stack(xs))
+        xvec = pack(xs)
+        obj = float(cvec @ xvec)
         if obj < -1e-10:
-            xn = layout.stack(xs) / (-obj)
+            xn = xvec / (-obj)
             if np.linalg.norm(amat @ xn) <= 1e-9 * (1.0 + np.linalg.norm(xn)):
                 status = "unbounded"
                 return True
         return False
 
     for it in range(opts.max_iter):
-        xvec = layout.stack(xs)
-        rp = b - amat @ xvec if m else np.zeros(0)
-        aty = layout.split(amat.T @ y) if m else [np.zeros((n, n)) for n in dims]
-        rds = [c - s - a for c, s, a in zip(cs, ss, aty)]
+        xvec = pack(xs)
+        rp = b - amat @ xvec
+        rds = [c - s - a for c, s, a in zip(cs, ss, unpack(amat.T @ y))]
         pobj = float(cvec @ xvec)
-        dobj = float(b @ y) if m else 0.0
-        mu = sum(np.tensordot(x, s) for x, s in zip(xs, ss)) / n_tot
+        dobj = float(b @ y)
+        mu = _inner(xs, ss) / n_tot
         prel = np.linalg.norm(rp) / bnorm
         drel = sqrt(sum(np.linalg.norm(r) ** 2 for r in rds)) / cnorm
         grel = abs(pobj - dobj) / (1.0 + abs(pobj))
@@ -395,96 +464,83 @@ def _ipm(dims, cs, amat, b, opts, x0=None):
             break
         if certificates():
             break
-        if max(np.linalg.norm(xvec), np.linalg.norm(y) if m else 0.0) > 1e14:
+        if max(np.linalg.norm(xvec), np.linalg.norm(y)) > 1e14:
             certificates()
             break
 
-        # Nesterov-Todd scaling per block
-        rs, rinvs, lams, ws = [], [], [], []
+        # Nesterov-Todd scaling W = R R^H with R^H S R = R^-1 X R^-H = diag(lam)
+        rs, rsh, rinvs, rinvsh, lams, ws = [], [], [], [], [], []
         for x, s in zip(xs, ss):
-            lx = _chol_psd(x, "primal block")
-            ls = _chol_psd(s, "dual block")
-            u, sig, vt = _svd(ls.T @ lx)
+            lx = _chol(x, "primal block")
+            ls = _chol(s, "dual block")
+            u, sig, vh = _svd(_ct(ls) @ lx)
             sig = np.maximum(sig, 1e-300)
-            r = (lx @ vt.T) / np.sqrt(sig)
-            rinv = (u.T @ ls.T) / np.sqrt(sig)[:, None]
+            root = np.sqrt(sig)
+            r = (lx @ _ct(vh)) / root[:, None, :]
+            rinv = (_ct(u) @ _ct(ls)) / root[:, :, None]
             rs.append(r)
+            rsh.append(_ct(r))
             rinvs.append(rinv)
+            rinvsh.append(_ct(rinv))
             lams.append(sig)
-            ws.append(r @ r.T)
+            ws.append(r @ rsh[-1])
+        roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
 
         # Schur complement, shared by both solves
         if m:
             schur_l = _chol_psd(_schur_complement(amat, plan, rs), "Schur complement")
 
         def direction(dhats):
-            rdr = [r @ dh @ r.T for r, dh in zip(rs, dhats)]
-            wrw = [w @ rd @ w for w, rd in zip(ws, rds)]
+            rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
             if m:
-                rhs = rp + amat @ layout.stack(wrw) - amat @ layout.stack(rdr)
+                rhs = rp + amat @ pack([w @ rd @ w - q for w, rd, q in zip(ws, rds, rdr)])
                 dy = scipy.linalg.cho_solve((schur_l, True), rhs)
-                atdy = layout.split(amat.T @ dy)
             else:
                 dy = np.zeros(0)
-                atdy = [np.zeros((n, n)) for n in layout.dims]
-            dss = [rd - a for rd, a in zip(rds, atdy)]
-            dxs = [
-                rd_ - w @ ds @ w
-                for rd_, w, ds in zip(rdr, ws, dss)
-            ]
-            dxs = [(d + d.T) / 2 for d in dxs]
+            dss = [rd - a for rd, a in zip(rds, unpack(amat.T @ dy))]
+            dxs = [_herm(q - w @ ds @ w) for q, w, ds in zip(rdr, ws, dss)]
             return dxs, dy, dss
 
-        def boundary(dlist, left, lams_):
-            # largest step keeping the scaled block positive definite
+        def boundary(dlist, left, right):
+            # largest step keeping the scaled blocks positive definite
             a = np.inf
-            for dmat, lmat, lam in zip(dlist, left, lams_):
-                g = lmat(dmat)
-                g = (g + g.T) / 2 / np.sqrt(np.outer(lam, lam))
-                wmin = np.linalg.eigvalsh(g)[0]
+            for d, lm, rm, root in zip(dlist, left, right, roots):
+                wmin = np.linalg.eigvalsh(_herm(lm @ d @ rm) / root)[:, 0].min()
                 if wmin < -1e-14:
                     a = min(a, -1.0 / wmin)
             return a
 
-        scale_x = [lambda d, ri=ri: ri @ d @ ri.T for ri in rinvs]
-        scale_s = [lambda d, r=r: r.T @ d @ r for r in rs]
-
         # predictor
-        dhat_aff = [-np.diag(lam) for lam in lams]
-        dxa, dya, dsa = direction(dhat_aff)
-        ap = min(1.0, boundary(dxa, scale_x, lams))
-        ad = min(1.0, boundary(dsa, scale_s, lams))
-        mu_aff = (
-            sum(
-                np.tensordot(x + ap * dx, s + ad * ds)
-                for x, dx, s, ds in zip(xs, dxa, ss, dsa)
-            )
-            / n_tot
-        )
+        dxa, _, dsa = direction([-lam[:, :, None] * np.eye(lam.shape[1]) for lam in lams])
+        ap = min(1.0, boundary(dxa, rinvs, rinvsh))
+        ad = min(1.0, boundary(dsa, rsh, rs))
+        mu_aff = _inner(
+            [x + ap * dx for x, dx in zip(xs, dxa)],
+            [s + ad * ds for s, ds in zip(ss, dsa)],
+        ) / n_tot
         mu_aff = max(mu_aff, 0.0)
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-12))
 
         # corrector
         dhats = []
-        for r, rinv, lam, dx, ds in zip(rs, rinvs, lams, dxa, dsa):
-            dxh = rinv @ dx @ rinv.T
-            dsh = r.T @ ds @ r
-            cross = (dxh @ dsh + dsh @ dxh) / 2
-            t = sigma * mu * np.eye(len(lam)) - np.diag(lam**2) - cross
-            denom = (lam[:, None] + lam[None, :]) / 2
-            dh = t / (2 * denom)
-            dhats.append((dh + dh.T) / 2)
+        for r, rh, rinv, rinvh, lam, dx, ds in zip(rs, rsh, rinvs, rinvsh, lams, dxa, dsa):
+            dxh = rinv @ dx @ rinvh
+            dsh = rh @ ds @ r
+            t = -(dxh @ dsh + dsh @ dxh) / 2
+            i = np.arange(lam.shape[1])
+            t[:, i, i] += sigma * mu - lam**2
+            dhats.append(_herm(t / (lam[:, :, None] + lam[:, None, :])))
         dxs, dy, dss = direction(dhats)
-        ap = min(1.0, STEP_FRACTION * boundary(dxs, scale_x, lams))
-        ad = min(1.0, STEP_FRACTION * boundary(dss, scale_s, lams))
+        ap = min(1.0, STEP_FRACTION * boundary(dxs, rinvs, rinvsh))
+        ad = min(1.0, STEP_FRACTION * boundary(dss, rsh, rs))
         if min(ap, ad) < 1e-8:
             stall += 1
             if stall >= 3:
                 break
         else:
             stall = 0
-        xs = [(x + ap * dx + (x + ap * dx).T) / 2 for x, dx in zip(xs, dxs)]
-        ss = [(s + ad * ds + (s + ad * ds).T) / 2 for s, ds in zip(ss, dss)]
+        xs = [_herm(x + ap * dx) for x, dx in zip(xs, dxs)]
+        ss = [_herm(s + ad * ds) for s, ds in zip(ss, dss)]
         y = y + ad * dy
         iters = it + 1
 
@@ -503,47 +559,53 @@ def _ipm(dims, cs, amat, b, opts, x0=None):
 
 
 def _svec_form(problem):
-    """The problem over the reals, with its constraints as rows of svec data.
+    """The problem in block groups, with its constraints as rows of svec data.
 
-    Scalars become 1x1 real blocks at the tail and complex blocks are
-    embedded.  Returns the embedded block sides, the objective blocks, the
-    constraint matrix A (one svec row per constraint), the right-hand side,
-    and the indices of the blocks that were real before the embedding.  The
-    per-row coefficient matrices die here, so they do not sit next to A
-    while the iteration runs.
+    Variables are grouped by (side, complex or real) in order of first
+    appearance; the scalars are real 1x1 variables after the blocks.
+    Returns the groups, each variable's (group, member) slot, the objective
+    stacks, the constraint matrix A (one svec row per constraint) and the
+    right-hand side.  The per-row coefficient matrices die here, so they do
+    not sit next to A while the iteration runs.
     """
     nblocks = len(problem.blocks)
-    nscalars = len(problem.scalar_costs)
+    members = {}
+    for v, n in enumerate(list(problem.blocks) + [1] * len(problem.scalar_costs)):
+        cplx = v < nblocks and v not in problem.real_blocks
+        members.setdefault((n, cplx), []).append(v)
+    groups, lo = [], 0
+    for (n, cplx), vs in members.items():
+        groups.append(_Group(n, cplx, vs, lo))
+        lo = groups[-1].hi
+    slots = [None] * sum(g.nb for g in groups)
+    for gi, g in enumerate(groups):
+        for j, v in enumerate(g.members):
+            slots[v] = (gi, j)
 
-    # scalars become 1x1 real blocks at the tail
-    work = SdpProblem(
-        blocks=list(problem.blocks) + [1] * nscalars,
-        objective=[c.astype(complex) for c in problem.objective]
-        + [np.array([[float(c)]], dtype=complex) for c in problem.scalar_costs],
-        constraints=[
-            LinearConstraint(
-                {**{b: a for b, a in con.coeffs.items()},
-                 **{nblocks + j: np.array([[float(v)]], dtype=complex)
-                    for j, v in con.scalar_coeffs.items()}},
-                con.rhs,
-            )
-            for con in problem.constraints
-        ],
-        real_blocks=frozenset(problem.real_blocks) | frozenset(range(nblocks, nblocks + nscalars)),
-    )
-    emb = real_embed(work)
+    def scalar(c):
+        return np.array([[float(c)]])
 
-    dims = emb.blocks
-    cs = [c.real for c in emb.objective]
-    mfull = len(emb.constraints)
-    layout = _Blocks(dims)
-    amat = np.zeros((mfull, layout.total))
-    b = np.empty(mfull)
-    for k, con in enumerate(emb.constraints):
-        b[k] = con.rhs
-        for bidx, a in con.coeffs.items():
-            amat[k, layout.offsets[bidx]: layout.offsets[bidx + 1]] = _svec(a.real)
-    return dims, cs, amat, b, work.real_blocks
+    objective = list(problem.objective) + [scalar(c) for c in problem.scalar_costs]
+    cs = [g.stack(objective) for g in groups]
+
+    # every coefficient matrix of a group is packed with one gather
+    entries = [([], [], []) for _ in groups]  # rows, member indices, matrices
+    for k, con in enumerate(problem.constraints):
+        terms = list(con.coeffs.items())
+        terms += [(nblocks + j, scalar(a)) for j, a in con.scalar_coeffs.items()]
+        for v, a in terms:
+            gi, j = slots[v]
+            rows, idx, mats = entries[gi]
+            rows.append(k)
+            idx.append(j)
+            mats.append(a)
+    amat = np.zeros((len(problem.constraints), lo))
+    for g, (rows, idx, mats) in zip(groups, entries):
+        if rows:
+            cols = g.lo + g.size * np.array(idx)[:, None] + np.arange(g.size)
+            amat[np.array(rows)[:, None], cols] = _svec(_block_stack(mats, g.cplx))
+    b = np.array([con.rhs for con in problem.constraints], dtype=float)
+    return groups, slots, cs, amat, b
 
 
 def solve(problem: SdpProblem, options: SolveOptions | None = None,
@@ -561,7 +623,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
 
     nblocks = len(problem.blocks)
     nscalars = len(problem.scalar_costs)
-    dims, cs, amat, b, real_blocks = _svec_form(problem)
+    groups, slots, cs, amat, b = _svec_form(problem)
     mfull = amat.shape[0]
 
     x0 = None
@@ -572,14 +634,8 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
         scal = list(initial_scalars or [])
         if nscalars and len(scal) != nscalars:
             raise DimensionError("initial_scalars must match the scalar list")
-        full = mats + [np.array([[float(v)]], dtype=complex) for v in scal]
-        x0 = []
-        for bidx, v in enumerate(full):
-            v = (v + v.conj().T) / 2
-            if bidx in real_blocks:
-                x0.append(v.real)
-            else:
-                x0.append(_embed_herm(v))
+        full = [(v + v.conj().T) / 2 for v in mats] + [np.array([[float(v)]]) for v in scal]
+        x0 = [g.stack(full) for g in groups]
 
     # drop linearly dependent rows; detect inconsistency
     kept = _independent_rows(amat) if mfull else np.zeros(0, dtype=int)
@@ -600,33 +656,22 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     amat /= scales[:, None]
     b = b / scales
 
-    res = _ipm(dims, cs, amat, b, opts, x0=x0)
+    res = _ipm(groups, cs, amat, b, opts, x0=x0)
 
     y = np.zeros(mfull)
     if kept.size:
         y[kept] = res["y"] / scales
 
-    block_values, dual_blocks = [], []
-    for bidx in range(nblocks):
-        xb, sb = res["xs"][bidx], res["ss"][bidx]
-        if bidx in problem.real_blocks:
-            block_values.append(((xb + xb.T) / 2).astype(complex))
-            dual_blocks.append(((sb + sb.T) / 2).astype(complex))
-        else:
-            xv = _unembed(xb)
-            sv = 2 * _unembed(sb)
-            block_values.append((xv + xv.conj().T) / 2)
-            dual_blocks.append((sv + sv.conj().T) / 2)
-    scalar_values = [float(res["xs"][nblocks + j][0, 0]) for j in range(nscalars)]
-
+    xs = [res["xs"][gi][j] for gi, j in slots]
+    ss = [res["ss"][gi][j] for gi, j in slots]
     return SdpSolution(
         status=res["status"],
         primal_value=res["pobj"],
         dual_value=res["dobj"],
-        block_values=block_values,
-        scalar_values=scalar_values,
+        block_values=[x.astype(complex) for x in xs[:nblocks]],
+        scalar_values=[float(x[0, 0]) for x in xs[nblocks:]],
         y=y,
-        dual_blocks=dual_blocks,
+        dual_blocks=[s.astype(complex) for s in ss[:nblocks]],
         gap=res["gap"],
         iterations=res["iterations"],
         primal_residual=res["prel"],

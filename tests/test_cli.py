@@ -45,6 +45,8 @@ def test_robustness_channels_from_file(tmp_path, capsys):
     assert "timestamp" in rep
     assert rep["solver_options"]["feas_tol"] > 0
     assert rep["witness"]["kind"] == "channels"
+    for key in ("primal_iterations", "dual_iterations"):
+        assert type(rep["solver"][key]) is int and rep["solver"][key] > 0
 
 
 def test_robustness_measurements_from_file(tmp_path, capsys):
@@ -189,6 +191,16 @@ def test_bad_tolerance_exits_one(tmp_path, capsys, flag, value):
     assert code == 1
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("command", [["demo", "cloning"], ["demo", "identity-pair"],
+                                     ["verify", "theorem1"]])
+@pytest.mark.parametrize("dim", ["0", "1", "-3"])
+def test_bad_dim_exits_one(capsys, command, dim):
+    code, out, err = run_cli(command + ["--dim", dim], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--dim" in err
 
 
 def test_verify_duality_passes(capsys):

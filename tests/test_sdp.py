@@ -270,46 +270,153 @@ def test_svd_falls_back_when_gesdd_fails(monkeypatch):
     assert abs(got.primal_value - value) < 1e-6 * (1 + abs(value))
 
 
-def test_schur_complement_matches_definition():
-    # a complex block, a real block and two scalars (1x1 real blocks, as
-    # solve lays them out), with rows that touch only some of the blocks
-    rng = np.random.default_rng(17)
-    blocks = [3, 2, 1, 1]
-    real = frozenset({1, 2, 3})
+def mixed_rows_problem(rng, blocks, real, nscalars, m):
+    """Zero-objective problem whose rows touch random subsets of the
+    variables (blocks, then scalars)."""
+    nvars = len(blocks) + nscalars
     cons = []
-    for k in range(12):
-        touched = [b for b in range(len(blocks)) if rng.random() < 0.5] or [k % len(blocks)]
-        coeffs = {}
-        for b in touched:
-            a = random_herm(rng, blocks[b])
-            coeffs[b] = a.real.astype(complex) if b in real else a
-        cons.append(LinearConstraint(coeffs, 0.0))
-    prob = SdpProblem(
+    for k in range(m):
+        touched = [v for v in range(nvars) if rng.random() < 0.4] or [k % nvars]
+        coeffs, scalars = {}, {}
+        for v in touched:
+            if v >= len(blocks):
+                scalars[v - len(blocks)] = float(rng.standard_normal())
+            else:
+                a = random_herm(rng, blocks[v])
+                coeffs[v] = a.real.astype(complex) if v in real else a
+        cons.append(LinearConstraint(coeffs, 0.0, scalars))
+    return SdpProblem(
         blocks=blocks,
         objective=[np.zeros((n, n), dtype=complex) for n in blocks],
         constraints=cons,
+        scalar_costs=[0.0] * nscalars,
         real_blocks=real,
     )
-    emb = real_embed(prob)
-    dims = emb.blocks
-    layout = sdp._Blocks(dims)
-    dense = [
-        [con.coeffs[b].real if b in con.coeffs else np.zeros((n, n)) for b, n in enumerate(dims)]
-        for con in emb.constraints
-    ]
-    amat = np.array([layout.stack(row) for row in dense])
-    rs = [rng.standard_normal((n, n)) + n * np.eye(n) for n in dims]
-    ws = [r @ r.T for r in rs]
 
-    got = sdp._schur_complement(amat, sdp._schur_plan(amat, layout), rs)
+
+def test_schur_complement_matches_definition():
+    # interleaved sides, some real, and two scalars (which join the real 1x1
+    # group), with rows that touch random subsets of the variables
+    rng = np.random.default_rng(17)
+    blocks = [3, 2, 3, 1, 2, 3]
+    prob = mixed_rows_problem(rng, blocks, frozenset({1, 3, 5}), 2, 14)
+    groups, slots, _, amat, _ = sdp._svec_form(prob)
+    assert [(g.n, g.cplx, g.members) for g in groups] == [
+        (3, True, [0, 2]), (2, False, [1]), (1, False, [3, 6, 7]), (2, True, [4]), (3, False, [5]),
+    ]
+
+    # row k, variable v: the complex coefficient matrix, and its unpacking from A
+    sides = blocks + [1, 1]
+    dense = []
+    for k, con in enumerate(prob.constraints):
+        row = [np.zeros((n, n), dtype=complex) for n in sides]
+        for v, a in con.coeffs.items():
+            row[v] = a
+        for j, a in con.scalar_coeffs.items():
+            row[len(blocks) + j] = np.array([[a]], dtype=complex)
+        unpacked = [g.unpack(amat[k]) for g in groups]
+        for v, (gi, j) in enumerate(slots):
+            assert np.abs(unpacked[gi][j] - row[v]).max() <= 1e-15
+        dense.append(row)
+
+    rs = []
+    for g in groups:
+        r = rng.standard_normal((g.nb, g.n, g.n)) + g.n * np.eye(g.n)
+        if g.cplx:
+            r = r + 1j * rng.standard_normal((g.nb, g.n, g.n))
+        rs.append(r)
+    ws = [rs[gi][j] @ rs[gi][j].conj().T for gi, j in slots]
+
+    got = sdp._schur_complement(amat, sdp._schur_plan(amat, groups), rs)
     want = np.array([
-        [sum(np.trace(w @ ak @ w @ al) for w, ak, al in zip(ws, rk, rl)) for rl in dense]
+        [sum(np.trace(w @ ak @ w @ al).real for w, ak, al in zip(ws, rk, rl)) for rl in dense]
         for rk in dense
     ])
     assert np.array_equal(got, got.T)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # rows sharing no block do not couple
-    for k, rk in enumerate(emb.constraints):
-        for l, rl in enumerate(emb.constraints):
-            if not set(rk.coeffs) & set(rl.coeffs):
+    # rows sharing no variable do not couple
+    touched = [set(c.coeffs) | {len(blocks) + j for j in c.scalar_coeffs} for c in prob.constraints]
+    for k, tk in enumerate(touched):
+        for l, tl in enumerate(touched):
+            if not tk & tl:
                 assert got[k, l] == 0.0
+
+
+@pytest.mark.parametrize("cplx", [True, False])
+def test_svec_round_trip_and_inner_product(cplx):
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 3, 5):
+        mats = [random_herm(rng, n) for _ in range(8)]
+        x = np.array(mats if cplx else [m.real for m in mats])
+        v = sdp._svec(x)
+        assert v.shape == (8, n * n if cplx else n * (n + 1) // 2)
+        assert np.abs(sdp._smat(v, n, cplx) - x).max() <= 1e-15
+        # <A, X> = Re tr(AX) = svec(A) . svec(X)
+        want = np.array([[np.trace(a @ b).real for b in x] for a in x])
+        assert np.abs(v @ v.T - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def mixed_problem(rng, perm=None):
+    """Two complex sides, a real block and two scalars with a unique finite
+    optimum: unit-trace blocks, positive scalar costs and coupling rows that
+    hold strictly at X_b = I / n, u = 1.  ``perm`` reorders the blocks."""
+    blocks = [2, 3, 2, 3]
+    real = {2}
+    objective = [random_herm(rng, n) for n in blocks]
+    objective[2] = objective[2].real.astype(complex)
+    coupling = []
+    for _ in range(3):
+        coeffs = {b: random_herm(rng, n) for b, n in enumerate(blocks)}
+        coeffs[2] = coeffs[2].real.astype(complex)
+        scalars = {0: float(rng.standard_normal()), 1: float(rng.standard_normal())}
+        rhs = sum(np.trace(a).real / blocks[b] for b, a in coeffs.items()) + sum(scalars.values())
+        coupling.append((coeffs, scalars, rhs))
+    perm = list(range(len(blocks))) if perm is None else perm
+    where = {b: i for i, b in enumerate(perm)}
+    cons = [LinearConstraint({where[b]: np.eye(n, dtype=complex)}, 1.0) for b, n in enumerate(blocks)]
+    cons += [LinearConstraint({where[b]: a for b, a in coeffs.items()}, rhs, scalars)
+             for coeffs, scalars, rhs in coupling]
+    return SdpProblem(
+        blocks=[blocks[b] for b in perm],
+        objective=[objective[b] for b in perm],
+        constraints=cons,
+        scalar_costs=[1.0, 0.5],
+        real_blocks=frozenset(where[b] for b in real),
+    )
+
+
+def test_block_order_does_not_change_the_solution():
+    perm = [3, 0, 2, 1]
+    base = solve(mixed_problem(np.random.default_rng(29)))
+    moved = solve(mixed_problem(np.random.default_rng(29), perm))
+    assert base.status == moved.status == "optimal"
+    assert abs(base.primal_value - moved.primal_value) <= 1e-8
+    assert abs(base.dual_value - moved.dual_value) <= 1e-8
+    for i, b in enumerate(perm):
+        assert np.abs(moved.block_values[i] - base.block_values[b]).max() <= 1e-8
+    assert np.abs(np.subtract(moved.scalar_values, base.scalar_values)).max() <= 1e-8
+
+
+def test_cholesky_falls_back_per_block(monkeypatch):
+    # a failed batched Cholesky must not abort the solve: every block of the
+    # stack is factored on its own, and the failing one with a jitter
+    prob = mixed_problem(np.random.default_rng(31))
+    want = solve(prob)
+    real_cholesky = np.linalg.cholesky
+    failed = []
+
+    def flaky_cholesky(a, *args, **kwargs):
+        if not failed and a.ndim == 3 and len(a) > 1:
+            failed.append("stack")
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        if failed == ["stack"]:
+            # the first block of that stack fails on its own, too
+            failed.append("block")
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real_cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(sdp.np.linalg, "cholesky", flaky_cholesky)
+    got = solve(prob)
+    assert failed == ["stack", "block"]
+    assert got.status == "optimal"
+    assert abs(got.primal_value - want.primal_value) < 1e-7

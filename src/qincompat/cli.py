@@ -195,28 +195,29 @@ def _noisy_unitary(d, visibility, rng) -> ChoiMatrix:
     return ChoiMatrix(d, d, visibility * ju + (1 - visibility) * white)
 
 
+def _channel_game(channels, dim, opts):
+    """Robustness of channels on C^dim and the advantage ratio that the game
+    built from its witness realizes."""
+    rep = robustness_channels_primal(channels, opts)
+    game, meas = game_from_channel_witness(rep.witness, dim, dim)
+    ratio = advantage_ratio(game, meas, Strategy(preprocess=channels, measurements=meas),
+                            "channels", opts)
+    return rep.primal_value, ratio
+
+
 def _suite_theorem1(dim, seed, trials, opts, checks):
     """Channel game built from the witness realizes 1 + robustness."""
-    ids = [identity_channel(dim), identity_channel(dim)]
-    rep = robustness_channels_primal(ids, opts)
-    _record(checks, "identity_pair_closed_form", rep.primal_value,
-            identity_pair_closed_form(dim), 1e-6)
-    game, meas = game_from_channel_witness(rep.witness, dim, dim)
-    ratio = advantage_ratio(game, meas, Strategy(preprocess=ids, measurements=meas),
-                            "channels", opts)
-    _record(checks, "identity_pair_game_ratio", ratio, 1 + rep.primal_value, 1e-5)
+    r, ratio = _channel_game([identity_channel(dim), identity_channel(dim)], dim, opts)
+    _record(checks, "identity_pair_closed_form", r, identity_pair_closed_form(dim), 1e-6)
+    _record(checks, "identity_pair_game_ratio", ratio, 1 + r, 1e-5)
     rng = np.random.default_rng(seed)
     for k in range(trials):
         # noisy unitaries: unitary pairs all share one robustness value, so
         # vary the visibility to get distinct instances
         pair = [_noisy_unitary(2, 0.8 + 0.15 * rng.random(), rng) for _ in range(2)]
-        rep = robustness_channels_primal(pair, opts)
-        _record(checks, f"random_pair_{k}_incompatible", rep.primal_value, 1e-3,
-                0.0, mode="lower")
-        game, meas = game_from_channel_witness(rep.witness, 2, 2)
-        ratio = advantage_ratio(game, meas, Strategy(preprocess=pair, measurements=meas),
-                                "channels", opts)
-        _record(checks, f"random_pair_{k}_game_ratio", ratio, 1 + rep.primal_value, 1e-5)
+        r, ratio = _channel_game(pair, 2, opts)
+        _record(checks, f"random_pair_{k}_incompatible", r, 1e-3, 0.0, mode="lower")
+        _record(checks, f"random_pair_{k}_game_ratio", ratio, 1 + r, 1e-5)
 
 
 def _suite_theorem2(dim, seed, trials, opts, checks):
@@ -271,12 +272,20 @@ def _suite_prop2(dim, seed, trials, opts, checks):
     _record(checks, "max_delta", worst, 0.0, 1e-6)
 
 
-def _suite_appendix_c(dim, seed, trials, opts, checks):
-    """Cloning marginals are depolarizing and unassisted games obey the bound."""
+def _cloning_marginals(dim):
+    """The two marginals of the optimal 1 -> 2 cloner on C^dim, the visibility
+    of the depolarizing channel they should equal, and their largest entrywise
+    deviation from it."""
     c = (dim + 2) / (2 * (dim + 1))
     clone = cloning_channel(dim)
     dep = depolarizing_channel(dim, c)
-    dev = max(np.abs(marginal(clone, x).matrix - dep.matrix).max() for x in (1, 2))
+    margs = [marginal(clone, 1), marginal(clone, 2)]
+    return margs, c, max(np.abs(m.matrix - dep.matrix).max() for m in margs)
+
+
+def _suite_appendix_c(dim, seed, trials, opts, checks):
+    """Cloning marginals are depolarizing and unassisted games obey the bound."""
+    _, _, dev = _cloning_marginals(dim)
     _record(checks, "cloning_marginal_deviation", dev, 0.0, 1e-9)
     out = unassisted_bound_check(dim, trials, seed, opts)
     _record(checks, "max_unassisted_ratio", out["max_ratio"], out["bound"], 1e-6,
@@ -336,16 +345,12 @@ def _cmd_verify(args, opts):
 
 
 def _demo_identity_pair(dim, opts):
-    ids = [identity_channel(dim), identity_channel(dim)]
-    rep = robustness_channels_primal(ids, opts)
-    game, meas = game_from_channel_witness(rep.witness, dim, dim)
-    ratio = advantage_ratio(game, meas, Strategy(preprocess=ids, measurements=meas),
-                            "channels", opts)
+    r, ratio = _channel_game([identity_channel(dim), identity_channel(dim)], dim, opts)
     return {
         "dim": dim,
-        "robustness": rep.primal_value,
+        "robustness": r,
         "closed_form": identity_pair_closed_form(dim),
-        "one_plus_robustness": 1 + rep.primal_value,
+        "one_plus_robustness": 1 + r,
         "game_ratio": ratio,
     }
 
@@ -374,11 +379,7 @@ def _demo_bb84(dim, opts):
 
 
 def _demo_cloning(dim, opts):
-    c = (dim + 2) / (2 * (dim + 1))
-    clone = cloning_channel(dim)
-    dep = depolarizing_channel(dim, c)
-    margs = [marginal(clone, 1), marginal(clone, 2)]
-    dev = max(np.abs(m.matrix - dep.matrix).max() for m in margs)
+    margs, c, dev = _cloning_marginals(dim)
     verdict = check_channels(margs, opts)
     return {
         "dim": dim,

@@ -23,6 +23,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     partial_trace,
+    partial_transpose,
     require_hermitian,
     swap_matrix,
 )
@@ -148,8 +149,7 @@ def apply_channel_extended(choi: ChoiMatrix, rho) -> np.ndarray:
     d = choi.dim_in
     if rho.shape != (d * d, d * d):
         raise DimensionError(f"state shape {rho.shape} does not match two copies of dim {d}")
-    t = rho.reshape(d, d, d, d)  # (a b | a' b')
-    rho_ta = np.ascontiguousarray(t.transpose(2, 1, 0, 3).reshape(d * d, d * d))
+    rho_ta = partial_transpose(rho, (d, d), (0,))
     op = kron(choi.matrix, np.eye(d)) @ kron(np.eye(choi.dim_out), rho_ta)
     return d * partial_trace(op, (choi.dim_out, d, d), (0, 2))
 

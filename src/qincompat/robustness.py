@@ -37,9 +37,9 @@ from .compat import (
     pair_device,
     pair_dims,
 )
-from .linalg import ContractError, hermitian_basis, hermitize, kron
+from .linalg import ContractError, hermitize, kron
 from .qobjects import ChoiMatrix, Povm, PovmCollection, pad_choi, qc_channel
-from .sdp import LinearConstraint, SdpProblem, SolveOptions, hermitian_equality, require_optimal, solve
+from .sdp import SdpProblem, SolveOptions, hermitian_equality, require_optimal, solve
 
 # below this the optimal mixing weight is numerically zero and dividing the
 # slack blocks by it would amplify solver noise, so no noise is reconstructed
@@ -170,13 +170,8 @@ class _DualForm:
     def problem(self) -> SdpProblem:
         cons = []
         for dim, weight, maps in self.params:
-            for h in hermitian_basis(dim):
-                coeffs = {}
-                for block, fn in maps:
-                    m = -fn(h)
-                    coeffs[block] = coeffs[block] + m if block in coeffs else m
-                rhs = 0.0 if weight is None else float(np.trace(h @ weight).real)
-                cons.append(LinearConstraint(coeffs, rhs))
+            cons += hermitian_equality(dim, [(block, lambda h, fn=fn: -fn(h)) for block, fn in maps],
+                                       rhs=weight)
         return SdpProblem(
             blocks=list(self.blocks),
             objective=list(self.objective),

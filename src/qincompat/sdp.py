@@ -17,18 +17,18 @@ declared real blocks and the scalars, which are real 1x1 variables), in order
 of first appearance.  Each group keeps its iterates in one (nb, n, n) stack,
 so the NT scaling (Cholesky, SVD), the directions and the step search are one
 batched LAPACK or BLAS call per group and step.  The constraint matrix A is
-real: row k holds svec(A_kv) for every variable v, group after group, where
-svec of a complex block lists the diagonal, then sqrt(2) times the real and
-the imaginary parts of the upper triangle (n^2 reals), and svec of a real
-block the diagonal and sqrt(2) times the upper triangle, so that
-<A, X> = svec(A) . svec(X).
+real: row k holds, group after group, the float view of the stack of the
+coefficient matrices A_kv, row-major with a complex entry as its (re, im)
+pair, so 2 n^2 floats per complex block and n^2 per real one.  That view
+gives flat(A) . flat(X) = Re sum_ij conj(A_ij) X_ij = Re tr(A^H X), which is
+<A, X> = Re tr(AX) for Hermitian data, so packing and unpacking are reshapes
+with no scale factors.
 
 Each iteration forms the Schur complement M = A W A^T group by group.  With
 the NT scaling W_v = R_v R_v^H, M_kl = sum_v <R_v^H A_kv R_v, R_v^H A_lv R_v>:
-the rows touching a group are unpacked from svec form into one stack with a
-single gather, scaled by R with two batched products, and contribute one
-symmetric rank-k product of the stack's float view, so M is symmetric by
-construction.
+the rows touching a group are copied out of A and viewed as one stack,
+scaled by R with two batched products, and contribute one symmetric rank-k
+product of the copy, so M is symmetric by construction.
 
 Redundant equality rows are removed with a pivoted QR factorization before
 the iteration starts (rank threshold ``RANK_TOL`` relative to the largest
@@ -40,7 +40,6 @@ caller knows one; otherwise a scaled-identity cold start is used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -102,8 +101,15 @@ class SdpProblem:
     real_blocks: frozenset = frozenset()
 
     def validate(self):
+        if not self.blocks and not self.scalar_costs:
+            raise DimensionError("problem has no variables: no blocks and no scalars")
         if len(self.objective) != len(self.blocks):
             raise DimensionError("objective must have one matrix per block")
+        for b in self.real_blocks:
+            if b < 0 or b >= len(self.blocks):
+                raise DimensionError(f"real block {b} is not in the block list")
+        if not np.all(np.isfinite(self.scalar_costs)):
+            raise ContractError("scalar_costs has non-finite entries")
         for b, (n, c) in enumerate(zip(self.blocks, self.objective)):
             if n < 1:
                 raise DimensionError(f"block {b} has nonpositive dimension {n}")
@@ -124,9 +130,11 @@ class SdpProblem:
                 require_hermitian(a, what=f"constraint {k} coefficient on block {b}")
                 if b in self.real_blocks and np.abs(a.imag).max() > 1e-12:
                     raise ContractError(f"constraint {k} has complex data on real block {b}")
-            for j in con.scalar_coeffs:
+            for j, a in con.scalar_coeffs.items():
                 if j < 0 or j >= len(self.scalar_costs):
                     raise DimensionError(f"constraint {k} references unknown scalar {j}")
+                if not np.isfinite(a):
+                    raise ContractError(f"constraint {k} has non-finite coefficient on scalar {j}")
         return self
 
 
@@ -209,11 +217,6 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
     )
 
 
-def _frozen(a):
-    a.setflags(write=False)
-    return a
-
-
 def _ct(a):
     """Conjugate transpose of the last two axes."""
     return np.swapaxes(a, -1, -2).conj()
@@ -228,74 +231,30 @@ def _inner(xs, ss):
     return sum(np.vdot(s, x).real for x, s in zip(xs, ss))
 
 
-@lru_cache(maxsize=None)
-def _svec_maps(n, cplx):
-    """Gathers between svec vectors and the flat float view of n x n blocks.
-
-    The flat view is row-major; a complex entry is its (re, im) pair.  svec
-    lists the diagonal, sqrt(2) times the real parts of the upper triangle
-    and, for a complex block, sqrt(2) times their imaginary parts, so that
-    <A, X> = Re tr(AX) = svec(A) . svec(X).  Packing is ``flat[..., take] *
-    up``; unpacking is ``v[..., pos] * down``.
-    """
-    width = 2 if cplx else 1
-    d = np.arange(n)
-    iu, ju = np.triu_indices(n, 1)
-    p = iu.size
-    r2 = sqrt(2.0)
-    up_re = width * (iu * n + ju)
-    take = [width * (d * n + d), up_re] + ([up_re + 1] if cplx else [])
-    up = [np.ones(n), np.full(p, r2)] + ([np.full(p, r2)] if cplx else [])
-
-    pos = np.zeros((n, n, width), dtype=np.intp)
-    down = np.zeros((n, n, width))
-    pos[d, d, 0] = d
-    down[d, d, 0] = 1.0
-    pos[iu, ju, 0] = pos[ju, iu, 0] = n + np.arange(p)
-    down[iu, ju, 0] = down[ju, iu, 0] = 1 / r2
-    if cplx:
-        # the lower triangle holds the conjugates
-        pos[iu, ju, 1] = pos[ju, iu, 1] = n + p + np.arange(p)
-        down[iu, ju, 1] = 1 / r2
-        down[ju, iu, 1] = -1 / r2
-    return (_frozen(np.concatenate(take)), _frozen(np.concatenate(up)),
-            _frozen(pos.ravel()), _frozen(down.ravel()))
-
-
-def _svec(x):
-    """svec rows (k, size) of a (k, n, n) stack, complex Hermitian or real
-    symmetric by its dtype."""
-    cplx = np.iscomplexobj(x)
-    take, up, _, _ = _svec_maps(x.shape[-1], cplx)
-    flat = (x.view(np.float64) if cplx else x).reshape(len(x), -1)
-    return np.take(flat, take, axis=1) * up
-
-
-def _smat(v, n, cplx):
-    """(k, n, n) stack of blocks from svec rows ``v`` of shape (k, size)."""
-    _, _, pos, down = _svec_maps(n, cplx)
-    f = np.take(v, pos, axis=1) * down
-    return (f.view(np.complex128) if cplx else f).reshape(len(v), n, n)
-
-
 def _block_stack(mats, cplx):
     if cplx:
         return np.array(mats, dtype=complex)
     return np.array([np.real(a) for a in mats], dtype=float)
 
 
+def _pack(stacks):
+    """One vector of the float views of a list of stacks, in order."""
+    return np.concatenate([x.ravel().view(np.float64) for x in stacks])
+
+
 class _Group:
     """The variables of one side and kind (complex or real), stacked.
 
-    Their svec columns are contiguous in A, member after member, and their
-    iterates live in one (nb, n, n) array, so each step of the iteration is
-    one batched call per group.
+    Their columns in A hold the float view of the (nb, n, n) stack: row-major,
+    a complex entry as its (re, im) pair, so 2 n^2 floats per complex member
+    and n^2 per real one.  The iterates live in one such stack, so each step
+    of the iteration is one batched call per group.
     """
 
     def __init__(self, n, cplx, members, lo):
         self.n, self.cplx, self.members = n, cplx, members
         self.nb = len(members)
-        self.size = n * n if cplx else n * (n + 1) // 2
+        self.size = 2 * n * n if cplx else n * n
         self.lo, self.hi = lo, lo + self.nb * self.size
 
     def stack(self, mats):
@@ -305,40 +264,42 @@ class _Group:
     def eye(self):
         return np.repeat(np.eye(self.n, dtype=complex if self.cplx else float)[None], self.nb, axis=0)
 
+    def view(self, f):
+        """The (..., nb, n, n) stacks whose float views are the last axis of ``f``."""
+        return (f.view(np.complex128) if self.cplx else f).reshape(f.shape[:-1] + (self.nb, self.n, self.n))
+
     def unpack(self, v):
-        return _smat(v[self.lo: self.hi].reshape(self.nb, self.size), self.n, self.cplx)
+        """This group's stack in a packed vector, as a view."""
+        return self.view(v[self.lo: self.hi])
 
 
 def _schur_plan(amat, groups):
-    """Per group with any nonzero coefficient: its index, the rows of
-    ``amat`` that touch it, and the svec columns and factors that unpack all
-    its members row-major."""
+    """Per group with any nonzero coefficient: its index and the rows of
+    ``amat`` that touch it."""
     plan = []
     for gi, g in enumerate(groups):
         rows = np.flatnonzero(amat[:, g.lo: g.hi].any(axis=1))
         if rows.size:
-            _, _, pos, down = _svec_maps(g.n, g.cplx)
-            cols = (g.lo + g.size * np.arange(g.nb)[:, None] + pos).ravel()
-            plan.append((gi, g, rows, cols, np.tile(down, g.nb)))
+            plan.append((gi, g, rows))
     return plan
 
 
 def _schur_complement(amat, plan, rs):
     """Schur complement M = A W A^T of the NT scaling W_v = R_v R_v^H.
 
-    Row k of ``amat`` holds svec(A_kv) on every variable v, so
+    Row k of ``amat`` holds the float view of A_kv on every variable v, so
     M_kl = sum_v Re tr(W_v A_kv W_v A_lv) = sum_v <R_v^H A_kv R_v, R_v^H A_lv R_v>.
-    Each group unpacks the rows that touch it into one (k, nb, n, n) stack,
-    scales it with two batched products and adds the rank-k product of its
-    float view (Re G G^H) into those rows and columns of M.
+    Each group copies the rows that touch it out of A, views the copy as one
+    (k, nb, n, n) stack, scales it with two batched products and adds the
+    rank-k product of the copy (Re G G^H, the float view's inner products of
+    the Hermitian G = R^H A R) into those rows and columns of M.
     """
     m = amat.shape[0]
     schur = np.zeros((m, m))
-    for gi, g, rows, cols, down in plan:
+    for gi, g, rows in plan:
         r = rs[gi]
-        f = amat[rows[:, None], cols]
-        f *= down
-        stack = (f.view(np.complex128) if g.cplx else f).reshape(rows.size, g.nb, g.n, g.n)
+        f = amat[rows, g.lo: g.hi]
+        stack = g.view(f)
         # the stack is the largest array of the build: scale it in place
         np.matmul(_ct(r), stack @ r, out=stack)
         schur[np.ix_(rows, rows)] += f @ f.T
@@ -398,13 +359,10 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
     n_tot = sum(g.nb * g.n for g in groups)
     m = amat.shape[0]
 
-    def pack(stacks):
-        return np.concatenate([_svec(x).ravel() for x in stacks])
-
     def unpack(v):
         return [g.unpack(v) for g in groups]
 
-    cvec = pack(cs)
+    cvec = _pack(cs)
     bnorm = 1.0 + np.linalg.norm(b)
     cnorm = 1.0 + np.linalg.norm(cvec)
 
@@ -438,7 +396,7 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
             if q <= 1e-9 * (1.0 + np.linalg.norm(zvec)):
                 status = "infeasible"
                 return True
-        xvec = pack(xs)
+        xvec = _pack(xs)
         obj = float(cvec @ xvec)
         if obj < -1e-10:
             xn = xvec / (-obj)
@@ -448,7 +406,7 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
         return False
 
     for it in range(opts.max_iter):
-        xvec = pack(xs)
+        xvec = _pack(xs)
         rp = b - amat @ xvec
         rds = [c - s - a for c, s, a in zip(cs, ss, unpack(amat.T @ y))]
         pobj = float(cvec @ xvec)
@@ -493,7 +451,7 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
         def direction(dhats):
             rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
             if m:
-                rhs = rp + amat @ pack([w @ rd @ w - q for w, rd, q in zip(ws, rds, rdr)])
+                rhs = rp + amat @ _pack([w @ rd @ w - q for w, rd, q in zip(ws, rds, rdr)])
                 dy = scipy.linalg.cho_solve((schur_l, True), rhs)
             else:
                 dy = np.zeros(0)
@@ -558,15 +516,15 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
     }
 
 
-def _svec_form(problem):
-    """The problem in block groups, with its constraints as rows of svec data.
+def _grouped_form(problem):
+    """The problem in block groups, with its constraints as rows of A.
 
     Variables are grouped by (side, complex or real) in order of first
     appearance; the scalars are real 1x1 variables after the blocks.
     Returns the groups, each variable's (group, member) slot, the objective
-    stacks, the constraint matrix A (one svec row per constraint) and the
-    right-hand side.  The per-row coefficient matrices die here, so they do
-    not sit next to A while the iteration runs.
+    stacks, the constraint matrix A (one row of float views per constraint)
+    and the right-hand side.  The per-row coefficient matrices die here, so
+    they do not sit next to A while the iteration runs.
     """
     nblocks = len(problem.blocks)
     members = {}
@@ -588,7 +546,8 @@ def _svec_form(problem):
     objective = list(problem.objective) + [scalar(c) for c in problem.scalar_costs]
     cs = [g.stack(objective) for g in groups]
 
-    # every coefficient matrix of a group is packed with one gather
+    # every coefficient matrix of a group is written with one scatter,
+    # symmetrized first: validation lets it be Hermitian only to 1e-12
     entries = [([], [], []) for _ in groups]  # rows, member indices, matrices
     for k, con in enumerate(problem.constraints):
         terms = list(con.coeffs.items())
@@ -603,7 +562,8 @@ def _svec_form(problem):
     for g, (rows, idx, mats) in zip(groups, entries):
         if rows:
             cols = g.lo + g.size * np.array(idx)[:, None] + np.arange(g.size)
-            amat[np.array(rows)[:, None], cols] = _svec(_block_stack(mats, g.cplx))
+            flat = _pack([_herm(_block_stack(mats, g.cplx))])
+            amat[np.array(rows)[:, None], cols] = flat.reshape(len(mats), g.size)
     b = np.array([con.rhs for con in problem.constraints], dtype=float)
     return groups, slots, cs, amat, b
 
@@ -623,7 +583,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
 
     nblocks = len(problem.blocks)
     nscalars = len(problem.scalar_costs)
-    groups, slots, cs, amat, b = _svec_form(problem)
+    groups, slots, cs, amat, b = _grouped_form(problem)
     mfull = amat.shape[0]
 
     x0 = None

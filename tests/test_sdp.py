@@ -236,6 +236,16 @@ def test_validate_rejects_bad_problem():
     bad = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ContractError):
         SdpProblem(blocks=[2], objective=[bad], constraints=[]).validate()
+    with pytest.raises(DimensionError, match="no variables"):
+        SdpProblem(blocks=[], objective=[], constraints=[]).validate()
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ContractError, match="scalar_costs"):
+        SdpProblem(blocks=[2], objective=[eye], constraints=[], scalar_costs=[np.inf]).validate()
+    row = LinearConstraint({0: eye}, 1.0, {0: np.nan})
+    with pytest.raises(ContractError, match="non-finite coefficient on scalar 0"):
+        SdpProblem(blocks=[2], objective=[eye], constraints=[row], scalar_costs=[1.0]).validate()
+    with pytest.raises(DimensionError, match="real block 1"):
+        SdpProblem(blocks=[2], objective=[eye], constraints=[], real_blocks=frozenset({1})).validate()
 
 
 def test_tolerances_respected():
@@ -300,7 +310,7 @@ def test_schur_complement_matches_definition():
     rng = np.random.default_rng(17)
     blocks = [3, 2, 3, 1, 2, 3]
     prob = mixed_rows_problem(rng, blocks, frozenset({1, 3, 5}), 2, 14)
-    groups, slots, _, amat, _ = sdp._svec_form(prob)
+    groups, slots, _, amat, _ = sdp._grouped_form(prob)
     assert [(g.n, g.cplx, g.members) for g in groups] == [
         (3, True, [0, 2]), (2, False, [1]), (1, False, [3, 6, 7]), (2, True, [4]), (3, False, [5]),
     ]
@@ -343,17 +353,20 @@ def test_schur_complement_matches_definition():
 
 
 @pytest.mark.parametrize("cplx", [True, False])
-def test_svec_round_trip_and_inner_product(cplx):
+def test_flat_layout_round_trip_and_inner_product(cplx):
     rng = np.random.default_rng(19)
     for n in (1, 2, 3, 5):
         mats = [random_herm(rng, n) for _ in range(8)]
         x = np.array(mats if cplx else [m.real for m in mats])
-        v = sdp._svec(x)
-        assert v.shape == (8, n * n if cplx else n * (n + 1) // 2)
-        assert np.abs(sdp._smat(v, n, cplx) - x).max() <= 1e-15
-        # <A, X> = Re tr(AX) = svec(A) . svec(X)
+        # a leading real 1x1 block puts the stack at an odd float offset
+        group = sdp._Group(n, cplx, list(range(8)), 1)
+        v = sdp._pack([np.ones((1, 1, 1)), x])
+        assert v.shape == (group.hi,) and group.size == (2 if cplx else 1) * n * n
+        assert np.array_equal(group.unpack(v), x)
+        # <A, X> = Re tr(AX) = flat(A) . flat(X)
+        rows = v[1:].reshape(8, group.size)
         want = np.array([[np.trace(a @ b).real for b in x] for a in x])
-        assert np.abs(v @ v.T - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(rows @ rows.T - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def mixed_problem(rng, perm=None):

@@ -30,6 +30,20 @@ the rows touching a group are copied out of A and viewed as one stack,
 scaled by R with two batched products, and contribute one symmetric rank-k
 product of the copy, so M is symmetric by construction.
 
+The search direction is solved in NT-scaled coordinates.  R_v^-1 X_v R_v^-H
+= R_v^H S_v R_v = Lambda_v = diag(lam), and the scaled steps are dX^ =
+R^-1 dX R^-H and dS^ = R^H dS R.  Linearizing the symmetrized
+complementarity (X^ S^ + S^ X^)/2 = sigma mu I at X^ = S^ = Lambda gives, for
+D = dX^ + dS^,
+
+    (Lambda D + D Lambda) / 2 = T,   solved by   D_ij = 2 T_ij / (lam_i + lam_j),
+
+and dX = R D R^H - W dS W with W = R R^H.  The predictor takes T = -Lambda^2
+(so D = -Lambda, the affine step to mu = 0); the corrector takes
+T = sigma mu I - Lambda^2 - (dX^_a dS^_a + dS^_a dX^_a)/2 with the
+predictor's scaled steps dX^_a, dS^_a and Mehrotra's sigma = (mu_aff/mu)^3.
+Both go through ``_lyap``.
+
 Redundant equality rows are removed with a pivoted QR factorization before
 the iteration starts (rank threshold ``RANK_TOL`` relative to the largest
 pivot); an inconsistent equality system is reported as infeasible outright.
@@ -140,7 +154,9 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    status: str  # optimal | infeasible | unbounded | max_iter
+    # optimal | infeasible | unbounded | max_iter | stalled (three steps in a
+    # row shorter than 1e-8 before max_iter)
+    status: str
     primal_value: float
     dual_value: float
     block_values: list[np.ndarray]
@@ -224,6 +240,20 @@ def _ct(a):
 
 def _herm(a):
     return (a + _ct(a)) / 2
+
+
+def _diag(v):
+    """The stack of diagonal matrices with the rows of ``v`` on the diagonal."""
+    return v[:, :, None] * np.eye(v.shape[1])
+
+
+def _lyap(lam, t):
+    """Solve (Lambda D + D Lambda)/2 = T for D on a stack: D_ij = 2 T_ij / (lam_i + lam_j).
+
+    ``lam`` is an (nb, n) array of positive eigenvalues and ``t`` an (nb, n, n)
+    Hermitian stack; D is returned Hermitian.
+    """
+    return _herm(2 * t / (lam[:, :, None] + lam[:, None, :]))
 
 
 def _inner(xs, ss):
@@ -468,8 +498,8 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
                     a = min(a, -1.0 / wmin)
             return a
 
-        # predictor
-        dxa, _, dsa = direction([-lam[:, :, None] * np.eye(lam.shape[1]) for lam in lams])
+        # predictor: T = -Lambda^2, so D = -Lambda
+        dxa, _, dsa = direction([_lyap(lam, -_diag(lam**2)) for lam in lams])
         ap = min(1.0, boundary(dxa, rinvs, rinvsh))
         ad = min(1.0, boundary(dsa, rsh, rs))
         mu_aff = _inner(
@@ -479,21 +509,19 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
         mu_aff = max(mu_aff, 0.0)
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-12))
 
-        # corrector
+        # corrector: T = sigma mu I - Lambda^2 - (dX^ dS^ + dS^ dX^)/2 of the predictor
         dhats = []
         for r, rh, rinv, rinvh, lam, dx, ds in zip(rs, rsh, rinvs, rinvsh, lams, dxa, dsa):
             dxh = rinv @ dx @ rinvh
             dsh = rh @ ds @ r
-            t = -(dxh @ dsh + dsh @ dxh) / 2
-            i = np.arange(lam.shape[1])
-            t[:, i, i] += sigma * mu - lam**2
-            dhats.append(_herm(t / (lam[:, :, None] + lam[:, None, :])))
+            dhats.append(_lyap(lam, _diag(sigma * mu - lam**2) - (dxh @ dsh + dsh @ dxh) / 2))
         dxs, dy, dss = direction(dhats)
         ap = min(1.0, STEP_FRACTION * boundary(dxs, rinvs, rinvsh))
         ad = min(1.0, STEP_FRACTION * boundary(dss, rsh, rs))
         if min(ap, ad) < 1e-8:
             stall += 1
             if stall >= 3:
+                status = "stalled"
                 break
         else:
             stall = 0

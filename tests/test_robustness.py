@@ -68,6 +68,12 @@ def random_projective_pair(rng, d=2):
     return PovmCollection(ms)
 
 
+# Cold-start iteration bound on the identity pairs.  Measured: 7 primal and 8
+# dual iterations on C^2, 8 and 8 on C^3; a corrector that takes half the
+# Newton step needs 31 and 31 on C^2.
+IDENTITY_PAIR_MAX_ITERATIONS = 12
+
+
 def test_identity_pair_matches_closed_form():
     for d in (2, 3):
         rep = robustness_channels_primal([identity_channel(d), identity_channel(d)])
@@ -75,6 +81,8 @@ def test_identity_pair_matches_closed_form():
         assert abs(rep.primal_value - want) < 1e-6
         assert abs(rep.dual_value - want) < 1e-6
         assert rep.gap < 1e-6 * (1 + rep.primal_value)
+        assert rep.solver["primal_iterations"] <= IDENTITY_PAIR_MAX_ITERATIONS
+        assert rep.solver["dual_iterations"] <= IDENTITY_PAIR_MAX_ITERATIONS
 
 
 def test_identity_pair_reconstruction():

@@ -77,12 +77,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, input_file=False):
+    def common(sp, input_file=False, dim=False, sampled=False):
+        # each subcommand takes only the flags it reads
         if input_file:
             sp.add_argument("--input", required=True, help="path to a JSON input file")
-        sp.add_argument("--dim", type=int, default=2, help="Hilbert space dimension")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed for sampled instances")
-        sp.add_argument("--trials", type=int, default=None, help="number of sampled instances")
+        if dim:
+            sp.add_argument("--dim", type=int, default=2, help="Hilbert space dimension")
+        if sampled:
+            sp.add_argument("--seed", type=int, default=None, help="RNG seed for sampled instances")
+            sp.add_argument("--trials", type=int, default=None, help="number of sampled instances")
         sp.add_argument("--tol-gap", type=float, default=DEFAULT_GAP_TOL,
                         help="solver duality gap tolerance")
         sp.add_argument("--tol-feas", type=float, default=DEFAULT_FEAS_TOL,
@@ -100,11 +103,11 @@ def _parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run a seeded self-check suite")
     vf.add_argument("suite", choices=["theorem1", "theorem2", "prop1", "prop2",
                                       "appendixC", "duality"])
-    common(vf)
+    common(vf, dim=True, sampled=True)
 
     dm = sub.add_parser("demo", help="run a worked example")
     dm.add_argument("name", choices=["identity-pair", "bb84", "cloning"])
-    common(dm)
+    common(dm, dim=True)
     return p
 
 
@@ -416,7 +419,7 @@ def _run(args) -> tuple[dict, int]:
         # nonpositive value would only run the solver to max_iter
         if not (np.isfinite(tol) and tol > 0):
             raise ContractError(f"{flag} must be a finite number > 0, got {tol}")
-    if args.dim < 2:
+    if "dim" in args and args.dim < 2:
         # every demo and suite needs a nontrivial Hilbert space
         raise ContractError(f"--dim must be at least 2, got {args.dim}")
     opts = SolveOptions(feas_tol=args.tol_feas, gap_tol=args.tol_gap)

@@ -84,7 +84,7 @@ class DiscriminationGame:
     def state_dim(self) -> int:
         return self.ensembles[0][0][1].shape[0]
 
-    def validate(self, tol: float = STATE_TOL) -> "DiscriminationGame":
+    def validate(self) -> "DiscriminationGame":
         # the probability tests are phrased so that NaN fails them
         if not (np.all(self.prior >= -PROB_TOL) and abs(self.prior.sum() - 1) <= PROB_TOL):
             raise ContractError("setting prior is not a probability distribution")
@@ -97,9 +97,9 @@ class DiscriminationGame:
                 if rho.shape != (sd, sd):
                     raise DimensionError("all states must share one space")
                 rho = require_hermitian(rho, 1e-9, what=f"state {i}|{x}")
-                if np.linalg.eigvalsh(rho)[0] < -tol:
+                if np.linalg.eigvalsh(rho)[0] < -STATE_TOL:
                     raise ContractError(f"state {i}|{x} is not PSD")
-                if abs(np.trace(rho).real - 1) > tol:
+                if abs(np.trace(rho).real - 1) > STATE_TOL:
                     raise ContractError(f"state {i}|{x} is not normalized")
         return self
 

@@ -59,17 +59,17 @@ class ChoiMatrix:
                 f"{self.dim_out}x{self.dim_in}"
             )
 
-    def validate(self, tol: float = NORM_TOL) -> "ChoiMatrix":
+    def validate(self) -> "ChoiMatrix":
         m = require_hermitian(self.matrix, what="Choi matrix")
         w = np.linalg.eigvalsh(m)
-        if w[0] < -tol:
+        if w[0] < -NORM_TOL:
             raise ContractError(f"Choi matrix is not PSD (min eigenvalue {w[0]:.3e})")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > NORM_TOL:
             raise ContractError(f"Choi matrix trace is {tr}, expected 1")
         marg = partial_trace(m, (self.dim_out, self.dim_in), (1,))
         dev = np.abs(marg - np.eye(self.dim_in) / self.dim_in).max()
-        if dev > tol:
+        if dev > NORM_TOL:
             raise ContractError(f"input marginal deviates from I/d by {dev:.3e}")
         return self
 
@@ -177,14 +177,14 @@ class Povm:
     def outcomes(self) -> int:
         return len(self.elements)
 
-    def validate(self, tol: float = NORM_TOL) -> "Povm":
+    def validate(self) -> "Povm":
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for i, m in enumerate(self.elements):
             m = require_hermitian(m, what=f"effect {i}")
-            if np.linalg.eigvalsh(m)[0] < -tol:
+            if np.linalg.eigvalsh(m)[0] < -NORM_TOL:
                 raise ContractError(f"effect {i} is not PSD")
             total += m
-        if np.abs(total - np.eye(self.dim)).max() > tol:
+        if np.abs(total - np.eye(self.dim)).max() > NORM_TOL:
             raise ContractError("effects do not sum to the identity")
         return self
 
@@ -226,9 +226,9 @@ class PovmCollection:
     def outcomes(self) -> int:
         return max(p.outcomes for p in self.povms)
 
-    def validate(self, tol: float = NORM_TOL) -> "PovmCollection":
+    def validate(self) -> "PovmCollection":
         for p in self.povms:
-            p.validate(tol)
+            p.validate()
         return self
 
     def to_json(self) -> dict:
@@ -291,12 +291,12 @@ class Instrument:
     def outcomes(self) -> int:
         return len(self.elements)
 
-    def validate(self, tol: float = NORM_TOL) -> "Instrument":
+    def validate(self) -> "Instrument":
         for i, m in enumerate(self.elements):
             m = require_hermitian(m, what=f"instrument element {i}")
-            if np.linalg.eigvalsh(m)[0] < -tol:
+            if np.linalg.eigvalsh(m)[0] < -NORM_TOL:
                 raise ContractError(f"instrument element {i} is not PSD")
-        ChoiMatrix(self.dim_in, self.dim_out, sum(self.elements)).validate(tol)
+        ChoiMatrix(self.dim_in, self.dim_out, sum(self.elements)).validate()
         return self
 
     def to_json(self) -> dict:
@@ -358,9 +358,9 @@ class JointChannel:
     def shape(self):
         return (self.dim_out,) * self.n_outputs + (self.dim_in,)
 
-    def validate(self, tol: float = NORM_TOL) -> "JointChannel":
+    def validate(self) -> "JointChannel":
         # one channel into the product of its outputs
-        ChoiMatrix(self.dim_in, self.dim_out**self.n_outputs, self.choi).validate(tol)
+        ChoiMatrix(self.dim_in, self.dim_out**self.n_outputs, self.choi).validate()
         return self
 
     def to_json(self) -> dict:

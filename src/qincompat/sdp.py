@@ -49,6 +49,12 @@ the iteration starts (rank threshold ``RANK_TOL`` relative to the largest
 pivot); an inconsistent equality system is reported as infeasible outright.
 A strictly feasible starting point can be injected through ``solve`` when the
 caller knows one; otherwise a scaled-identity cold start is used.
+
+Only invalid input raises.  Every stop is a status returned with the iterate
+it was decided on: ``optimal`` (residuals, gap and mu within tolerance),
+``infeasible`` / ``unbounded`` (a Farkas certificate tested against its own
+scale), ``stalled`` (three steps in a row shorter than 1e-8, a step that broke
+down, or iterates past 1e14 without a certificate) or ``max_iter``.
 """
 
 from __future__ import annotations
@@ -69,9 +75,10 @@ STEP_FRACTION = 0.98
 
 
 class SolverFailure(RuntimeError):
-    """Raised by callers when a solve did not reach the optimal status."""
+    """Raised by ``require_optimal`` when a solve did not reach the optimal
+    status; ``solution`` is that solve's ``SdpSolution``."""
 
-    def __init__(self, message, solution=None):
+    def __init__(self, message, solution):
         super().__init__(message)
         self.solution = solution
 
@@ -154,8 +161,8 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    # optimal | infeasible | unbounded | max_iter | stalled (three steps in a
-    # row shorter than 1e-8 before max_iter)
+    # optimal | infeasible | unbounded | stalled (short steps, a step that
+    # broke down, or divergence) | max_iter: see the module docstring
     status: str
     primal_value: float
     dual_value: float
@@ -182,8 +189,6 @@ def hermitian_equality(dim, terms, rhs=None, scalar_terms=()) -> list[LinearCons
         coeffs = {}
         for b, fn in terms:
             m = fn(h)
-            if m is None:
-                continue
             coeffs[b] = coeffs[b] + m if b in coeffs else m
         sc = {}
         for j, fn in scalar_terms:
@@ -362,36 +367,119 @@ def _independent_rows(amat):
     return np.sort(piv[:rank])
 
 
-def _chol_psd(m, what):
-    """Cholesky with a graduated jitter fallback for nearly singular input."""
-    shift = 0.0
-    base = max(np.trace(m).real / m.shape[0], 1.0) if m.size else 1.0
-    for attempt in range(4):
-        try:
-            return np.linalg.cholesky(m + shift * np.eye(m.shape[0]))
-        except np.linalg.LinAlgError:
-            shift = base * 10.0 ** (-14 + 4 * attempt)
-    raise SolverFailure(f"{what} factorization failed")
-
-
-def _chol(x, what):
-    """Batched Cholesky of a stack; when it fails, every block is factored
-    on its own with the jitter fallback of ``_chol_psd``."""
+def _chol(stack):
+    """Batched Cholesky; when it fails, every member is factored on its own,
+    shifted by 0, 1e-14, 1e-10, then 1e-6 times max(1, its mean eigenvalue).
+    Raises ``LinAlgError`` if a member fails every shift."""
     try:
-        return np.linalg.cholesky(x)
+        return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        return np.stack([_chol_psd(b, what) for b in x])
+        pass
+    n = stack.shape[-1]
+    out = np.empty_like(stack)
+    for i, m in enumerate(stack):
+        base = max(np.trace(m).real / n, 1.0)
+        for shift in (0.0, 1e-14, 1e-10, 1e-6):
+            try:
+                out[i] = np.linalg.cholesky(m + base * shift * np.eye(n))
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            raise np.linalg.LinAlgError("Cholesky failed at every shift")
+    return out
+
+
+def _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y):
+    """``infeasible`` (b.y > 0, A^T y <= 0) or ``unbounded`` (c.x < 0, A x = 0)
+    when the iterate is a Farkas certificate, else None.  Each quantity is
+    tested against its own scale, so scaling the data keeps the verdict; b.y
+    and c.x get a margin, as rounding in c.x = 0 is no certificate."""
+    if dobj > 1e-10 * np.linalg.norm(b) * np.linalg.norm(y):
+        top = max(np.linalg.eigvalsh(g.unpack(aty))[:, -1].max() for g in groups)
+        if top <= 1e-9 * np.linalg.norm(aty):
+            return "infeasible"
+    xnorm = np.linalg.norm(xvec)
+    if pobj < -1e-10 * np.linalg.norm(cvec) * xnorm and np.linalg.norm(ax) <= 1e-9 * xnorm:
+        return "unbounded"
+
+
+def _step(groups, amat, plan, xs, ss, rp, rds, mu, n_tot):
+    """One Mehrotra predictor-corrector direction (dX, dy, dS) at the iterate
+    and its primal and dual step lengths.  Raises ``LinAlgError`` when a
+    factorization breaks down."""
+    m = amat.shape[0]
+
+    # Nesterov-Todd scaling W = R R^H with R^H S R = R^-1 X R^-H = diag(lam)
+    rs, rsh, rinvs, rinvsh, lams, ws = [], [], [], [], [], []
+    for x, s in zip(xs, ss):
+        lx, ls = _chol(x), _chol(s)
+        u, sig, vh = _svd(_ct(ls) @ lx)
+        sig = np.maximum(sig, 1e-300)
+        root = np.sqrt(sig)
+        r = (lx @ _ct(vh)) / root[:, None, :]
+        rinv = (_ct(u) @ _ct(ls)) / root[:, :, None]
+        rs.append(r)
+        rsh.append(_ct(r))
+        rinvs.append(rinv)
+        rinvsh.append(_ct(rinv))
+        lams.append(sig)
+        ws.append(r @ rsh[-1])
+    roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
+
+    # Schur complement, shared by both solves
+    if m:
+        schur_l = _chol(_schur_complement(amat, plan, rs)[None])[0]
+
+    def direction(dhats):
+        rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
+        if m:
+            rhs = rp + amat @ _pack([w @ rd @ w - q for w, rd, q in zip(ws, rds, rdr)])
+            dy = scipy.linalg.cho_solve((schur_l, True), rhs)
+        else:
+            dy = np.zeros(0)
+        ady = amat.T @ dy
+        dss = [rd - g.unpack(ady) for g, rd in zip(groups, rds)]
+        dxs = [_herm(q - w @ ds @ w) for q, w, ds in zip(rdr, ws, dss)]
+        return dxs, dy, dss
+
+    def boundary(dlist, left, right):
+        # largest step keeping the scaled blocks positive definite
+        a = np.inf
+        for d, lm, rm, root in zip(dlist, left, right, roots):
+            wmin = np.linalg.eigvalsh(_herm(lm @ d @ rm) / root)[:, 0].min()
+            if wmin < -1e-14:
+                a = min(a, -1.0 / wmin)
+        return a
+
+    # predictor: T = -Lambda^2, so D = -Lambda
+    dxa, _, dsa = direction([_lyap(lam, -_diag(lam**2)) for lam in lams])
+    ap = min(1.0, boundary(dxa, rinvs, rinvsh))
+    ad = min(1.0, boundary(dsa, rsh, rs))
+    mu_aff = _inner(
+        [x + ap * dx for x, dx in zip(xs, dxa)],
+        [s + ad * ds for s, ds in zip(ss, dsa)],
+    ) / n_tot
+    mu_aff = max(mu_aff, 0.0)
+    sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-12))
+
+    # corrector: T = sigma mu I - Lambda^2 - (dX^ dS^ + dS^ dX^)/2 of the predictor
+    dhats = []
+    for r, rh, rinv, rinvh, lam, dx, ds in zip(rs, rsh, rinvs, rinvsh, lams, dxa, dsa):
+        dxh = rinv @ dx @ rinvh
+        dsh = rh @ ds @ r
+        dhats.append(_lyap(lam, _diag(sigma * mu - lam**2) - (dxh @ dsh + dsh @ dxh) / 2))
+    dxs, dy, dss = direction(dhats)
+    ap = min(1.0, STEP_FRACTION * boundary(dxs, rinvs, rinvsh))
+    ad = min(1.0, STEP_FRACTION * boundary(dss, rsh, rs))
+    return dxs, dy, dss, ap, ad
 
 
 def _ipm(groups, cs, amat, b, opts, x0=None):
     """Core iteration on the block groups.  ``cs``, ``x0`` and the iterates
-    hold one (nb, n, n) stack per group.  Returns a result dict."""
+    hold one (nb, n, n) stack per group.  Returns the status, the iteration
+    count, the last accepted iterate and its objectives and residuals."""
     n_tot = sum(g.nb * g.n for g in groups)
-    m = amat.shape[0]
-
-    def unpack(v):
-        return [g.unpack(v) for g in groups]
-
     cvec = _pack(cs)
     bnorm = 1.0 + np.linalg.norm(b)
     cnorm = 1.0 + np.linalg.norm(cvec)
@@ -407,38 +495,19 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
         xs = [scale * g.eye() for g in groups]
     eta = 1.0 + max(np.linalg.norm(c, axis=(1, 2)).max() for c in cs)
     ss = [eta * g.eye() for g in groups]
-    y = np.zeros(m)
+    y = np.zeros(amat.shape[0])
     plan = _schur_plan(amat, groups)
 
-    status = "max_iter"
-    iters = 0
-    stall = 0
-    prel = drel = grel = np.inf
+    iters = stall = 0
+    prel = drel = np.inf
     pobj = dobj = 0.0
-
-    def certificates():
-        # Farkas-style checks on the current iterate, scale-normalized.
-        nonlocal status
-        t = float(b @ y)
-        if t > 1e-10:
-            zvec = amat.T @ y / t
-            q = max(np.linalg.eigvalsh(z)[:, -1].max() for z in unpack(zvec))
-            if q <= 1e-9 * (1.0 + np.linalg.norm(zvec)):
-                status = "infeasible"
-                return True
-        xvec = _pack(xs)
-        obj = float(cvec @ xvec)
-        if obj < -1e-10:
-            xn = xvec / (-obj)
-            if np.linalg.norm(amat @ xn) <= 1e-9 * (1.0 + np.linalg.norm(xn)):
-                status = "unbounded"
-                return True
-        return False
 
     for it in range(opts.max_iter):
         xvec = _pack(xs)
-        rp = b - amat @ xvec
-        rds = [c - s - a for c, s, a in zip(cs, ss, unpack(amat.T @ y))]
+        ax = amat @ xvec
+        aty = amat.T @ y
+        rp = b - ax
+        rds = [c - s - g.unpack(aty) for g, c, s in zip(groups, cs, ss)]
         pobj = float(cvec @ xvec)
         dobj = float(b @ y)
         mu = _inner(xs, ss) / n_tot
@@ -447,101 +516,29 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
         grel = abs(pobj - dobj) / (1.0 + abs(pobj))
         murel = n_tot * mu / (1.0 + abs(pobj))
         iters = it
-        if prel <= opts.feas_tol and drel <= opts.feas_tol and grel <= opts.gap_tol and murel <= opts.gap_tol:
-            status = "optimal"
+        converged = (prel <= opts.feas_tol and drel <= opts.feas_tol
+                     and grel <= opts.gap_tol and murel <= opts.gap_tol)
+        status = "optimal" if converged else _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y)
+        if not status and max(np.linalg.norm(xvec), np.linalg.norm(y)) > 1e14:
+            status = "stalled"  # diverging without a certificate
+        if status:
             break
-        if certificates():
+        try:
+            dxs, dy, dss, ap, ad = _step(groups, amat, plan, xs, ss, rp, rds, mu, n_tot)
+        except np.linalg.LinAlgError:
+            status = "stalled"  # a factorization or SVD broke down
             break
-        if max(np.linalg.norm(xvec), np.linalg.norm(y)) > 1e14:
-            certificates()
+        stall = stall + 1 if min(ap, ad) < 1e-8 else 0
+        if stall >= 3:
+            status = "stalled"
             break
-
-        # Nesterov-Todd scaling W = R R^H with R^H S R = R^-1 X R^-H = diag(lam)
-        rs, rsh, rinvs, rinvsh, lams, ws = [], [], [], [], [], []
-        for x, s in zip(xs, ss):
-            lx = _chol(x, "primal block")
-            ls = _chol(s, "dual block")
-            u, sig, vh = _svd(_ct(ls) @ lx)
-            sig = np.maximum(sig, 1e-300)
-            root = np.sqrt(sig)
-            r = (lx @ _ct(vh)) / root[:, None, :]
-            rinv = (_ct(u) @ _ct(ls)) / root[:, :, None]
-            rs.append(r)
-            rsh.append(_ct(r))
-            rinvs.append(rinv)
-            rinvsh.append(_ct(rinv))
-            lams.append(sig)
-            ws.append(r @ rsh[-1])
-        roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
-
-        # Schur complement, shared by both solves
-        if m:
-            schur_l = _chol_psd(_schur_complement(amat, plan, rs), "Schur complement")
-
-        def direction(dhats):
-            rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
-            if m:
-                rhs = rp + amat @ _pack([w @ rd @ w - q for w, rd, q in zip(ws, rds, rdr)])
-                dy = scipy.linalg.cho_solve((schur_l, True), rhs)
-            else:
-                dy = np.zeros(0)
-            dss = [rd - a for rd, a in zip(rds, unpack(amat.T @ dy))]
-            dxs = [_herm(q - w @ ds @ w) for q, w, ds in zip(rdr, ws, dss)]
-            return dxs, dy, dss
-
-        def boundary(dlist, left, right):
-            # largest step keeping the scaled blocks positive definite
-            a = np.inf
-            for d, lm, rm, root in zip(dlist, left, right, roots):
-                wmin = np.linalg.eigvalsh(_herm(lm @ d @ rm) / root)[:, 0].min()
-                if wmin < -1e-14:
-                    a = min(a, -1.0 / wmin)
-            return a
-
-        # predictor: T = -Lambda^2, so D = -Lambda
-        dxa, _, dsa = direction([_lyap(lam, -_diag(lam**2)) for lam in lams])
-        ap = min(1.0, boundary(dxa, rinvs, rinvsh))
-        ad = min(1.0, boundary(dsa, rsh, rs))
-        mu_aff = _inner(
-            [x + ap * dx for x, dx in zip(xs, dxa)],
-            [s + ad * ds for s, ds in zip(ss, dsa)],
-        ) / n_tot
-        mu_aff = max(mu_aff, 0.0)
-        sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-12))
-
-        # corrector: T = sigma mu I - Lambda^2 - (dX^ dS^ + dS^ dX^)/2 of the predictor
-        dhats = []
-        for r, rh, rinv, rinvh, lam, dx, ds in zip(rs, rsh, rinvs, rinvsh, lams, dxa, dsa):
-            dxh = rinv @ dx @ rinvh
-            dsh = rh @ ds @ r
-            dhats.append(_lyap(lam, _diag(sigma * mu - lam**2) - (dxh @ dsh + dsh @ dxh) / 2))
-        dxs, dy, dss = direction(dhats)
-        ap = min(1.0, STEP_FRACTION * boundary(dxs, rinvs, rinvsh))
-        ad = min(1.0, STEP_FRACTION * boundary(dss, rsh, rs))
-        if min(ap, ad) < 1e-8:
-            stall += 1
-            if stall >= 3:
-                status = "stalled"
-                break
-        else:
-            stall = 0
         xs = [_herm(x + ap * dx) for x, dx in zip(xs, dxs)]
         ss = [_herm(s + ad * ds) for s, ds in zip(ss, dss)]
         y = y + ad * dy
         iters = it + 1
-
-    return {
-        "status": status,
-        "xs": xs,
-        "ss": ss,
-        "y": y,
-        "pobj": pobj,
-        "dobj": dobj,
-        "gap": abs(pobj - dobj),
-        "iterations": iters,
-        "prel": prel,
-        "drel": drel,
-    }
+    else:
+        status = "max_iter"
+    return status, iters, xs, ss, y, pobj, dobj, prel, drel
 
 
 def _grouped_form(problem):
@@ -644,24 +641,24 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     amat /= scales[:, None]
     b = b / scales
 
-    res = _ipm(groups, cs, amat, b, opts, x0=x0)
+    status, iters, xs, ss, ys, pobj, dobj, prel, drel = _ipm(groups, cs, amat, b, opts, x0=x0)
 
     y = np.zeros(mfull)
     if kept.size:
-        y[kept] = res["y"] / scales
+        y[kept] = ys / scales
 
-    xs = [res["xs"][gi][j] for gi, j in slots]
-    ss = [res["ss"][gi][j] for gi, j in slots]
+    xs = [xs[gi][j] for gi, j in slots]
+    ss = [ss[gi][j] for gi, j in slots]
     return SdpSolution(
-        status=res["status"],
-        primal_value=res["pobj"],
-        dual_value=res["dobj"],
+        status=status,
+        primal_value=pobj,
+        dual_value=dobj,
         block_values=[x.astype(complex) for x in xs[:nblocks]],
         scalar_values=[float(x[0, 0]) for x in xs[nblocks:]],
         y=y,
         dual_blocks=[s.astype(complex) for s in ss[:nblocks]],
-        gap=res["gap"],
-        iterations=res["iterations"],
-        primal_residual=res["prel"],
-        dual_residual=res["drel"],
+        gap=abs(pobj - dobj),
+        iterations=iters,
+        primal_residual=prel,
+        dual_residual=drel,
     )

@@ -203,6 +203,20 @@ def test_bad_dim_exits_one(capsys, command, dim):
     assert "--dim" in err
 
 
+@pytest.mark.parametrize("command,flag", [
+    (cmd, flag) for cmd in ("robustness", "compat") for flag in ("--dim", "--seed", "--trials")
+] + [("demo", "--seed"), ("demo", "--trials")])
+def test_flag_the_subcommand_does_not_read_exits_one(tmp_path, capsys, command, flag):
+    # robustness and compat read only their input file; a demo is not sampled
+    argv = {"robustness": ["robustness", "channels", "--input", write_idpair(tmp_path)],
+            "compat": ["compat", "channels", "--input", write_idpair(tmp_path)],
+            "demo": ["demo", "bb84"]}[command]
+    code, out, err = run_cli(argv + [flag, "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
 def test_verify_duality_passes(capsys):
     code, out, _ = run_cli(["verify", "duality", "--trials", "1"], capsys)
     assert code == 0

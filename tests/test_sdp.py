@@ -285,6 +285,25 @@ def test_svd_falls_back_when_gesdd_fails(monkeypatch):
     assert abs(got.primal_value - want.primal_value) < 1e-9
     assert abs(got.primal_value - value) < 1e-6 * (1 + abs(value))
 
+    # when gesvd fails too, the solve stops at the iterate it has, saying so
+    def broken_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sdp.np.linalg, "svd", broken_svd)
+    monkeypatch.setattr(sdp.scipy.linalg, "svd", broken_svd)
+    assert_breakdown_stalls_at_start(prob)
+
+
+def assert_breakdown_stalls_at_start(prob):
+    """A step computation that breaks down at the first iteration returns
+    the cold start as a stalled solve."""
+    sol = solve(prob)
+    assert sol.status == "stalled"
+    assert sol.iterations == 0
+    assert np.isfinite([sol.primal_value, sol.dual_value, sol.gap]).all()
+    for x in sol.block_values:
+        assert np.array_equal(x, x[0, 0] * np.eye(len(x)))
+
 
 def mixed_rows_problem(rng, blocks, real, nscalars, m):
     """Zero-objective problem whose rows touch random subsets of the
@@ -440,6 +459,13 @@ def test_cholesky_falls_back_per_block(monkeypatch):
     assert got.status == "optimal"
     assert abs(got.primal_value - want.primal_value) < 1e-7
 
+    # a block that fails every shift ends the solve as stalled, not raised
+    def broken_cholesky(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(sdp.np.linalg, "cholesky", broken_cholesky)
+    assert_breakdown_stalls_at_start(prob)
+
 
 @pytest.mark.parametrize("cplx", [True, False])
 def test_lyap_solves_the_scaled_complementarity_equation(cplx):
@@ -468,6 +494,45 @@ def test_stall_exit_is_reported():
     sol = solve(prob, opts)
     assert sol.status == "stalled"
     assert sol.iterations < opts.max_iter
+
+
+def test_factorization_breakdown_is_reported():
+    # the same unreachable tolerance drives this instance's primal block
+    # singular; the solve reports the last accepted iterate as stalled
+    prob, value = constructed_instance(np.random.default_rng(7))
+    opts = SolveOptions(gap_tol=1e-30)
+    sol = solve(prob, opts)
+    assert sol.status == "stalled"
+    assert sol.iterations < opts.max_iter
+    assert np.isfinite([sol.primal_value, sol.dual_value, sol.gap]).all()
+    assert abs(sol.primal_value - value) < 1e-4 * (1 + abs(value))
+
+
+Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+def test_certificates_do_not_depend_on_scale(s):
+    eye = np.eye(2, dtype=complex)
+
+    def problem(c, rows):
+        return SdpProblem(blocks=[2], objective=[c], constraints=rows)
+
+    # min Tr X s.t. Tr X = s, and min -s X_11 s.t. Tr X = 1: optimal at any scale
+    sol = solve(problem(eye, [LinearConstraint({0: eye}, s)]))
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value - s) <= 1e-8 * (1 + s)
+    sol = solve(problem(-s * np.diag([1.0, 0.0]).astype(complex), [LinearConstraint({0: eye}, 1.0)]))
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value + s) <= 1e-8 * (1 + s)
+    # min Tr(sZ X) s.t. Tr(sZ X) = 0 is bounded (optimum 0): rounding in
+    # c.x = 0 is no certificate
+    sol = solve(problem(s * Z, [LinearConstraint({0: s * Z}, 0.0)]))
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value) <= 1e-7
+    # Tr X = -s is infeasible, and s Z without constraints is unbounded
+    assert solve(problem(eye, [LinearConstraint({0: eye}, -s)])).status == "infeasible"
+    assert solve(problem(s * Z, [])).status == "unbounded"
 
 
 def test_iteration_limit_is_reported():

@@ -44,9 +44,15 @@ T = sigma mu I - Lambda^2 - (dX^_a dS^_a + dS^_a dX^_a)/2 with the
 predictor's scaled steps dX^_a, dS^_a and Mehrotra's sigma = (mu_aff/mu)^3.
 Both go through ``_lyap``.
 
-Redundant equality rows are removed with a pivoted QR factorization before
-the iteration starts (rank threshold ``RANK_TOL`` relative to the largest
-pivot); an inconsistent equality system is reported as infeasible outright.
+The Schur complement is factored once per step (``_chol``), and both solves
+of the step substitute through that factor block by block, with the
+diagonal blocks inverted once per step (``_chol_solver``).
+
+Redundant equality rows are removed before the iteration starts: rows are
+taken in order, and a row that is a combination of the rows kept before it
+(an unpivoted Householder QR of A^T, rank threshold ``RANK_TOL`` relative to
+the largest diagonal entry of R) is dropped.  An inconsistent equality
+system is reported as infeasible outright.
 A strictly feasible starting point can be injected through ``solve`` when the
 caller knows one; otherwise a scaled-identity cold start is used.
 
@@ -54,7 +60,9 @@ Only invalid input raises.  Every stop is a status returned with the iterate
 it was decided on: ``optimal`` (residuals, gap and mu within tolerance),
 ``infeasible`` / ``unbounded`` (a Farkas certificate tested against its own
 scale), ``stalled`` (three steps in a row shorter than 1e-8, a step that broke
-down, or iterates past 1e14 without a certificate) or ``max_iter``.
+down, or iterates grown 1e14 times past the starting point's scale without
+a certificate) or ``max_iter``.  A ``stalled`` or ``max_iter`` solve returns
+the iterate closest to the convergence test, not the last one.
 """
 
 from __future__ import annotations
@@ -63,7 +71,6 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import ContractError, DimensionError, hermitian_basis, require_hermitian
 
@@ -71,6 +78,7 @@ DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 RANK_TOL = 1e-10
+SUBST_BLOCK = 64  # largest diagonal block of the Schur substitution
 STEP_FRACTION = 0.98
 
 
@@ -308,6 +316,26 @@ class _Group:
         return self.view(v[self.lo: self.hi])
 
 
+def _info_columns(groups):
+    """Columns of A holding the diagonal and upper triangle of every member,
+    and their weights: 1 on the diagonal and sqrt(2) off it, so for
+    Hermitian data the weighted columns carry the inner products of the
+    whole float view (the lower triangle only repeats them)."""
+    cols, weights = [], []
+    for g in groups:
+        i, j = np.triu_indices(g.n)
+        weight = np.where(i == j, 1.0, sqrt(2))
+        if g.cplx:
+            # (re, im) of the upper triangle; a diagonal entry is real
+            off = np.concatenate([2 * (i * g.n + j), 2 * (i * g.n + j)[i < j] + 1])
+            weight = np.concatenate([weight, weight[i < j]])
+        else:
+            off = i * g.n + j
+        cols.append((g.lo + g.size * np.arange(g.nb)[:, None] + off).ravel())
+        weights.append(np.tile(weight, g.nb))
+    return np.concatenate(cols), np.concatenate(weights)
+
+
 def _schur_plan(amat, groups):
     """Per group with any nonzero coefficient: its index and the rows of
     ``amat`` that touch it."""
@@ -342,29 +370,58 @@ def _schur_complement(amat, plan, rs):
 
 
 def _svd(m):
-    """Batched SVD by LAPACK gesdd; when gesdd fails to converge, every block
-    is retried with gesvd.
+    """Batched SVD by LAPACK gesdd; when gesdd fails to converge, the SVD of
+    every block comes from the eigenvectors of its Hermitian dilation.
 
-    gesdd can fail on well-conditioned input; gesvd is slower but robust.
+    gesdd can fail on well-conditioned input.  The dilation [[0, B], [B^H, 0]]
+    has eigenvalues +-sigma with eigenvectors [u; +-v] / sqrt(2).  Its n
+    largest eigenpairs give sigma without squaring it, and sqrt(2) times the
+    top and bottom halves of their vectors give U and V.  These are
+    orthonormal also where sigma repeats, as long as B is nonsingular.
     """
     try:
         return np.linalg.svd(m)
     except np.linalg.LinAlgError:
-        u, s, vh = zip(*(scipy.linalg.svd(b, lapack_driver="gesvd") for b in m))
-        return np.stack(u), np.stack(s), np.stack(vh)
+        n = m.shape[-1]
+        dil = np.zeros(m.shape[:-2] + (2 * n, 2 * n), dtype=m.dtype)
+        dil[..., :n, n:] = m
+        dil[..., n:, :n] = _ct(m)
+        lam, vec = np.linalg.eigh(dil)
+        top = slice(2 * n - 1, n - 1, -1)  # the n largest, descending
+        vec = sqrt(2) * vec[..., top]
+        return vec[..., :n, :], lam[..., top], _ct(vec[..., n:, :])
 
 
-def _independent_rows(amat):
+def _independent_rows(amat, groups):
     """Sorted indices of a maximal set of linearly independent rows.
 
-    The rank comes from a pivoted QR of A^T: pivots of R above ``RANK_TOL``
-    times the largest one.  Only R is formed, and only while ranking.
+    Rows are taken in order, and a row is kept unless it is a combination of
+    the rows before it: an unpivoted Householder QR of A^T (only R is
+    formed) drops row k where |R_kk| <= ``RANK_TOL`` max(1, max_j |R_jj|).
+    A^T holds only each block's diagonal and upper-triangle columns
+    (``_info_columns``), about half the columns of A.
+
+    A dropped row leaves an arbitrary direction in Q, and a later |R_kk|
+    misses the part of its row along it; rows past the side of R get no
+    R_kk at all.  So the dropped rows are checked against the kept ones
+    alone: in a QR with the kept rows first, a dropped row's column of R
+    below them is its residual.  A row found independent is kept, and the
+    check repeats.
     """
-    r, piv = scipy.linalg.qr(amat.T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    top = diag[0] if diag.size else 0.0
-    rank = int(np.sum(diag > RANK_TOL * max(top, 1.0))) if top > 0 else 0
-    return np.sort(piv[:rank])
+    cols, weights = _info_columns(groups)
+    a = amat[:, cols] * weights
+    diag = np.abs(np.diag(np.linalg.qr(a.T, mode="r")))
+    tol = RANK_TOL * max(1.0, diag.max(initial=0.0))
+    keep = np.zeros(len(a), dtype=bool)
+    keep[: diag.size] = diag > tol
+    while not keep.all():
+        kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
+        r = np.linalg.qr(a[np.concatenate([kept, dropped])].T, mode="r")
+        resid = np.linalg.norm(r[kept.size:, kept.size:], axis=0)
+        if (resid <= tol).all():
+            break
+        keep[dropped[np.argmax(resid > tol)]] = True
+    return np.flatnonzero(keep)
 
 
 def _chol(stack):
@@ -388,6 +445,58 @@ def _chol(stack):
         else:
             raise np.linalg.LinAlgError("Cholesky failed at every shift")
     return out
+
+
+def _diag_blocks(a, s):
+    """Writable view of the (n/s, s, s) stack of diagonal blocks of the
+    C-contiguous n x n matrix ``a``; s divides n."""
+    n, item = a.shape[0], a.itemsize
+    return np.ndarray((n // s, s, s), a.dtype, a, 0, ((n + 1) * s * item, n * item, item))
+
+
+def _chol_solver(l):
+    """The map x -> (L L^T)^-1 x for the lower-triangular Cholesky factor L,
+    by forward and back substitution in blocks.
+
+    The block side b is the smallest power of two not below the side of L,
+    capped at ``SUBST_BLOCK``; L is padded with an identity to a multiple of
+    b.  The diagonal blocks are inverted once here, so every solve is two
+    matrix-vector products per block.  They are inverted in place, the rest
+    of the matrix keeping L, by recursive doubling: with A and C inverted,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], one batched
+    product pair per level.  ``l`` may be overwritten.
+    """
+    m = l.shape[0]
+    b = min(SUBST_BLOCK, 1 << (m - 1).bit_length())
+    n = -(-m // b) * b
+    if n == m:
+        w = np.ascontiguousarray(l, dtype=float)
+    else:
+        w = np.zeros((n, n))
+        w[:m, :m] = l
+    diag = w.reshape(-1)[:: n + 1]
+    diag[m:] = 1.0
+    np.reciprocal(diag, out=diag)
+    h = 1
+    while h < b:
+        x = _diag_blocks(w, 2 * h)
+        t = x[:, h:, h:] @ x[:, h:, :h]
+        np.negative(t, out=t)
+        np.matmul(t, x[:, :h, :h], out=x[:, h:, :h])
+        h *= 2
+
+    def solve(rhs):
+        x = np.zeros(n)
+        x[:m] = rhs
+        for lo in range(0, n, b):  # L y = rhs
+            s = slice(lo, lo + b)
+            x[s] = w[s, s] @ (x[s] - w[s, :lo] @ x[:lo])
+        for lo in range(n - b, -1, -b):  # L^T x = y
+            s = slice(lo, lo + b)
+            x[s] = (x[s] - x[lo + b:] @ w[lo + b:, s]) @ w[s, s]
+        return x[:m]
+
+    return solve
 
 
 def _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y):
@@ -427,15 +536,15 @@ def _step(groups, amat, plan, xs, ss, rp, rds, mu, n_tot):
         ws.append(r @ rsh[-1])
     roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
 
-    # Schur complement, shared by both solves
+    # Schur complement, factored once for both solves
     if m:
-        schur_l = _chol(_schur_complement(amat, plan, rs)[None])[0]
+        schur_solve = _chol_solver(_chol(_schur_complement(amat, plan, rs)[None])[0])
 
     def direction(dhats):
         rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
         if m:
             rhs = rp + amat @ _pack([w @ rd @ w - q for w, rd, q in zip(ws, rds, rdr)])
-            dy = scipy.linalg.cho_solve((schur_l, True), rhs)
+            dy = schur_solve(rhs)
         else:
             dy = np.zeros(0)
         ady = amat.T @ dy
@@ -478,7 +587,9 @@ def _step(groups, amat, plan, xs, ss, rp, rds, mu, n_tot):
 def _ipm(groups, cs, amat, b, opts, x0=None):
     """Core iteration on the block groups.  ``cs``, ``x0`` and the iterates
     hold one (nb, n, n) stack per group.  Returns the status, the iteration
-    count, the last accepted iterate and its objectives and residuals."""
+    count, the iterate the status was decided on (for ``stalled`` and
+    ``max_iter``, the one closest to the convergence test) and its
+    objectives and residuals."""
     n_tot = sum(g.nb * g.n for g in groups)
     cvec = _pack(cs)
     bnorm = 1.0 + np.linalg.norm(b)
@@ -497,12 +608,14 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
     ss = [eta * g.eye() for g in groups]
     y = np.zeros(amat.shape[0])
     plan = _schur_plan(amat, groups)
+    # divergence is judged against the starting point's scale: X against
+    # its start, y against eta, the start of S (the rows have unit norm)
+    xdiverged = 1e14 * np.linalg.norm(_pack(xs))
+    ydiverged = 1e14 * eta
 
-    iters = stall = 0
-    prel = drel = np.inf
-    pobj = dobj = 0.0
-
-    for it in range(opts.max_iter):
+    stall = 0
+    best = best_score = None
+    for it in range(opts.max_iter + 1):
         xvec = _pack(xs)
         ax = amat @ xvec
         aty = amat.T @ y
@@ -515,13 +628,20 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
         drel = sqrt(sum(np.linalg.norm(r) ** 2 for r in rds)) / cnorm
         grel = abs(pobj - dobj) / (1.0 + abs(pobj))
         murel = n_tot * mu / (1.0 + abs(pobj))
-        iters = it
+        current = (xs, ss, y, pobj, dobj, prel, drel)
+        score = max(prel / opts.feas_tol, drel / opts.feas_tol, grel / opts.gap_tol)
+        if best is None or score < best_score:
+            best, best_score = current, score
         converged = (prel <= opts.feas_tol and drel <= opts.feas_tol
                      and grel <= opts.gap_tol and murel <= opts.gap_tol)
         status = "optimal" if converged else _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y)
-        if not status and max(np.linalg.norm(xvec), np.linalg.norm(y)) > 1e14:
-            status = "stalled"  # diverging without a certificate
         if status:
+            break
+        if np.linalg.norm(xvec) > xdiverged or np.linalg.norm(y) > ydiverged:
+            status = "stalled"  # diverging without a certificate
+            break
+        if it == opts.max_iter:
+            status = "max_iter"
             break
         try:
             dxs, dy, dss, ap, ad = _step(groups, amat, plan, xs, ss, rp, rds, mu, n_tot)
@@ -535,10 +655,9 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
         xs = [_herm(x + ap * dx) for x, dx in zip(xs, dxs)]
         ss = [_herm(s + ad * ds) for s, ds in zip(ss, dss)]
         y = y + ad * dy
-        iters = it + 1
-    else:
-        status = "max_iter"
-    return status, iters, xs, ss, y, pobj, dobj, prel, drel
+    if status in ("stalled", "max_iter"):
+        current = best
+    return (status, it) + current
 
 
 def _grouped_form(problem):
@@ -605,6 +724,8 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     """
     opts = options or SolveOptions()
     problem.validate()
+    if opts.max_iter < 0:
+        raise ContractError(f"max_iter must be nonnegative, got {opts.max_iter}")
 
     nblocks = len(problem.blocks)
     nscalars = len(problem.scalar_costs)
@@ -623,7 +744,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
         x0 = [g.stack(full) for g in groups]
 
     # drop linearly dependent rows; detect inconsistency
-    kept = _independent_rows(amat) if mfull else np.zeros(0, dtype=int)
+    kept = _independent_rows(amat, groups) if mfull else np.zeros(0, dtype=int)
     if kept.size < mfull:
         sol, *_ = np.linalg.lstsq(amat, b, rcond=None)
         resid = np.abs(amat @ sol - b).max()

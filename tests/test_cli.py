@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,3 +308,17 @@ def test_verify_appendix_c_small(capsys):
     assert rep["passed"] is True
     assert rep["detail"]["bound"] == pytest.approx(1.2)
     assert rep["detail"]["max_ratio"] <= 1.2 + 1e-6
+
+
+def test_import_loads_no_scipy():
+    # the package needs numpy alone; importing scipy would double the
+    # CLI's start-up time
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, qincompat, qincompat.cli; "
+            "print(qincompat.__file__); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout.split("\n")
+    assert Path(out[0]).resolve().parents[1] == Path(src)
+    assert out[1] == "[]"

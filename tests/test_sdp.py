@@ -290,7 +290,7 @@ def test_svd_falls_back_when_gesdd_fails(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(sdp.np.linalg, "svd", broken_svd)
-    monkeypatch.setattr(sdp.scipy.linalg, "svd", broken_svd)
+    monkeypatch.setattr(sdp.np.linalg, "eigh", broken_svd)
     assert_breakdown_stalls_at_start(prob)
 
 
@@ -507,11 +507,22 @@ def test_factorization_breakdown_is_reported():
     assert np.isfinite([sol.primal_value, sol.dual_value, sol.gap]).all()
     assert abs(sol.primal_value - value) < 1e-4 * (1 + abs(value))
 
+    # it returns the iterate closest to the convergence test, so it is no
+    # worse than the one the same run holds when cut at iteration 16
+    def score(s):
+        grel = s.gap / (1 + abs(s.primal_value))
+        return max(s.primal_residual / opts.feas_tol, s.dual_residual / opts.feas_tol,
+                   grel / opts.gap_tol)
+
+    cut = solve(prob, SolveOptions(gap_tol=opts.gap_tol, max_iter=16))
+    assert cut.status == "max_iter" and cut.iterations == 16 < sol.iterations
+    assert score(sol) <= score(cut)
+
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
-@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12, 3e13, 1e14])
 def test_certificates_do_not_depend_on_scale(s):
     eye = np.eye(2, dtype=complex)
 
@@ -536,6 +547,94 @@ def test_certificates_do_not_depend_on_scale(s):
 
 
 def test_iteration_limit_is_reported():
-    sol = solve(mixed_problem(np.random.default_rng(29)), SolveOptions(max_iter=3))
+    prob = mixed_problem(np.random.default_rng(29))
+    sol = solve(prob, SolveOptions(max_iter=3))
     assert sol.status == "max_iter"
     assert sol.iterations == 3
+    sol = solve(prob, SolveOptions(max_iter=0))
+    assert sol.status == "max_iter" and sol.iterations == 0
+    assert np.isfinite([sol.primal_value, sol.dual_value, sol.primal_residual]).all()
+    from qincompat.linalg import ContractError
+
+    with pytest.raises(ContractError, match="max_iter"):
+        solve(prob, SolveOptions(max_iter=-1))
+
+
+def test_presolve_keeps_the_rows_that_add_rank():
+    # six random rows, then a duplicate, the sum of two earlier rows, a
+    # scaled copy and a zero row
+    rng = np.random.default_rng(41)
+    prob = mixed_rows_problem(rng, [3, 2, 3], frozenset({1}), 2, 6)
+    rows = prob.constraints
+
+    def combine(terms):
+        coeffs, scalars = {}, {}
+        for f, k in terms:
+            for v, a in rows[k].coeffs.items():
+                coeffs[v] = coeffs.get(v, 0) + f * a
+            for j, a in rows[k].scalar_coeffs.items():
+                scalars[j] = scalars.get(j, 0.0) + f * a
+        return LinearConstraint(coeffs, 0.0, scalars)
+
+    rows += [combine([(1.0, 1)]), combine([(1.0, 0), (1.0, 2)]), combine([(-3.7, 3)]),
+             LinearConstraint({}, 0.0)]
+    groups, _, _, amat, _ = sdp._grouped_form(prob)
+    assert np.array_equal(sdp._independent_rows(amat, groups), np.arange(6))
+    assert np.linalg.matrix_rank(amat) == 6
+
+    # the diagonal and weighted upper-triangle columns carry every inner
+    # product of the rows, so the rank too
+    cols, weights = sdp._info_columns(groups)
+    half = amat[:, cols] * weights
+    assert half.shape[1] < amat.shape[1]
+    gram = amat @ amat.T
+    assert np.abs(half @ half.T - gram).max() <= 1e-13 * np.abs(gram).max()
+    for _ in range(5):
+        prob = mixed_rows_problem(rng, [2, 3, 1], frozenset({2}), 1, 12)
+        groups, _, _, amat, _ = sdp._grouped_form(prob)
+        cols, weights = sdp._info_columns(groups)
+        assert np.linalg.matrix_rank(amat[:, cols] * weights) == np.linalg.matrix_rank(amat)
+
+    # more rows than columns: R has no diagonal entry for the last rows, and
+    # the scaled copy of row 0 tilts what follows; the check against the
+    # kept rows restores row 2
+    scalars = [{0: 0.1, 1: 0.3}, {0: 0.3, 1: 0.9}, {1: 1.0}, {0: 0.2, 1: 0.6}, {0: 1.0, 1: -1.0}]
+    prob = SdpProblem(blocks=[], objective=[], scalar_costs=[0.0, 0.0],
+                      constraints=[LinearConstraint({}, 0.0, sc) for sc in scalars])
+    groups, _, _, amat, _ = sdp._grouped_form(prob)
+    assert np.array_equal(sdp._independent_rows(amat, groups), [0, 2])
+
+
+@pytest.mark.parametrize("m", [1, sdp.SUBST_BLOCK - 1, sdp.SUBST_BLOCK, sdp.SUBST_BLOCK + 1,
+                               3 * sdp.SUBST_BLOCK + 2])
+def test_schur_substitution_matches_a_dense_solve(m):
+    rng = np.random.default_rng(43)
+    g = rng.standard_normal((m, m))
+    schur = g @ g.T + m * np.eye(m)
+    solve_schur = sdp._chol_solver(np.linalg.cholesky(schur))
+    # one factor serves both solves of a step
+    for _ in range(2):
+        rhs = rng.standard_normal(m)
+        want = np.linalg.solve(schur, rhs)
+        assert np.abs(solve_schur(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_svd_fallback_rebuilds_the_blocks(monkeypatch):
+    rng = np.random.default_rng(47)
+    n = 4
+    cplx = np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 2.5 * np.eye(n)])
+    real = np.array([rng.standard_normal((n, n)), 0.3 * np.eye(n)])
+    want = [np.linalg.svd(b)[1] for b in (cplx, real)]
+
+    def broken_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sdp.np.linalg, "svd", broken_svd)
+    for b, sigma in zip((cplx, real), want):
+        u, s, vh = sdp._svd(b)
+        assert u.dtype == vh.dtype == b.dtype
+        # a repeated sigma (B = c I) still gives orthonormal U and V
+        assert np.abs(s - sigma).max() <= 1e-13 * sigma.max()
+        assert np.abs((u * s[:, None, :]) @ vh - b).max() <= 1e-13 * np.abs(b).max()
+        for q in (u, vh):
+            assert np.abs(sdp._ct(q) @ q - np.eye(n)).max() <= 1e-13

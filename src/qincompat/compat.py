@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import ContractError, embed_operator, hermitize, kron
+from .linalg import ContractError, Lift, hermitize
 from .qobjects import (
     ChoiMatrix,
     JointChannel,
@@ -29,7 +29,8 @@ from .qobjects import (
     snap_instrument,
     snap_povm,
 )
-from .sdp import SdpProblem, SolveOptions, hermitian_equality, require_optimal, solve
+from .families import RowFamily
+from .sdp import SdpProblem, SolveOptions, require_optimal, solve
 
 MARGIN_TOL = 1e-7
 MAX_SETTINGS = 4
@@ -46,24 +47,14 @@ def assignments(outcomes: int, settings: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(outcomes), repeat=settings))
 
 
-def lift_setting(n: int, d_out: int, d_in: int, x: int):
+def lift_setting(n: int, d_out: int, d_in: int, x: int) -> Lift:
     """Embedding of an operator on (output_x (x) input) into the joint space."""
-    dims = (d_out,) * n + (d_in,)
-
-    def fn(h):
-        return embed_operator(h, dims, (x, n))
-
-    return fn
+    return Lift((d_out,) * n + (d_in,), (x, n))
 
 
-def lift_input(n: int, d_out: int, d_in: int):
+def lift_input(n: int, d_out: int, d_in: int) -> Lift:
     """Embedding of an operator on the input factor into the joint space."""
-    dims = (d_out,) * n + (d_in,)
-
-    def fn(h):
-        return embed_operator(h, dims, (n,))
-
-    return fn
+    return Lift((d_out,) * n + (d_in,), (n,))
 
 
 def padded_effects(collection: PovmCollection):
@@ -103,8 +94,8 @@ def pair_dims(povm: Povm, channel: ChoiMatrix):
 @dataclass
 class Equation:
     """A marginal of the joint device, on a ``dim``-dimensional space, set
-    equal to ``operator``.  ``terms`` are ``(joint block, fn)`` pairs with
-    Tr[fn(h) G_b] = Tr[h marginal_b(G_b)]; identity blocks give scale * I."""
+    equal to ``operator``.  ``terms`` are ``(joint block, Lift)`` pairs with
+    Tr[lift(h) G_b] = Tr[h marginal_b(G_b)]; identity blocks give scale * I."""
 
     dim: int
     terms: list
@@ -173,11 +164,12 @@ def measurement_device(collection: PovmCollection) -> JointDevice:
     lam = assignments(o, n)
     grid = padded_effects(collection)
     count = o ** (n - 1)  # assignments fixing one setting's outcome
+    same = Lift.identity(d)
     members = [
-        Equation(d, [(k, lambda h: h) for k, l in enumerate(lam) if l[x] == i], grid[x][i], count)
+        Equation(d, [(k, same) for k, l in enumerate(lam) if l[x] == i], grid[x][i], count)
         for x in range(n) for i in range(o)
     ]
-    norm = Equation(d, [(k, lambda h: h) for k in range(len(lam))], np.eye(d), len(lam))
+    norm = Equation(d, [(k, same) for k in range(len(lam))], np.eye(d), len(lam))
     particular = [
         sum(grid[x][l[x]] for x in range(n)) / count - (n - 1) * np.eye(d) / o**n
         for l in lam
@@ -197,12 +189,11 @@ def pair_device(o: int, d: int, dp: int, povm: Povm | None = None,
     full = dp * d
     effects = [None] * o if povm is None else povm.elements
     # the measurement's marginal of block J is d * (Tr_out J)^T
-    members = [Equation(d, [(i, lambda h: d * kron(np.eye(dp), h.T))], effects[i], d * dp)
-               for i in range(o)]
-    members.append(Equation(full, [(i, lambda h: h) for i in range(o)],
+    measure = Lift((dp, d), (1,), transpose=True, scale=d)
+    members = [Equation(d, [(i, measure)], effects[i], d * dp) for i in range(o)]
+    members.append(Equation(full, [(i, Lift.identity(full)) for i in range(o)],
                             None if channel is None else channel.matrix, o))
-    norm = Equation(d, [(i, lambda h: kron(np.eye(dp), h)) for i in range(o)],
-                    np.eye(d) / d, o * dp)
+    norm = Equation(d, [(i, Lift((dp, d), (1,))) for i in range(o)], np.eye(d) / d, o * dp)
     particular = multiple = None
     if povm is not None:
         particular = [
@@ -240,19 +231,14 @@ def max_margin_check(device: JointDevice,
     t0 = -min(0.0, floor) + 1.0
     u0 = max(0.5, t0 + floor - 0.5)
 
-    cons = []
-    for eq in device.members:
-        cons += hermitian_equality(
-            eq.dim,
-            eq.terms,
-            rhs=eq.operator + eq.scale * t0 * np.eye(eq.dim),
-            scalar_terms=[(0, lambda h, s=eq.scale: s * np.trace(h).real)],
-        )
     prob = SdpProblem(
         blocks=list(device.blocks),
         objective=[np.zeros((n, n), dtype=complex) for n in device.blocks],
-        constraints=cons,
+        constraints=[],
         scalar_costs=[-1.0],
+        families=[RowFamily(eq.dim, eq.terms, eq.operator + eq.scale * t0 * np.eye(eq.dim),
+                            [(0, Lift.trace(eq.scale))])
+                  for eq in device.members],
     )
     start = [g - (u0 - t0) * np.eye(g.shape[0]) for g in device.particular]
     sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])

@@ -1,0 +1,308 @@
+"""Row families: the rows of an operator equation, kept in structured form.
+
+Every program on a joint device -- the robustness primals, their
+independently coded duals, the compatibility checks and the games -- is
+made of operator equations: a sum of maps of the blocks equals an operator.
+A ``RowFamily`` keeps one such equation on C^dim as the ``Lift`` of each
+term instead of dim^2 coefficient matrices.  Tested against the element H_k
+of the Hermitian basis, it is the row
+
+    sum_b <lift_b(H_k), X_b> + sum_j lift_j(H_k) u_j = Tr[H_k rhs],
+
+the row ``sdp.hermitian_equality`` makes from the same maps.  The solver
+uses the structure three times: ``check_families`` validates each family
+once, ``write_rows`` writes a family's rows into A with one lift of the
+basis stack per term, and ``LiftSchur`` forms their Schur complement
+M = A W A^T without touching a coefficient matrix.
+
+Lifted by L = (dims, keep, scale), row k holds A_kv = scale * (I (x) c_k) on
+variable v, with c_k = H_k, H_k^T or [Tr H_k].  So
+
+    M_kl = sum_v scale_kv scale_lv Re vec(c_k) T_v vec(c_l),
+
+where T_v, a partial-trace contraction of W_v (x) W_v over the factors the
+two lifts leave to the identity, is one batched matrix product of two
+copies of W (``_contraction``).  For two channels on C^3, the 81 x 81 block
+of M between two marginal equations on the 27 x 27 joint block is one
+product of an 81 x 9 and a 9 x 81 matrix.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import lru_cache
+from math import prod
+
+import numpy as np
+
+from .linalg import ContractError, DimensionError, Lift, hermitian_basis, require_hermitian
+
+
+@dataclass
+class RowFamily:
+    """One operator equation on C^dim, whose rows are those of the module
+    docstring: ``terms`` are ``(block, Lift)`` pairs, ``scalar_terms``
+    ``(scalar, Lift)`` pairs whose lift is a trace (``dims`` empty), and
+    ``rhs`` is the operator, zero when None."""
+
+    dim: int
+    terms: list
+    rhs: np.ndarray | None = None
+    scalar_terms: list = field(default_factory=list)
+
+
+def partial(lift):
+    """Whether a lift depends on how its block is factored: h on some but not
+    all of the factors, or on all of them reordered."""
+    return bool(lift.keep) and lift.keep != tuple(range(len(lift.dims)))
+
+
+def family_terms(fam, nblocks):
+    """A family's (variable, lift) pairs; scalar j is variable nblocks + j."""
+    return list(fam.terms) + [(nblocks + j, lift) for j, lift in fam.scalar_terms]
+
+
+def check_families(problem):
+    """Validate the row families of an ``SdpProblem``, each family once: its
+    rhs, and for every term a ``Lift`` whose sides match the block and the
+    family, that is a trace on a real block or a scalar, and that factors
+    its block as every other lift of that block does (the contraction needs
+    one factorization per block).  Raises ``DimensionError`` or
+    ``ContractError``."""
+    factored = {}  # block -> the factor dimensions its partial lifts use
+    for f, fam in enumerate(problem.families):
+        what = f"row family {f}"
+        if fam.dim < 1:
+            raise DimensionError(f"{what} has nonpositive dimension {fam.dim}")
+        if fam.rhs is not None:
+            if np.shape(fam.rhs) != (fam.dim, fam.dim):
+                raise DimensionError(f"{what} rhs has shape {np.shape(fam.rhs)}")
+            require_hermitian(fam.rhs, what=f"{what} rhs")
+        for j, lift in fam.scalar_terms:
+            if not isinstance(lift, Lift) or lift.dims:
+                raise ContractError(f"{what} couples scalar {j} by {lift!r}, not a trace Lift")
+            if j < 0 or j >= len(problem.scalar_costs):
+                raise DimensionError(f"{what} references unknown scalar {j}")
+        for b, lift in fam.terms:
+            if not isinstance(lift, Lift):
+                raise ContractError(f"{what} maps block {b} by {lift!r}, not a Lift")
+            if b < 0 or b >= len(problem.blocks):
+                raise DimensionError(f"{what} references unknown block {b}")
+            if lift.size != problem.blocks[b] or lift.arg_dim not in (None, fam.dim):
+                raise DimensionError(f"{what} lifts C^{fam.dim} by {lift} onto block {b} "
+                                     f"of side {problem.blocks[b]}")
+            if b in problem.real_blocks and lift.keep:
+                raise ContractError(f"{what} has complex data on real block {b}")
+            if partial(lift):
+                dims = factored.setdefault(b, lift.dims)
+                if dims != lift.dims:
+                    raise DimensionError(f"{what} factors block {b} as {lift.dims}, "
+                                         f"another lift as {dims}")
+
+
+def write_rows(problem, slots, groups, amat, b):
+    """Write the rows of every family into A and b, after the plain rows.
+
+    A family's rows on a variable are one lift of its basis stack; the lifted
+    basis is Hermitian exactly, and real on the real blocks.  ``slots[v]`` is
+    the (group, member) of variable v, and a group's members are its columns
+    of A (``sdp._Group``)."""
+    nblocks = len(problem.blocks)
+    lo = len(problem.constraints)
+    for fam in problem.families:
+        basis = _basis_stack(fam.dim)
+        rows = slice(lo, lo + len(basis))
+        for v, lift in family_terms(fam, nblocks):
+            gi, j = slots[v]
+            g = groups[gi]
+            coeff = lift(basis).reshape(len(basis), -1)
+            flat = coeff.view(np.float64) if g.cplx else coeff.real
+            amat[rows, g.lo + j * g.size: g.lo + (j + 1) * g.size] += flat
+        if fam.rhs is not None:
+            b[rows] = np.einsum("kij,ji->k", basis, fam.rhs).real
+        lo += len(basis)
+
+
+@lru_cache(maxsize=256)
+def _basis_stack(dim):
+    """The Hermitian basis on C^dim as one read-only (dim^2, dim, dim) stack."""
+    basis = np.array(hermitian_basis(dim))
+    basis.flags.writeable = False
+    return basis
+
+
+@lru_cache(maxsize=256)
+def _contraction(dims, keep_a, keep_b):
+    """The map from a stack (J, N, N) of W on the factors ``dims`` to the
+    stack (J, Da, Db) of T with Re tr(W (I (x) a) W (I (x) b)) = Re vec(a) T vec(b)
+    for a on the factors ``keep_a`` and b on ``keep_b`` (in their own factor
+    order, vec row-major, Da and Db their squared sides):
+
+        T[pq, rs] = sum W[i, j] W[k, l],  j = p, k = q on keep_a and j = k off it,
+                                          l = r, i = s on keep_b and l = i off it.
+
+    No index is free in both copies of W, so T is one batched matrix product:
+    the free axes of each copy against the axes the two share.
+    """
+    n = len(dims)
+    x1, y1, y2, z2, labels = [], [], [], [], []  # axes: row f at 1 + f, column at 1 + n + f
+    for f in range(n):
+        row, col = 1 + f, 1 + n + f
+        if f in keep_b:  # i = s
+            x1.append(row)
+            labels.append(("s", f))
+        else:  # i = l
+            y1.append(row)
+            y2.append(col)
+        if f in keep_a:  # j = p
+            x1.append(col)
+            labels.append(("p", f))
+        else:  # j = k
+            y1.append(col)
+            y2.append(row)
+    for f in range(n):
+        if f in keep_a:  # k = q
+            z2.append(1 + f)
+            labels.append(("q", f))
+        if f in keep_b:  # l = r
+            z2.append(1 + n + f)
+            labels.append(("r", f))
+    order = ([("p", f) for f in keep_a] + [("q", f) for f in keep_a]
+             + [("r", f) for f in keep_b] + [("s", f) for f in keep_b])
+    final = [0] + [1 + labels.index(o) for o in order]
+    free = prod(dims[(a - 1) % n] for a in x1)
+    shape = [dims[f] for _, f in labels]
+    da, db = (prod(dims[f] for f in k) ** 2 for k in (keep_a, keep_b))
+
+    def contract(w):
+        nb = len(w)
+        t = w.reshape((nb,) + tuple(dims) * 2)
+        a = t.transpose([0] + x1 + y1).reshape(nb, free, -1)
+        b = t.transpose([0] + y2 + z2).reshape(nb, a.shape[2], -1)
+        return (a @ b).reshape([nb] + shape).transpose(final).reshape(nb, da, db)
+
+    return contract
+
+
+@lru_cache(maxsize=256)
+def _row_map(dim, lifted, transpose):
+    """The rows of a family on C^dim in terms of vec(c), for c the operator
+    its lift puts on the kept factors: H_k, H_k^T, or [Tr H_k] when nothing
+    is ``lifted`` (a trace).  A basis element has at most two nonzero
+    entries, so row k is sum_e coef[k, e] vec(c)[idx[k, e]].
+
+    The second form is for a vector u whose entries at transposed positions
+    are conjugate, as u = vec(Y^T) for Hermitian Y: then Re sum_e coef[k, e]
+    u[idx[k, e]] = Re u Re(c1 + c2) - Im u Im(c1 - c2), and one of the two
+    terms is zero.  So the row is ``factor[k]`` times entry ``entry[k]`` of
+    the float view of u.  The arrays are read-only."""
+    basis = _basis_stack(dim)
+    if not lifted:
+        c = np.trace(basis, axis1=1, axis2=2)[:, None]
+    else:
+        c = (np.swapaxes(basis, 1, 2) if transpose else basis).reshape(len(basis), -1)
+    e = max(1, int((c != 0).sum(axis=1).max()))
+    idx = np.argsort(c == 0, axis=1, kind="stable")[:, :e]
+    coef = np.take_along_axis(c, idx, axis=1)
+    c2 = coef[:, 1] if e == 2 else 0.0
+    re, im = (coef[:, 0] + c2).real, -(coef[:, 0] - c2).imag
+    maps = idx, coef, 2 * idx[:, 0] + (im != 0), np.where(im != 0, im, re)
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
+def _rows_index(rows, cols):
+    """Index of the block rows x cols of a matrix: a slice for each run of
+    consecutive indices, so that adding into the block is not a scatter."""
+    def run(r):
+        return slice(r[0], r[-1] + 1) if r[-1] - r[0] + 1 == len(r) else None
+
+    a, b = run(rows), run(cols)
+    if a is None and b is None:
+        return np.ix_(rows, cols)
+    return (rows if a is None else a), (cols if b is None else b)
+
+
+class LiftSchur:
+    """Schur complement M = A W A^T of a program whose rows all come from row
+    families, by contraction of W (see the module docstring).
+
+    Lifts of one kind -- group, factorization of the variable, kept factors,
+    transpose and family dimension -- differ only in their scale on each
+    member.  So for each pair of kinds on a group, T is formed once for the
+    members both touch and changed to the two Hermitian bases
+    (``_row_map``): two gathers on one side, and one gather from the float
+    view on the other, as u_k = T^T vec(c_k) is vec(Y^T) for the Hermitian
+    Y = Tr_rest[W (I (x) H_k) W].  One real product with the members' scale
+    products then gives the block of every pair of families.
+
+    Built once per solve, and called once per step with the NT scaling W of
+    every group, it returns M over every family row, unscaled.  M is
+    symmetric up to rounding; the factorization reads its lower triangle.
+    """
+
+    def __init__(self, problem, groups, slots):
+        nblocks = len(problem.blocks)
+        sides = list(problem.blocks) + [1] * len(problem.scalar_costs)
+        fact = [(n,) for n in sides]  # validation makes the partial lifts agree
+        for fam in problem.families:
+            for v, lift in family_terms(fam, nblocks):
+                if partial(lift):
+                    fact[v] = lift.dims
+        kinds = {}  # kind -> {family: its scale on each member of the group}
+        rows = []
+        lo = len(problem.constraints)
+        for f, fam in enumerate(problem.families):
+            rows.append(np.arange(lo, lo + fam.dim**2))
+            lo += fam.dim**2
+            for v, lift in family_terms(fam, nblocks):
+                gi, j = slots[v]
+                dims = fact[v]
+                keep = lift.keep if partial(lift) else tuple(range(len(dims))) if lift.keep else ()
+                kind = (gi, dims, keep, lift.transpose, fam.dim)
+                scales = kinds.setdefault(kind, {}).setdefault(f, np.zeros(groups[gi].nb))
+                scales[j] += lift.scale
+        self.m = lo
+
+        maps = {kind: _row_map(kind[4], bool(kind[2]), kind[3]) for kind in kinds}
+        self.pairs = []
+        items = list(kinds.items())
+        for ai, (ka, fams_a) in enumerate(items):
+            for kb, fams_b in items[ai:]:
+                if ka[:2] != kb[:2]:  # another group, or members factored otherwise
+                    continue
+                sa, sb = np.array(list(fams_a.values())), np.array(list(fams_b.values()))
+                members = np.flatnonzero((sa != 0).any(axis=0) & (sb != 0).any(axis=0))
+                if not members.size:
+                    continue
+                weights = (sa[:, None, members] * sb[None, :, members]).reshape(-1, members.size)
+                (ia, ca), (eb, fb) = maps[ka][:2], maps[kb][2:]
+                if weights.size == 1:  # one member and one family a side: a factor
+                    fb, weights = fb * weights[0, 0], None
+                if members.size == groups[ka[0]].nb:
+                    members = slice(None)
+                ra = np.concatenate([rows[f] for f in fams_a])
+                rb = np.concatenate([rows[f] for f in fams_b])
+                self.pairs.append((
+                    ka[0], members, _contraction(ka[1], ka[2], kb[2]), ia, ca[:, :, None],
+                    eb, fb, weights, (len(fams_a), len(fams_b)), _rows_index(ra, rb),
+                    None if ka == kb else _rows_index(rb, ra),
+                ))
+
+    def __call__(self, ws):
+        schur = np.zeros((self.m, self.m))
+        for gi, members, contract, ia, ca, eb, fb, weights, (na, nb), cut, mirror in self.pairs:
+            t = contract(ws[gi][members])
+            u = (t[:, ia, :] * ca).sum(axis=2)
+            v = u.view(np.float64)[:, :, eb] * fb
+            if weights is None:
+                block = v[0]
+            else:
+                ma, mb = v.shape[1:]
+                block = (weights @ v.reshape(len(v), -1)).reshape(na, nb, ma, mb)
+                block = block.transpose(0, 2, 1, 3).reshape(na * ma, nb * mb)
+            schur[cut] += block
+            if mirror is not None:
+                schur[mirror] += block.T
+        return schur

@@ -44,7 +44,8 @@ from .qobjects import (
     random_state,
 )
 from .robustness import WitnessSet
-from .sdp import SdpProblem, SolveOptions, hermitian_equality, require_optimal, solve
+from .families import RowFamily
+from .sdp import SdpProblem, SolveOptions, require_optimal, solve
 
 PROB_TOL = 1e-12
 STATE_TOL = 1e-9
@@ -230,10 +231,11 @@ def best_compatible_program(device: JointDevice, coeffs,
     sum_m Tr[coeffs[m] marginal_m(G)] over G >= 0 with input marginal I / k."""
     objective = [np.zeros((n, n), dtype=complex) for n in device.blocks]
     for eq, k in zip(device.members, coeffs):
-        for b, fn in eq.terms:
-            objective[b] = objective[b] - fn(k)
-    cons = hermitian_equality(device.norm.dim, device.norm.terms, rhs=device.norm.operator)
-    prob = SdpProblem(blocks=list(device.blocks), objective=objective, constraints=cons)
+        for b, lift in eq.terms:
+            objective[b] = objective[b] - lift(k)
+    norm = RowFamily(device.norm.dim, device.norm.terms, device.norm.operator)
+    prob = SdpProblem(blocks=list(device.blocks), objective=objective, constraints=[],
+                      families=[norm])
     scale = device.norm.scale * device.k
     sol = solve(prob, options, initial_blocks=[np.eye(n) / scale for n in device.blocks])
     require_optimal(sol, what)

@@ -11,7 +11,7 @@ Everything downstream leans on the conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 
 import numpy as np
@@ -117,27 +117,89 @@ def embed_operator(op, shape, positions) -> np.ndarray:
     Identity is placed on every other factor.  ``op``'s own factor order is
     the order in which ``positions`` are listed.
     """
-    dims = _dims_of(shape)
-    op = as_matrix(op)
-    n = len(dims)
-    positions = [int(p) for p in positions]
-    if len(set(positions)) != len(positions):
-        raise DimensionError(f"repeated positions in {positions}")
-    if any(p < 0 or p >= n for p in positions):
-        raise DimensionError(f"positions {positions} out of range for {n} factors")
-    ds = prod(dims[p] for p in positions)
-    if op.shape != (ds, ds):
-        raise DimensionError(f"operator shape {op.shape} does not match factors {positions}")
-    rest = [i for i in range(n) if i not in positions]
-    dr = prod(dims[i] for i in rest) if rest else 1
-    big = np.kron(op, np.eye(dr))
-    order = positions + rest
-    perm = list(np.argsort(order))
-    shp = [dims[f] for f in order]
-    t = big.reshape(shp + shp)
-    t = t.transpose(perm + [n + p for p in perm])
-    d = prod(dims)
-    return np.ascontiguousarray(t.reshape(d, d))
+    op, positions = as_matrix(op), tuple(positions)
+    if not positions and op.shape != (1, 1):
+        raise DimensionError(f"operator shape {op.shape} does not match factors []")
+    return Lift(_dims_of(shape), positions)(op)
+
+
+@dataclass(frozen=True)
+class Lift:
+    """The linear map h -> scale * (I (x) h) into the operators on ``dims``.
+
+    h, or its transpose when ``transpose`` is set, acts on the factors listed
+    in ``keep`` (in h's own factor order, as in ``embed_operator``), and the
+    identity on every other factor.  With ``keep`` empty, h enters through
+    its trace: h -> scale * Tr(h) * I.  So ``Lift((), ())`` maps h to the 1 x 1
+    matrix [Tr h], the coupling of an operator equation to a scalar.
+
+    Every marginal of a joint device is the adjoint of such a map, so the
+    solver can build a program's rows, and their Schur complement, from
+    ``dims`` and ``keep`` alone.  A lift is applied to one operator or to a
+    stack (..., d, d) of them.
+    """
+
+    dims: tuple[int, ...]
+    keep: tuple[int, ...]
+    transpose: bool = False
+    scale: float = 1.0
+
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
+        keep = tuple(int(k) for k in self.keep)
+        if any(d < 1 for d in dims):
+            raise DimensionError(f"factor dimensions must be positive, got {dims}")
+        if len(set(keep)) != len(keep):
+            raise DimensionError(f"repeated positions in {list(keep)}")
+        if any(k < 0 or k >= len(dims) for k in keep):
+            raise DimensionError(f"positions {list(keep)} out of range for {len(dims)} factors")
+        if not np.isfinite(self.scale):
+            raise ContractError(f"lift scale {self.scale} is not finite")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "keep", keep)
+        object.__setattr__(self, "scale", float(self.scale))
+
+    @staticmethod
+    def identity(dim: int, scale: float = 1.0) -> "Lift":
+        return Lift((dim,), (0,), scale=scale)
+
+    @staticmethod
+    def trace(scale: float = 1.0) -> "Lift":
+        return Lift((), (), scale=scale)
+
+    @property
+    def size(self) -> int:
+        """Side of the lifted operators."""
+        return prod(self.dims)
+
+    @property
+    def arg_dim(self) -> int | None:
+        """Side of the operators lifted, or None for a trace (any side)."""
+        return prod(self.dims[k] for k in self.keep) if self.keep else None
+
+    def __neg__(self) -> "Lift":
+        return replace(self, scale=-self.scale)
+
+    def __call__(self, h) -> np.ndarray:
+        h = np.asarray(h, dtype=complex)
+        lead, n = h.shape[:-2], len(self.dims)
+        if not self.keep:
+            tr = np.trace(h, axis1=-2, axis2=-1)[..., None, None]
+            return self.scale * tr * np.eye(self.size)
+        dk = self.arg_dim
+        if h.shape[-2:] != (dk, dk):
+            raise DimensionError(f"operator shape {h.shape[-2:]} does not match factors {list(self.keep)}")
+        if self.transpose:
+            h = np.swapaxes(h, -1, -2)
+        # one product writes scale * h (x) I with every factor in its place:
+        # factor f is axis f of the rows and n + f of the columns
+        h = (self.scale * h).reshape(lead + tuple(self.dims[k] for k in self.keep) * 2)
+        args = [h, [...] + list(self.keep) + [n + k for k in self.keep]]
+        for f in range(n):
+            if f not in self.keep:
+                args += [np.eye(self.dims[f]), [f, n + f]]
+        out = np.einsum(*args, [...] + list(range(2 * n)))
+        return out.reshape(lead + (self.size, self.size))
 
 
 def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
@@ -230,9 +292,19 @@ def matrix_to_json(a) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
+def json_int(obj, field: str, what: str) -> int:
+    """``obj[field]`` if it is a JSON integer; a bool or a number with a
+    fractional part or exponent is rejected, naming the field, rather than
+    truncated.  A missing field raises ``KeyError``."""
+    v = obj[field]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ContractError(f"{what} field {field!r} must be an integer, got {v!r}")
+    return v
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = json_int(obj, "rows", "matrix"), json_int(obj, "cols", "matrix"), obj["data"]
     except (KeyError, TypeError) as e:
         raise ContractError(f"malformed matrix object: {e}")
     if rows < 1 or cols < 1:

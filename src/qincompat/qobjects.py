@@ -19,6 +19,7 @@ from .linalg import (
     ContractError,
     DimensionError,
     hermitize,
+    json_int,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -84,7 +85,8 @@ class ChoiMatrix:
     @staticmethod
     def from_json(obj) -> "ChoiMatrix":
         try:
-            c = ChoiMatrix(int(obj["dim_in"]), int(obj["dim_out"]), matrix_from_json(obj["matrix"]))
+            c = ChoiMatrix(json_int(obj, "dim_in", "channel"), json_int(obj, "dim_out", "channel"),
+                           matrix_from_json(obj["matrix"]))
         except (KeyError, TypeError) as e:
             raise ContractError(f"malformed channel object: {e}")
         return c.validate()
@@ -306,7 +308,7 @@ class Instrument:
     @staticmethod
     def from_json(obj) -> "Instrument":
         try:
-            ins = Instrument(int(obj["dim_in"]), int(obj["dim_out"]),
+            ins = Instrument(json_int(obj, "dim_in", "instrument"), json_int(obj, "dim_out", "instrument"),
                              [matrix_from_json(m) for m in obj["elements"]])
         except (KeyError, TypeError) as e:
             raise ContractError(f"malformed instrument object: {e}")
@@ -371,8 +373,9 @@ class JointChannel:
     @staticmethod
     def from_json(obj) -> "JointChannel":
         try:
-            j = JointChannel(int(obj["dim_in"]), int(obj["n_outputs"]),
-                             int(obj["dim_out"]), matrix_from_json(obj["choi"]))
+            j = JointChannel(json_int(obj, "dim_in", "joint channel"),
+                             json_int(obj, "n_outputs", "joint channel"),
+                             json_int(obj, "dim_out", "joint channel"), matrix_from_json(obj["choi"]))
         except (KeyError, TypeError) as e:
             raise ContractError(f"malformed joint channel object: {e}")
         return j.validate()

@@ -37,9 +37,10 @@ from .compat import (
     pair_device,
     pair_dims,
 )
-from .linalg import ContractError, hermitize, kron
+from .linalg import ContractError, Lift, hermitize
 from .qobjects import ChoiMatrix, Povm, PovmCollection, pad_choi, qc_channel
-from .sdp import SdpProblem, SolveOptions, hermitian_equality, require_optimal, solve
+from .families import RowFamily
+from .sdp import SdpProblem, SolveOptions, require_optimal, solve
 
 # below this the optimal mixing weight is numerically zero and dividing the
 # slack blocks by it would amplify solver noise, so no noise is reconstructed
@@ -145,7 +146,8 @@ def identity_pair_closed_form(d: int) -> float:
 class _DualForm:
     """Assemble a standard-form problem whose Lagrange dual is the witness
     program: maximize sum of weights against Hermitian parameters subject to
-    slack blocks F0 + sum_k y_k F_k >= 0."""
+    slack blocks F0 + sum_k y_k F_k >= 0.  Each parameter enters a slack
+    block through a ``Lift``, and its rows are one ``RowFamily``."""
 
     def __init__(self):
         self.blocks: list[int] = []
@@ -164,19 +166,17 @@ class _DualForm:
         self.params.append((dim, weight, []))
         return len(self.params) - 1
 
-    def couple(self, param, block, fn):
-        self.params[param][2].append((block, fn))
+    def couple(self, param, block, lift):
+        self.params[param][2].append((block, lift))
 
     def problem(self) -> SdpProblem:
-        cons = []
-        for dim, weight, maps in self.params:
-            cons += hermitian_equality(dim, [(block, lambda h, fn=fn: -fn(h)) for block, fn in maps],
-                                       rhs=weight)
         return SdpProblem(
             blocks=list(self.blocks),
             objective=list(self.objective),
-            constraints=cons,
+            constraints=[],
             real_blocks=frozenset(self.real),
+            families=[RowFamily(dim, [(block, -lift) for block, lift in maps], weight)
+                      for dim, weight, maps in self.params],
         )
 
 
@@ -189,20 +189,17 @@ def robustness_primal(kind: str, device: JointDevice, dual,
     1 + s, G / t the compatible mixture and N_m / s the noise; ``dual()``
     returns the independently computed witness."""
     nj = len(device.blocks)
-    cons = []
-    for m, eq in enumerate(device.members):
-        cons += hermitian_equality(eq.dim, eq.terms + [(nj + m, lambda h: -h)], rhs=eq.operator)
-    cons += hermitian_equality(
-        device.norm.dim,
-        device.norm.terms,
-        scalar_terms=[(0, lambda h: -np.trace(h).real / device.k)],
-    )
+    families = [RowFamily(eq.dim, eq.terms + [(nj + m, -Lift.identity(eq.dim))], eq.operator)
+                for m, eq in enumerate(device.members)]
+    families.append(RowFamily(device.norm.dim, device.norm.terms,
+                              scalar_terms=[(0, Lift.trace(-1.0 / device.k))]))
     dims = list(device.blocks) + [eq.dim for eq in device.members]
     prob = SdpProblem(
         blocks=dims,
         objective=[np.zeros((n, n), dtype=complex) for n in dims],
-        constraints=cons,
+        constraints=[],
         scalar_costs=[1.0],
+        families=families,
     )
     g0, n0, t0 = device.robustness_start()
     sol = solve(prob, options, initial_blocks=g0 + n0, initial_scalars=[t0])
@@ -247,11 +244,11 @@ def robustness_channels_dual(channels, options: SolveOptions | None = None) -> W
     u = df.slack(1, np.array([[float(d)]]), real=True)
     for x in range(n):
         a = df.param(dp * d, weight=chois[x].matrix)
-        df.couple(a, z, lambda h, x=x: -lift_setting(n, dp, d, x)(h))
-        df.couple(a, ps[x], lambda h: h)
+        df.couple(a, z, -lift_setting(n, dp, d, x))
+        df.couple(a, ps[x], Lift.identity(dp * d))
     yv = df.param(d)
     df.couple(yv, z, lift_input(n, dp, d))
-    df.couple(yv, u, lambda h: -np.array([[np.trace(h).real]]))
+    df.couple(yv, u, Lift.trace(-1.0))
 
     joint, noise, t = channel_device(n, d, dp, chois).robustness_start()
     sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t / d]])])
@@ -279,17 +276,18 @@ def _measurements_dual(collection: PovmCollection,
     zs = [df.slack(d, np.zeros((d, d))) for _ in lam]
     ps = [[df.slack(d, np.zeros((d, d))) for _ in range(o)] for _ in range(n)]
     u = df.slack(1, np.array([[1.0]]), real=True)
+    same = Lift.identity(d)
     for x in range(n):
         for i in range(o):
             a = df.param(d, weight=grid[x][i])
             for k, l in enumerate(lam):
                 if l[x] == i:
-                    df.couple(a, zs[k], lambda h: -h)
-            df.couple(a, ps[x][i], lambda h: h)
+                    df.couple(a, zs[k], -same)
+            df.couple(a, ps[x][i], same)
     yv = df.param(d)
     for k in range(len(lam)):
-        df.couple(yv, zs[k], lambda h: h)
-    df.couple(yv, u, lambda h: -np.array([[np.trace(h).real]]))
+        df.couple(yv, zs[k], same)
+    df.couple(yv, u, Lift.trace(-1.0))
 
     joint, noise, t = measurement_device(collection).robustness_start()
     sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t]])])
@@ -326,16 +324,16 @@ def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
     u = df.slack(1, np.array([[float(d)]]), real=True)
     for i in range(o):
         a = df.param(d, weight=povm.elements[i])
-        df.couple(a, zs[i], lambda h: -d * kron(np.eye(dp), h.T))
-        df.couple(a, pa[i], lambda h: h)
+        df.couple(a, zs[i], Lift((dp, d), (1,), transpose=True, scale=-d))
+        df.couple(a, pa[i], Lift.identity(d))
     bb = df.param(full, weight=channel.matrix)
     for i in range(o):
-        df.couple(bb, zs[i], lambda h: -h)
-    df.couple(bb, pb, lambda h: h)
+        df.couple(bb, zs[i], -Lift.identity(full))
+    df.couple(bb, pb, Lift.identity(full))
     yv = df.param(d)
     for i in range(o):
-        df.couple(yv, zs[i], lambda h: kron(np.eye(dp), h))
-    df.couple(yv, u, lambda h: -np.array([[np.trace(h).real]]))
+        df.couple(yv, zs[i], Lift((dp, d), (1,)))
+    df.couple(yv, u, Lift.trace(-1.0))
 
     joint, noise, t = pair_device(o, d, dp, povm, channel).robustness_start()
     sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t / d]])])

@@ -24,11 +24,24 @@ gives flat(A) . flat(X) = Re sum_ij conj(A_ij) X_ij = Re tr(A^H X), which is
 <A, X> = Re tr(AX) for Hermitian data, so packing and unpacking are reshapes
 with no scale factors.
 
-Each iteration forms the Schur complement M = A W A^T group by group.  With
-the NT scaling W_v = R_v R_v^H, M_kl = sum_v <R_v^H A_kv R_v, R_v^H A_lv R_v>:
-the rows touching a group are copied out of A and viewed as one stack,
-scaled by R with two batched products, and contribute one symmetric rank-k
-product of the copy, so M is symmetric by construction.
+Each iteration forms the Schur complement M = A W A^T, with the NT scaling
+W_v = R_v R_v^H: M_kl = sum_v Re tr(W_v A_kv W_v A_lv).  Rows come in two
+forms, with one way to form M each:
+
+* plain rows (``LinearConstraint``, any coefficient matrices): group by
+  group, the rows touching a group are copied out of A and viewed as one
+  stack, scaled by R with two batched products, and contribute one
+  symmetric rank-k product of the copy (``_schur_complement``);
+* row families (``families.RowFamily``): the rows of one operator
+  equation, whose coefficient on each variable is a ``Lift`` of the basis
+  element, I (x) H on some tensor factors of the block or Tr H.  M is a
+  partial-trace contraction of W, one batched matrix product per pair of
+  lift kinds on a group (``families.LiftSchur``).
+
+A problem whose rows all come from families takes the contraction; any
+plain row sends the whole problem to the dense build, which is the
+reference the contraction is tested against.  Either way A itself stays
+dense, for the presolve and for A x and A^T y.
 
 The search direction is solved in NT-scaled coordinates.  R_v^-1 X_v R_v^-H
 = R_v^H S_v R_v = Lambda_v = diag(lam), and the scaled steps are dX^ =
@@ -72,6 +85,7 @@ from math import sqrt
 
 import numpy as np
 
+from .families import LiftSchur, RowFamily, check_families, write_rows
 from .linalg import ContractError, DimensionError, hermitian_basis, require_hermitian
 
 DEFAULT_FEAS_TOL = 1e-8
@@ -120,7 +134,8 @@ class SdpProblem:
     ``blocks`` lists the side length of each matrix variable.  Blocks are
     complex Hermitian unless their index appears in ``real_blocks``, in which
     case all data touching them must be real symmetric.  ``scalar_costs``
-    declares one nonnegative scalar variable per entry.
+    declares one nonnegative scalar variable per entry.  The rows are the
+    plain ``constraints``, then the rows of each of the ``families``.
     """
 
     blocks: list[int]
@@ -128,6 +143,7 @@ class SdpProblem:
     constraints: list[LinearConstraint]
     scalar_costs: list[float] = field(default_factory=list)
     real_blocks: frozenset = frozenset()
+    families: list[RowFamily] = field(default_factory=list)
 
     def validate(self):
         if not self.blocks and not self.scalar_costs:
@@ -164,6 +180,7 @@ class SdpProblem:
                     raise DimensionError(f"constraint {k} references unknown scalar {j}")
                 if not np.isfinite(a):
                     raise ContractError(f"constraint {k} has non-finite coefficient on scalar {j}")
+        check_families(self)
         return self
 
 
@@ -200,7 +217,7 @@ def hermitian_equality(dim, terms, rhs=None, scalar_terms=()) -> list[LinearCons
             coeffs[b] = coeffs[b] + m if b in coeffs else m
         sc = {}
         for j, fn in scalar_terms:
-            v = float(fn(h))
+            v = np.real(fn(h)).item()
             if v != 0.0:
                 sc[j] = sc.get(j, 0.0) + v
         r = 0.0 if rhs is None else float(np.trace(h @ rhs).real)
@@ -461,39 +478,38 @@ def _chol_solver(l):
     The block side b is the smallest power of two not below the side of L,
     capped at ``SUBST_BLOCK``; L is padded with an identity to a multiple of
     b.  The diagonal blocks are inverted once here, so every solve is two
-    matrix-vector products per block.  They are inverted in place, the rest
-    of the matrix keeping L, by recursive doubling: with A and C inverted,
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], one batched
-    product pair per level.  ``l`` may be overwritten.
+    matrix-vector products per block.  They are inverted in place by
+    recursive doubling: with A and C inverted, [[A, 0], [B, C]]^-1 =
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]].  The copy of L is negated, so a level
+    is the product pair C^-1 (-B) A^-1 alone, and the substitution adds the
+    negated blocks off the diagonal; negation is exact, so the result is the
+    same as with L.  ``l`` is not modified.
     """
     m = l.shape[0]
     b = min(SUBST_BLOCK, 1 << (m - 1).bit_length())
     n = -(-m // b) * b
-    if n == m:
-        w = np.ascontiguousarray(l, dtype=float)
-    else:
-        w = np.zeros((n, n))
-        w[:m, :m] = l
+    w = np.zeros((n, n))
+    np.subtract(0.0, l, out=w[:m, :m])  # -L with +0 above the diagonal
     diag = w.reshape(-1)[:: n + 1]
-    diag[m:] = 1.0
-    np.reciprocal(diag, out=diag)
+    diag[m:] = -1.0
+    np.divide(-1.0, diag, out=diag)
     h = 1
     while h < b:
         x = _diag_blocks(w, 2 * h)
-        t = x[:, h:, h:] @ x[:, h:, :h]
-        np.negative(t, out=t)
-        np.matmul(t, x[:, :h, :h], out=x[:, h:, :h])
+        np.matmul(x[:, h:, h:] @ x[:, h:, :h], x[:, :h, :h], out=x[:, h:, :h])
         h *= 2
 
     def solve(rhs):
         x = np.zeros(n)
         x[:m] = rhs
-        for lo in range(0, n, b):  # L y = rhs
+        x[:b] = w[:b, :b] @ x[:b]  # L y = rhs
+        for lo in range(b, n, b):
             s = slice(lo, lo + b)
-            x[s] = w[s, s] @ (x[s] - w[s, :lo] @ x[:lo])
-        for lo in range(n - b, -1, -b):  # L^T x = y
+            x[s] = w[s, s] @ (x[s] + w[s, :lo] @ x[:lo])
+        x[n - b:] = x[n - b:] @ w[n - b:, n - b:]  # L^T x = y
+        for lo in range(n - 2 * b, -1, -b):
             s = slice(lo, lo + b)
-            x[s] = (x[s] - x[lo + b:] @ w[lo + b:, s]) @ w[s, s]
+            x[s] = (x[s] + x[lo + b:] @ w[lo + b:, s]) @ w[s, s]
         return x[:m]
 
     return solve
@@ -513,10 +529,11 @@ def _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y):
         return "unbounded"
 
 
-def _step(groups, amat, plan, xs, ss, rp, rds, mu, n_tot):
+def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
     """One Mehrotra predictor-corrector direction (dX, dy, dS) at the iterate
-    and its primal and dual step lengths.  Raises ``LinAlgError`` when a
-    factorization breaks down."""
+    and its primal and dual step lengths.  ``schur(rs, ws)`` forms the Schur
+    complement from the NT scaling W = R R^H of every group.  Raises
+    ``LinAlgError`` when a factorization breaks down."""
     m = amat.shape[0]
 
     # Nesterov-Todd scaling W = R R^H with R^H S R = R^-1 X R^-H = diag(lam)
@@ -538,7 +555,7 @@ def _step(groups, amat, plan, xs, ss, rp, rds, mu, n_tot):
 
     # Schur complement, factored once for both solves
     if m:
-        schur_solve = _chol_solver(_chol(_schur_complement(amat, plan, rs)[None])[0])
+        schur_solve = _chol_solver(_chol(schur(rs, ws)[None])[0])
 
     def direction(dhats):
         rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
@@ -584,9 +601,10 @@ def _step(groups, amat, plan, xs, ss, rp, rds, mu, n_tot):
     return dxs, dy, dss, ap, ad
 
 
-def _ipm(groups, cs, amat, b, opts, x0=None):
+def _ipm(groups, cs, amat, b, opts, schur, x0=None):
     """Core iteration on the block groups.  ``cs``, ``x0`` and the iterates
-    hold one (nb, n, n) stack per group.  Returns the status, the iteration
+    hold one (nb, n, n) stack per group; ``schur`` forms the Schur complement
+    (see ``_step``).  Returns the status, the iteration
     count, the iterate the status was decided on (for ``stalled`` and
     ``max_iter``, the one closest to the convergence test) and its
     objectives and residuals."""
@@ -607,7 +625,6 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
     eta = 1.0 + max(np.linalg.norm(c, axis=(1, 2)).max() for c in cs)
     ss = [eta * g.eye() for g in groups]
     y = np.zeros(amat.shape[0])
-    plan = _schur_plan(amat, groups)
     # divergence is judged against the starting point's scale: X against
     # its start, y against eta, the start of S (the rows have unit norm)
     xdiverged = 1e14 * np.linalg.norm(_pack(xs))
@@ -644,7 +661,7 @@ def _ipm(groups, cs, amat, b, opts, x0=None):
             status = "max_iter"
             break
         try:
-            dxs, dy, dss, ap, ad = _step(groups, amat, plan, xs, ss, rp, rds, mu, n_tot)
+            dxs, dy, dss, ap, ad = _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot)
         except np.linalg.LinAlgError:
             status = "stalled"  # a factorization or SVD broke down
             break
@@ -702,13 +719,17 @@ def _grouped_form(problem):
             rows.append(k)
             idx.append(j)
             mats.append(a)
-    amat = np.zeros((len(problem.constraints), lo))
+    nplain = len(problem.constraints)
+    amat = np.zeros((nplain + sum(f.dim**2 for f in problem.families), lo))
+    b = np.zeros(amat.shape[0])
     for g, (rows, idx, mats) in zip(groups, entries):
         if rows:
             cols = g.lo + g.size * np.array(idx)[:, None] + np.arange(g.size)
             flat = _pack([_herm(_block_stack(mats, g.cplx))])
             amat[np.array(rows)[:, None], cols] = flat.reshape(len(mats), g.size)
-    b = np.array([con.rhs for con in problem.constraints], dtype=float)
+    b[:nplain] = [con.rhs for con in problem.constraints]
+
+    write_rows(problem, slots, groups, amat, b)
     return groups, slots, cs, amat, b
 
 
@@ -762,7 +783,19 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     amat /= scales[:, None]
     b = b / scales
 
-    status, iters, xs, ss, ys, pobj, dobj, prel, drel = _ipm(groups, cs, amat, b, opts, x0=x0)
+    if problem.families and not problem.constraints:
+        lifted = LiftSchur(problem, groups, slots)
+        cut, outer = np.ix_(kept, kept), np.outer(scales, scales)
+
+        def schur(rs, ws):
+            return lifted(ws)[cut] / outer
+    else:
+        plan = _schur_plan(amat, groups)
+
+        def schur(rs, ws):
+            return _schur_complement(amat, plan, rs)
+
+    status, iters, xs, ss, ys, pobj, dobj, prel, drel = _ipm(groups, cs, amat, b, opts, schur, x0=x0)
 
     y = np.zeros(mfull)
     if kept.size:

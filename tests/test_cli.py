@@ -152,6 +152,29 @@ def test_nan_povm_exits_one_naming_non_finite(tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("where, field, value", [
+    ("channel", "dim_in", 2.9), ("channel", "dim_out", True), ("channel", "dim_in", "2"),
+    ("matrix", "rows", 4.5), ("matrix", "cols", 4.0), ("effect", "rows", 2.5),
+])
+def test_non_integer_size_exits_one_naming_the_field(tmp_path, capsys, where, field, value):
+    # int() used to truncate these, and compat channels exited 0
+    pair = {"povm": basis_povm(2).to_json(), "channel": identity_channel(2).to_json()}
+    target = {"channel": pair["channel"], "matrix": pair["channel"]["matrix"],
+              "effect": pair["povm"]["elements"][0]}[where]
+    target[field] = value
+    bad, dest = tmp_path / "bad.json", tmp_path / "report.json"
+    if where == "effect":
+        bad.write_text(json.dumps(pair))
+        argv = ["robustness", "pair"]
+    else:
+        bad.write_text(json.dumps({"channels": [pair["channel"], identity_channel(2).to_json()]}))
+        argv = ["compat", "channels"]
+    code, out, err = run_cli(argv + ["--input", str(bad), "--out", str(dest)], capsys)
+    assert code == 1
+    assert out == "" and not dest.exists()
+    assert f"'{field}' must be an integer" in err
+
+
 def test_documented_input_format(tmp_path, capsys):
     # the Z and Y bases written out by hand in the format of README.md
     f = tmp_path / "zy.json"

@@ -4,6 +4,7 @@ import pytest
 from qincompat.linalg import (
     ContractError,
     DimensionError,
+    Lift,
     TensorShape,
     eig_hermitian,
     embed_operator,
@@ -234,3 +235,67 @@ def test_matrix_json_malformed():
         matrix_from_json({"rows": 1, "cols": 1, "data": [[float("nan"), 0]]})
     with pytest.raises(ContractError):
         matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [0, float("inf")]]})
+
+
+def embed_by_index(op, dims, keep):
+    """I (x) op with op on the factors ``keep`` (in op's factor order), entry
+    by entry: <i|out|j> = <i_keep|op|j_keep> when i and j agree elsewhere."""
+    n, size = len(dims), int(np.prod(dims))
+    out = np.zeros((size, size), dtype=complex)
+    sub = [dims[k] for k in keep]
+    for i in np.ndindex(*dims):
+        for j in np.ndindex(*dims):
+            if all(i[f] == j[f] for f in range(n) if f not in keep):
+                a = np.ravel_multi_index([i[k] for k in keep], sub)
+                b = np.ravel_multi_index([j[k] for k in keep], sub)
+                out[np.ravel_multi_index(i, dims), np.ravel_multi_index(j, dims)] = op[a, b]
+    return out
+
+
+@pytest.mark.parametrize("dims, keep", [
+    ((2, 2, 3), (0, 2)), ((2, 2, 3), (1, 2)), ((2, 2, 3), (2,)), ((3, 3, 3, 2), (1, 3)),
+    ((2, 3, 2), (2, 0)), ((6,), (0,)),
+])
+def test_lift_matches_the_embedding_entry_by_entry(dims, keep):
+    rng = np.random.default_rng(61)
+    d = int(np.prod([dims[k] for k in keep]))
+    stack = np.array([random_herm(rng, d) for _ in range(3)])
+    lift = Lift(dims, keep)
+    assert lift.size == int(np.prod(dims)) and lift.arg_dim == d
+    for h in stack:
+        want = embed_by_index(h, dims, keep)
+        assert np.array_equal(lift(h), want)
+        assert np.array_equal(embed_operator(h, dims, keep), want)
+        assert np.array_equal(Lift(dims, keep, transpose=True, scale=-2.5)(h), -2.5 * embed_by_index(h.T, dims, keep))
+    # a stack is lifted member by member
+    assert np.array_equal(lift(stack), np.array([lift(h) for h in stack]))
+    assert np.array_equal((-lift)(stack), -lift(stack))
+
+
+def test_lift_reproduces_the_device_maps():
+    # the instrument maps kron(I, h) and d * kron(I, h^T), the identity and
+    # the trace couplings of the robustness programs
+    rng = np.random.default_rng(67)
+    dp, d = 3, 2
+    for h in [random_herm(rng, d) for _ in range(3)]:
+        assert np.array_equal(Lift((dp, d), (1,))(h), kron(np.eye(dp), h))
+        assert np.array_equal(Lift((dp, d), (1,), transpose=True, scale=d)(h), d * kron(np.eye(dp), h.T))
+        assert np.array_equal(Lift.identity(d)(h), h)
+        assert np.array_equal(Lift.trace(-1.0)(h), np.array([[-np.trace(h)]]))
+        assert np.array_equal(Lift((dp,), ())(h), np.trace(h) * np.eye(dp))
+        assert Lift.trace().arg_dim is None and Lift.trace().size == 1
+
+
+def test_lift_rejects_bad_input():
+    with pytest.raises(DimensionError, match="repeated"):
+        Lift((2, 2), (1, 1))
+    with pytest.raises(DimensionError, match="out of range"):
+        Lift((2, 2), (2,))
+    with pytest.raises(DimensionError):
+        Lift((2, 0), (0,))
+    with pytest.raises(ContractError, match="not finite"):
+        Lift((2,), (0,), scale=np.nan)
+    with pytest.raises(DimensionError, match="does not match"):
+        Lift((2, 3), (1,))(np.eye(2))
+    with pytest.raises(DimensionError, match="does not match"):
+        embed_operator(np.eye(2), (2, 3), ())

@@ -312,6 +312,21 @@ def test_json_roundtrips():
         object_from_json({"kind": "nonsense"})
 
 
+@pytest.mark.parametrize("field, value", [("dim_in", 2.0), ("dim_out", 1.5), ("dim_in", False)])
+def test_json_sizes_must_be_integers(field, value):
+    rng = np.random.default_rng(16)
+    objs = [random_channel(2, 2, 2, rng).to_json(), lueders_instrument(basis_povm(2)).to_json(),
+            random_joint_channel(2, 2, 2, rng).to_json()]
+    for obj in objs:
+        obj[field] = value
+        with pytest.raises(ContractError, match=f"'{field}' must be an integer"):
+            object_from_json(obj)
+    obj = random_joint_channel(2, 2, 2, rng).to_json()
+    obj["n_outputs"] = 2.0
+    with pytest.raises(ContractError, match="'n_outputs' must be an integer"):
+        object_from_json(obj)
+
+
 def test_validation_rejects_bad_choi():
     with pytest.raises(ContractError):
         # input marginal off from I/d

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qincompat import sdp
+from qincompat import families, sdp
 from qincompat.linalg import hermitian_basis
 from qincompat.sdp import (
     LinearConstraint,
@@ -638,3 +638,168 @@ def test_svd_fallback_rebuilds_the_blocks(monkeypatch):
         assert np.abs((u * s[:, None, :]) @ vh - b).max() <= 1e-13 * np.abs(b).max()
         for q in (u, vh):
             assert np.abs(sdp._ct(q) @ q - np.eye(n)).max() <= 1e-13
+
+
+# -- row families: the programs of the joint devices and their duals ----------
+
+
+@pytest.fixture(scope="module")
+def device_programs():
+    """Every program the robustness, compatibility and game routines solve,
+    on small random inputs, with the arguments it was solved with."""
+    from qincompat import compat, games, robustness
+    from qincompat.qobjects import PovmCollection, random_channel, random_povm
+
+    rng = np.random.default_rng(71)
+    programs = []
+
+    def record(what):
+        def solve_and_record(prob, *args, **kwargs):
+            programs.append((what, prob, args, kwargs))
+            return solve(prob, *args, **kwargs)
+        return solve_and_record
+
+    def channels(n, d, dp):
+        return [random_channel(d, dp, 2, rng) for _ in range(n)]
+
+    coll = PovmCollection([random_povm(2, 3, rng), random_povm(2, 3, rng)])
+    runs = [
+        ("channels n=2 2->3", lambda: robustness.robustness_channels_primal(channels(2, 2, 3))),
+        ("channels n=3 3->2", lambda: robustness.robustness_channels_primal(channels(3, 3, 2))),
+        ("channel check", lambda: compat.check_channels(channels(2, 2, 3))),
+        ("measurements", lambda: robustness.robustness_measurements(coll)),
+        ("measurement check", lambda: compat.check_measurements(coll)),
+        ("pair 2->3", lambda: robustness.robustness_pair_primal(random_povm(2, 3, rng),
+                                                                 random_channel(2, 3, 2, rng))),
+        ("pair check", lambda: compat.check_pair(random_povm(2, 2, rng), random_channel(2, 3, 2, rng))),
+        ("channel game", lambda: games.best_compatible_success(
+            games.random_game(2, 2, 2, rng), PovmCollection([random_povm(2, 2, rng) for _ in range(2)]))),
+    ]
+    saved = {mod: mod.solve for mod in (compat, games, robustness)}
+    try:
+        for what, run in runs:
+            for mod in saved:
+                mod.solve = record(what)
+            run()
+    finally:
+        for mod, fn in saved.items():
+            mod.solve = fn
+    return programs
+
+
+def as_plain_rows(prob):
+    """The same problem with every family expanded by ``hermitian_equality``."""
+    rows = list(prob.constraints)
+    for fam in prob.families:
+        rows += hermitian_equality(fam.dim, fam.terms, fam.rhs, fam.scalar_terms)
+    return SdpProblem(prob.blocks, prob.objective, rows, prob.scalar_costs, prob.real_blocks)
+
+
+def test_device_programs_cover_every_kind(device_programs):
+    # primal and dual of each robustness, and each check and game program
+    kinds = {}
+    for what, prob, _, _ in device_programs:
+        assert prob.families and not prob.constraints
+        kinds[what] = kinds.get(what, 0) + 1
+    assert kinds == {"channels n=2 2->3": 2, "channels n=3 3->2": 2, "channel check": 1,
+                     "measurements": 2, "measurement check": 1, "pair 2->3": 2, "pair check": 1,
+                     "channel game": 1}
+    transposed = [lift for _, prob, _, _ in device_programs
+                  for fam in prob.families for _, lift in fam.terms if lift.transpose]
+    assert transposed
+
+
+def test_family_rows_equal_hermitian_equality_rows(device_programs):
+    for what, prob, _, _ in device_programs:
+        prob.validate()
+        _, _, _, amat, b = sdp._grouped_form(prob)
+        _, _, _, want_a, want_b = sdp._grouped_form(as_plain_rows(prob))
+        assert np.array_equal(amat, want_a), what
+        assert np.array_equal(b, want_b), what
+
+
+def test_lift_schur_matches_the_dense_schur_complement(device_programs):
+    rng = np.random.default_rng(73)
+    for what, prob, _, _ in device_programs:
+        groups, slots, _, amat, _ = sdp._grouped_form(prob)
+        rs = []
+        for g in groups:
+            r = rng.standard_normal((g.nb, g.n, g.n)) + g.n * np.eye(g.n)
+            if g.cplx:
+                r = r + 1j * rng.standard_normal((g.nb, g.n, g.n))
+            rs.append(r)
+        ws = [r @ sdp._ct(r) for r in rs]
+        want = sdp._schur_complement(amat, sdp._schur_plan(amat, groups), rs)
+        got = families.LiftSchur(prob, groups, slots)(ws)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale, what
+        assert np.abs(got - got.T).max() <= 1e-13 * scale, what
+
+
+def test_structured_solve_matches_the_plain_rows(device_programs):
+    # the contraction changes only the rounding of M: same status and
+    # iteration count, values to well within the tolerance
+    for what, prob, args, kwargs in device_programs[:4]:
+        got = solve(prob, *args, **kwargs)
+        want = solve(as_plain_rows(prob), *args, **kwargs)
+        assert got.status == want.status == "optimal", what
+        assert got.iterations == want.iterations, what
+        for a, b in ((got.primal_value, want.primal_value), (got.dual_value, want.dual_value)):
+            assert abs(a - b) <= 1e-9 * (1 + abs(b)), what
+
+
+def test_validate_rejects_bad_families():
+    from qincompat.linalg import ContractError, DimensionError, Lift
+    from qincompat.families import RowFamily
+
+    eye = np.eye(4, dtype=complex)
+
+    def problem(*families, real=frozenset()):
+        return SdpProblem(blocks=[4, 1], objective=[eye, np.eye(1, dtype=complex)],
+                          constraints=[], scalar_costs=[1.0], real_blocks=real,
+                          families=list(families))
+
+    problem(RowFamily(2, [(0, Lift((2, 2), (1,))), (1, Lift.trace())], np.eye(2),
+                      [(0, Lift.trace(-1.0))])).validate()
+    bad = [
+        (DimensionError, "block 0", RowFamily(2, [(0, Lift((2, 3), (1,)))])),
+        (DimensionError, "block 0", RowFamily(3, [(0, Lift((2, 2), (1,)))])),
+        (ContractError, "not a Lift", RowFamily(2, [(0, lambda h: h)])),
+        (DimensionError, "unknown block", RowFamily(2, [(2, Lift.identity(2))])),
+        (ContractError, "not a trace", RowFamily(2, [], scalar_terms=[(0, Lift.identity(2))])),
+        (DimensionError, "unknown scalar", RowFamily(2, [], scalar_terms=[(1, Lift.trace())])),
+        (DimensionError, "rhs", RowFamily(2, [], np.eye(3))),
+        (ContractError, "Hermitian", RowFamily(2, [], np.array([[0, 1], [0, 0]]))),
+    ]
+    for err, match, fam in bad:
+        with pytest.raises(err, match=match):
+            problem(fam).validate()
+    with pytest.raises(ContractError, match="complex data on real block 1"):
+        problem(RowFamily(1, [(1, Lift.identity(1))]), real=frozenset({1})).validate()
+    # two lifts that factor one block differently have no common contraction
+    with pytest.raises(DimensionError, match="factors block 0"):
+        problem(RowFamily(2, [(0, Lift((2, 2), (0,)))]),
+                RowFamily(1, [(0, Lift((1, 4), (0,)))])).validate()
+
+
+@pytest.mark.parametrize("dims, keep_a, keep_b", [
+    ((2, 3, 2), (0, 2), (1, 2)), ((2, 3, 2), (2, 0), (1,)), ((3, 2), (), (0, 1)),
+    ((2, 2, 2), (1,), (1,)), ((4,), (0,), ()), ((), (), ()),
+])
+def test_contraction_is_the_trace_form(dims, keep_a, keep_b):
+    # Re tr(W (I (x) a) W (I (x) b)) = Re vec(a) T vec(b), member by member
+    from qincompat.linalg import Lift
+
+    rng = np.random.default_rng(79)
+    n = int(np.prod(dims))
+    g = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    w = g @ sdp._ct(g)
+    t = families._contraction(dims, keep_a, keep_b)(w)
+    sides = [int(np.prod([dims[k] for k in keep])) if keep else 1 for keep in (keep_a, keep_b)]
+    assert t.shape == (3, sides[0] ** 2, sides[1] ** 2)
+    for _ in range(3):
+        a, b = (random_herm(rng, s) for s in sides)
+        la, lb = Lift(dims, keep_a)(a), Lift(dims, keep_b)(b)  # a trace: [Tr a] I
+        want = [np.trace(wv @ la @ wv @ lb).real for wv in w]
+        got = (a.ravel() @ t @ b.ravel()).real
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -3,7 +3,9 @@ channel collections, and measurement-channel pairs.
 
 Each kind of joint device -- parent measurement, joint channel, instrument --
 is described once by a ``JointDevice``, which generates the robustness
-primal, the best-compatible game program and the check below.  The check
+primal, the best-compatible game program and the check below, each by
+extending its member and normalization equations, ``RowFamily`` objects
+whose identity multiple is derived from their lifts.  The check
 maximizes t such that a joint device with the required marginals has every
 block >= t * I; the members are compatible exactly when the optimal margin is
 nonnegative, up to ``MARGIN_TOL``.  The margin is shifted by a constant from
@@ -14,7 +16,7 @@ nonnegative standard form; that solution is also the starting point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -91,33 +93,29 @@ def pair_dims(povm: Povm, channel: ChoiMatrix):
     return channel.dim_in, channel.dim_out, povm.outcomes
 
 
-@dataclass
-class Equation:
-    """A marginal of the joint device, on a ``dim``-dimensional space, set
-    equal to ``operator``.  ``terms`` are ``(joint block, Lift)`` pairs with
-    Tr[lift(h) G_b] = Tr[h marginal_b(G_b)]; identity blocks give scale * I."""
-
-    dim: int
-    terms: list
-    operator: np.ndarray | None
-    scale: int
+def unit_marginal(fam: RowFamily) -> float:
+    """The multiple of I that a family's marginal makes of identity blocks:
+    the adjoint of the lift (dims, keep, scale) maps I to scale * I on the
+    kept factors, times the side of the factors it traces out."""
+    return sum(lift.scale * (lift.size // (lift.arg_dim or 1)) for _, lift in fam.terms)
 
 
 @dataclass
 class JointDevice:
     """One kind of joint device, described once for every program on it.
 
-    ``members``: one equation per member operator, in input order.  ``norm``:
-    the input marginal Sigma = t * I / k, with operator I / k.  ``particular``
-    solves the member equations; joint blocks c * I, c = ``identity_multiple``,
-    make every noise block c * scale * I - member positive definite.  Both are
-    None without member operators.  ``joint`` and ``noise`` snap solver
-    blocks to the joint device and to the noise."""
+    ``members``: one ``RowFamily`` per member operator, in input order, with
+    the member as rhs.  ``norm``: the input marginal Sigma = t * I / k, rhs
+    I / k.  ``particular`` solves the member equations; joint blocks c * I,
+    c = ``identity_multiple``, make every noise block
+    c * unit_marginal(member) * I - member positive definite.  Member rhs,
+    ``particular`` and c are None without member operators.  ``joint`` and
+    ``noise`` snap solver blocks to the joint device and to the noise."""
 
     name: str
     blocks: list[int]
-    members: list[Equation]
-    norm: Equation
+    members: list[RowFamily]
+    norm: RowFamily
     k: int
     particular: list | None
     identity_multiple: float | None
@@ -128,24 +126,23 @@ class JointDevice:
         """Strictly feasible robustness point: joint blocks, noise blocks, t."""
         c = self.identity_multiple
         joint = [c * np.eye(n) for n in self.blocks]
-        noise = [c * eq.scale * np.eye(eq.dim) - eq.operator for eq in self.members]
-        return joint, noise, c * self.norm.scale * self.k
+        noise = [c * unit_marginal(fam) * np.eye(fam.dim) - fam.rhs for fam in self.members]
+        return joint, noise, c * unit_marginal(self.norm) * self.k
 
 
 def channel_device(n: int, d_in: int, d_out: int, chois=None) -> JointDevice:
     """Joint channel on (out_1) (x) ... (x) (out_n) (x) (input); member x is
     its Choi marginal on (out_x) (x) (input)."""
     full = d_out**n * d_in
-    scale = d_out ** (n - 1)
     ops = [None] * n if chois is None else [c.matrix for c in chois]
-    members = [Equation(d_out * d_in, [(0, lift_setting(n, d_out, d_in, x))], ops[x], scale)
+    members = [RowFamily(d_out * d_in, [(0, lift_setting(n, d_out, d_in, x))], ops[x])
                for x in range(n)]
-    norm = Equation(d_in, [(0, lift_input(n, d_out, d_in))], np.eye(d_in) / d_in, d_out**n)
+    norm = RowFamily(d_in, [(0, lift_input(n, d_out, d_in))], np.eye(d_in) / d_in)
     particular = multiple = None
     if chois is not None:
         g = np.zeros((full, full), dtype=complex)
         for x, j in enumerate(ops):
-            g += lift_setting(n, d_out, d_in, x)(j) / scale
+            g += lift_setting(n, d_out, d_in, x)(j) / d_out ** (n - 1)
         g -= (n - 1) * np.eye(full) / (d_in * d_out**n)
         particular = [g]
         tau0 = 2.0 * d_out * d_in * max(np.linalg.eigvalsh(j)[-1] for j in ops) + 1.0
@@ -165,11 +162,9 @@ def measurement_device(collection: PovmCollection) -> JointDevice:
     grid = padded_effects(collection)
     count = o ** (n - 1)  # assignments fixing one setting's outcome
     same = Lift.identity(d)
-    members = [
-        Equation(d, [(k, same) for k, l in enumerate(lam) if l[x] == i], grid[x][i], count)
-        for x in range(n) for i in range(o)
-    ]
-    norm = Equation(d, [(k, same) for k in range(len(lam))], np.eye(d), len(lam))
+    members = [RowFamily(d, [(k, same) for k, l in enumerate(lam) if l[x] == i], grid[x][i])
+               for x in range(n) for i in range(o)]
+    norm = RowFamily(d, [(k, same) for k in range(len(lam))], np.eye(d))
     particular = [
         sum(grid[x][l[x]] for x in range(n)) / count - (n - 1) * np.eye(d) / o**n
         for l in lam
@@ -190,10 +185,10 @@ def pair_device(o: int, d: int, dp: int, povm: Povm | None = None,
     effects = [None] * o if povm is None else povm.elements
     # the measurement's marginal of block J is d * (Tr_out J)^T
     measure = Lift((dp, d), (1,), transpose=True, scale=d)
-    members = [Equation(d, [(i, measure)], effects[i], d * dp) for i in range(o)]
-    members.append(Equation(full, [(i, Lift.identity(full)) for i in range(o)],
-                            None if channel is None else channel.matrix, o))
-    norm = Equation(d, [(i, Lift((dp, d), (1,))) for i in range(o)], np.eye(d) / d, o * dp)
+    members = [RowFamily(d, [(i, measure)], effects[i]) for i in range(o)]
+    members.append(RowFamily(full, [(i, Lift.identity(full)) for i in range(o)],
+                             None if channel is None else channel.matrix))
+    norm = RowFamily(d, [(i, Lift((dp, d), (1,))) for i in range(o)], np.eye(d) / d)
     particular = multiple = None
     if povm is not None:
         particular = [
@@ -234,11 +229,10 @@ def max_margin_check(device: JointDevice,
     prob = SdpProblem(
         blocks=list(device.blocks),
         objective=[np.zeros((n, n), dtype=complex) for n in device.blocks],
-        constraints=[],
         scalar_costs=[-1.0],
-        families=[RowFamily(eq.dim, eq.terms, eq.operator + eq.scale * t0 * np.eye(eq.dim),
-                            [(0, Lift.trace(eq.scale))])
-                  for eq in device.members],
+        families=[replace(fam, rhs=fam.rhs + c * t0 * np.eye(fam.dim),
+                          scalar_terms=[(0, Lift.trace(c))])
+                  for fam, c in zip(device.members, map(unit_marginal, device.members))],
     )
     start = [g - (u0 - t0) * np.eye(g.shape[0]) for g in device.particular]
     sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])

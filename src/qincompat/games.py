@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import JointDevice, channel_device, pair_device
+from .compat import JointDevice, channel_device, pair_device, unit_marginal
 from .linalg import (
     ContractError,
     DimensionError,
-    TensorShape,
-    embed_operator,
+    Lift,
     hermitize,
     kron,
     matrix_from_json,
@@ -44,7 +43,6 @@ from .qobjects import (
     random_state,
 )
 from .robustness import WitnessSet
-from .families import RowFamily
 from .sdp import SdpProblem, SolveOptions, require_optimal, solve
 
 PROB_TOL = 1e-12
@@ -89,6 +87,8 @@ class DiscriminationGame:
         # the probability tests are phrased so that NaN fails them
         if not (np.all(self.prior >= -PROB_TOL) and abs(self.prior.sum() - 1) <= PROB_TOL):
             raise ContractError("setting prior is not a probability distribution")
+        if not all(self.ensembles):
+            raise ContractError("every setting needs at least one state")
         sd = self.state_dim
         for x, ens in enumerate(self.ensembles):
             ps = np.array([p for p, _ in ens])
@@ -124,10 +124,12 @@ class DiscriminationGame:
                     [(e["p"], matrix_from_json(e["state"])) for e in ens]
                     for ens in obj["ensembles"]
                 ],
-                assisted=bool(obj["assisted"]),
+                assisted=obj["assisted"],
             )
         except (KeyError, TypeError) as e:
             raise ContractError(f"malformed game object: {e}")
+        if not isinstance(game.assisted, bool):
+            raise ContractError(f"game field 'assisted' must be a boolean, got {game.assisted!r}")
         return game.validate()
 
 
@@ -208,7 +210,7 @@ def success_prob(game: DiscriminationGame, strat: Strategy) -> float:
 def _assisted_coeff(rho, m, d: int, dp: int, db: int) -> np.ndarray:
     # linear kernel on the Choi matrix: Tr[(channel x id)(rho) m] = Tr[J k]
     rho_ta = partial_transpose(rho, (d, db), (0,))
-    m_lift = embed_operator(m, TensorShape((dp, d, db)), (0, 2))
+    m_lift = Lift((dp, d, db), (0, 2))(m)
     prod = kron(np.eye(dp), rho_ta) @ m_lift
     return hermitize(d * partial_trace(prod, (dp, d, db), (0, 1)))
 
@@ -230,13 +232,11 @@ def best_compatible_program(device: JointDevice, coeffs,
     device -- generated from the device's description: maximize
     sum_m Tr[coeffs[m] marginal_m(G)] over G >= 0 with input marginal I / k."""
     objective = [np.zeros((n, n), dtype=complex) for n in device.blocks]
-    for eq, k in zip(device.members, coeffs):
-        for b, lift in eq.terms:
+    for fam, k in zip(device.members, coeffs):
+        for b, lift in fam.terms:
             objective[b] = objective[b] - lift(k)
-    norm = RowFamily(device.norm.dim, device.norm.terms, device.norm.operator)
-    prob = SdpProblem(blocks=list(device.blocks), objective=objective, constraints=[],
-                      families=[norm])
-    scale = device.norm.scale * device.k
+    prob = SdpProblem(blocks=list(device.blocks), objective=objective, families=[device.norm])
+    scale = unit_marginal(device.norm) * device.k
     sol = solve(prob, options, initial_blocks=[np.eye(n) / scale for n in device.blocks])
     require_optimal(sol, what)
     return float(-sol.primal_value)

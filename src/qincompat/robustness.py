@@ -21,7 +21,7 @@ their values is a genuine numerical cross-check, reported as ``gap``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,14 +146,14 @@ def identity_pair_closed_form(d: int) -> float:
 class _DualForm:
     """Assemble a standard-form problem whose Lagrange dual is the witness
     program: maximize sum of weights against Hermitian parameters subject to
-    slack blocks F0 + sum_k y_k F_k >= 0.  Each parameter enters a slack
-    block through a ``Lift``, and its rows are one ``RowFamily``."""
+    slack blocks F0 + sum_k y_k F_k >= 0.  Each parameter is a ``RowFamily``
+    with its weight as rhs, holding each ``Lift`` into a slack block negated."""
 
     def __init__(self):
         self.blocks: list[int] = []
         self.objective: list[np.ndarray] = []
         self.real: set[int] = set()
-        self.params: list[tuple[int, np.ndarray | None, list]] = []
+        self.params: list[RowFamily] = []
 
     def slack(self, dim, f0, real=False) -> int:
         self.blocks.append(dim)
@@ -163,21 +163,15 @@ class _DualForm:
         return len(self.blocks) - 1
 
     def param(self, dim, weight=None) -> int:
-        self.params.append((dim, weight, []))
+        self.params.append(RowFamily(dim, [], weight))
         return len(self.params) - 1
 
     def couple(self, param, block, lift):
-        self.params[param][2].append((block, lift))
+        self.params[param].terms.append((block, -lift))
 
     def problem(self) -> SdpProblem:
-        return SdpProblem(
-            blocks=list(self.blocks),
-            objective=list(self.objective),
-            constraints=[],
-            real_blocks=frozenset(self.real),
-            families=[RowFamily(dim, [(block, -lift) for block, lift in maps], weight)
-                      for dim, weight, maps in self.params],
-        )
+        return SdpProblem(blocks=list(self.blocks), objective=list(self.objective),
+                          real_blocks=frozenset(self.real), families=self.params)
 
 
 def robustness_primal(kind: str, device: JointDevice, dual,
@@ -189,15 +183,14 @@ def robustness_primal(kind: str, device: JointDevice, dual,
     1 + s, G / t the compatible mixture and N_m / s the noise; ``dual()``
     returns the independently computed witness."""
     nj = len(device.blocks)
-    families = [RowFamily(eq.dim, eq.terms + [(nj + m, -Lift.identity(eq.dim))], eq.operator)
-                for m, eq in enumerate(device.members)]
-    families.append(RowFamily(device.norm.dim, device.norm.terms,
-                              scalar_terms=[(0, Lift.trace(-1.0 / device.k))]))
-    dims = list(device.blocks) + [eq.dim for eq in device.members]
+    families = [replace(fam, terms=fam.terms + [(nj + m, -Lift.identity(fam.dim))])
+                for m, fam in enumerate(device.members)]
+    families.append(replace(device.norm, rhs=None,
+                            scalar_terms=[(0, Lift.trace(-1.0 / device.k))]))
+    dims = list(device.blocks) + [fam.dim for fam in device.members]
     prob = SdpProblem(
         blocks=dims,
         objective=[np.zeros((n, n), dtype=complex) for n in dims],
-        constraints=[],
         scalar_costs=[1.0],
         families=families,
     )

@@ -82,6 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -140,7 +141,7 @@ class SdpProblem:
 
     blocks: list[int]
     objective: list[np.ndarray]
-    constraints: list[LinearConstraint]
+    constraints: list[LinearConstraint] = field(default_factory=list)
     scalar_costs: list[float] = field(default_factory=list)
     real_blocks: frozenset = frozenset()
     families: list[RowFamily] = field(default_factory=list)
@@ -745,8 +746,14 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     """
     opts = options or SolveOptions()
     problem.validate()
-    if opts.max_iter < 0:
-        raise ContractError(f"max_iter must be nonnegative, got {opts.max_iter}")
+    for name, tol in (("feas_tol", opts.feas_tol), ("gap_tol", opts.gap_tol)):
+        # every stopping test compares against the tolerance, so NaN or a
+        # nonpositive value could only end the solve as stalled or max_iter
+        if not (np.isfinite(tol) and tol > 0):
+            raise ContractError(f"{name} must be a finite number > 0, got {tol}")
+    mi = opts.max_iter
+    if isinstance(mi, bool) or not isinstance(mi, Integral) or mi < 0:
+        raise ContractError(f"max_iter must be an integer >= 0, got {mi!r}")
 
     nblocks = len(problem.blocks)
     nscalars = len(problem.scalar_costs)

@@ -103,6 +103,15 @@ def test_out_file_written_and_stdout_quiet(tmp_path, capsys):
     assert abs(rep["robustness"] - 1 / 3) < 1e-6
 
 
+@pytest.mark.parametrize("dest", [".", "missing/report.json"])
+def test_unwritable_out_exits_one_without_a_traceback(tmp_path, capsys, dest):
+    # a directory, and a file in a directory that does not exist
+    code, out, err = run_cli(["demo", "bb84", "--out", str(tmp_path / dest)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--out" in err and "Traceback" not in err
+
+
 def test_malformed_input_exits_one_and_writes_nothing(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"channels": [{"dim_in": 2,')

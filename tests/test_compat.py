@@ -11,6 +11,7 @@ from qincompat.compat import (
     check_pair,
     measurement_device,
     pair_device,
+    unit_marginal,
 )
 from qincompat.qobjects import (
     Instrument,
@@ -174,21 +175,16 @@ def test_margin_tolerance_band():
 # (member marginals, input marginal), written independently of the device.
 
 
-def _channel_case(rng):
-    n, d, dp = 2, 2, 3
-
+def _channel_marginals(n, d, dp):
     def marginals(blocks):
         joint = JointChannel(d, n, dp, blocks[0])
         return ([marginal(joint, x + 1).matrix for x in range(n)],
                 partial_trace(blocks[0], joint.shape, (n,)))
 
-    joint = random_joint_channel(d, n, dp, rng)
-    return channel_device(n, d, dp, [marginal(joint, x + 1) for x in range(n)]), marginals
+    return marginals
 
 
-def _measurement_case(rng):
-    n, o, d = 2, 3, 2
-
+def _measurement_marginals(n, o, d):
     def marginals(blocks):
         # outcome coarse-graining of the parent, outcomes in lexicographic order
         parent = np.array(blocks).reshape((o,) * n + (d, d))
@@ -196,6 +192,28 @@ def _measurement_case(rng):
                    for x in range(n) for i in range(o)]
         return members, sum(blocks)
 
+    return marginals
+
+
+def _pair_marginals(o, d, dp):
+    def marginals(blocks):
+        ins = Instrument(d, dp, blocks)
+        total = instrument_total(ins).matrix
+        return instrument_povm(ins).elements + [total], partial_trace(total, (dp, d), (1,))
+
+    return marginals
+
+
+def _channel_case(rng):
+    n, d, dp = 2, 2, 3
+    joint = random_joint_channel(d, n, dp, rng)
+    device = channel_device(n, d, dp, [marginal(joint, x + 1) for x in range(n)])
+    return device, _channel_marginals(n, d, dp)
+
+
+def _measurement_case(rng):
+    n, o, d = 2, 3, 2
+    marginals = _measurement_marginals(n, o, d)
     gs = []
     for _ in range(o**n):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -209,16 +227,11 @@ def _measurement_case(rng):
 
 def _pair_case(rng):
     o, d, dp = 2, 2, 3
-
-    def marginals(blocks):
-        ins = Instrument(d, dp, blocks)
-        total = instrument_total(ins).matrix
-        return instrument_povm(ins).elements + [total], partial_trace(total, (dp, d), (1,))
-
     # outcome i of the instrument: the block of a channel into C^o (x) C^dp
     big = random_channel(d, o * dp, 2, rng).matrix.reshape(o, dp * d, o, dp * d)
     ins = Instrument(d, dp, [big[i, :, i, :] for i in range(o)])
-    return pair_device(o, d, dp, instrument_povm(ins), instrument_total(ins)), marginals
+    device = pair_device(o, d, dp, instrument_povm(ins), instrument_total(ins))
+    return device, _pair_marginals(o, d, dp)
 
 
 @pytest.mark.parametrize("case", [_channel_case, _measurement_case, _pair_case])
@@ -236,11 +249,34 @@ def test_member_equations_are_adjoint_to_marginals(case):
         for h in hermitian_basis(eq.dim):
             lhs = sum(np.trace(fn(h) @ blocks[b]).real for b, fn in eq.terms)
             assert abs(lhs - np.trace(h @ marg).real) < 1e-12
-    # identity blocks give scale * I; the particular solution fits the
-    # members and the t = 1 normalization
+    # identity blocks give unit_marginal * I; the particular solution fits
+    # the members and the t = 1 normalization
     members, inp = marginals([np.eye(n) for n in device.blocks])
     for eq, marg in zip(eqs, members + [inp]):
-        assert np.abs(marg - eq.scale * np.eye(eq.dim)).max() < 1e-12
+        assert np.abs(marg - unit_marginal(eq) * np.eye(eq.dim)).max() < 1e-12
     members, inp = marginals(device.particular)
     for eq, marg in zip(eqs, members + [inp]):
-        assert np.abs(marg - eq.operator).max() < 1e-12
+        assert np.abs(marg - eq.rhs).max() < 1e-12
+
+
+_DEVICES = {
+    "channel": (channel_device, _channel_marginals),
+    "measurement": (lambda n, o, d: measurement_device(
+        PovmCollection([Povm([np.eye(d) / o] * o) for _ in range(n)])), _measurement_marginals),
+    "pair": (pair_device, _pair_marginals),
+}
+# more sizes than the one fixed case per device:
+# channel (n, d, dp), measurement (n, o, d), pair (o, d, dp)
+_SIZES = [("channel", (1, 2, 3)), ("channel", (2, 2, 3)), ("channel", (3, 3, 2)),
+          ("measurement", (2, 3, 3)), ("measurement", (3, 2, 2)),
+          ("pair", (2, 2, 3)), ("pair", (3, 3, 2))]
+
+
+@pytest.mark.parametrize("kind, sizes", _SIZES,
+                         ids=[k + "-" + "-".join(map(str, s)) for k, s in _SIZES])
+def test_unit_marginal_is_the_marginal_of_identity_blocks(kind, sizes):
+    device, marginals = (make(*sizes) for make in _DEVICES[kind])
+    members, inp = marginals([np.eye(n) for n in device.blocks])
+    assert len(members) == len(device.members)
+    for eq, marg in zip(device.members + [device.norm], members + [inp]):
+        assert np.abs(marg - unit_marginal(eq) * np.eye(eq.dim)).max() < 1e-12

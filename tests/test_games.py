@@ -18,6 +18,7 @@ from qincompat.games import (
     success_prob,
     unassisted_bound_check,
 )
+from qincompat.linalg import ContractError, matrix_to_json
 from qincompat.qobjects import (
     Povm,
     apply_channel,
@@ -251,6 +252,19 @@ def test_game_json_roundtrip():
         for (pa, ra), (pb, rb) in zip(ens_a, ens_b):
             assert pa == pb
             assert np.abs(ra - rb).max() < 1e-15
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"ensembles": [[]]}, "at least one state"),
+    ({"assisted": "no"}, "assisted"),
+    ({"assisted": 0}, "assisted"),
+])
+def test_game_json_rejects_empty_ensembles_and_non_boolean_flags(change, match):
+    z0 = matrix_to_json(np.diag([1.0, 0.0]))
+    obj = {"prior": [1.0], "ensembles": [[{"p": 1.0, "state": z0}]], "assisted": False}
+    DiscriminationGame.from_json(obj)
+    with pytest.raises(ContractError, match=match):
+        DiscriminationGame.from_json({**obj, **change})
 
 
 def test_game_validation_rejects_bad_inputs():

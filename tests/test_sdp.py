@@ -64,7 +64,6 @@ def test_min_eigenvalue_oracle():
     rng = np.random.default_rng(42)
     for _ in range(5):
         c = random_herm(rng, 3)
-        cons = hermitian_equality(1, [], rhs=np.array([[1.0]]))
         # Tr X = 1 written directly
         cons = [LinearConstraint({0: np.eye(3, dtype=complex)}, 1.0)]
         prob = SdpProblem(blocks=[3], objective=[c], constraints=cons)
@@ -558,6 +557,18 @@ def test_iteration_limit_is_reported():
 
     with pytest.raises(ContractError, match="max_iter"):
         solve(prob, SolveOptions(max_iter=-1))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gap_tol", float("nan")), ("gap_tol", float("inf")), ("feas_tol", -1.0),
+    ("feas_tol", 0.0), ("max_iter", 2.5), ("max_iter", True),
+])
+def test_invalid_solve_options_are_rejected_naming_the_field(field, value):
+    from qincompat.linalg import ContractError
+
+    prob = mixed_problem(np.random.default_rng(29))
+    with pytest.raises(ContractError, match=field):
+        solve(prob, SolveOptions(**{field: value}))
 
 
 def test_presolve_keeps_the_rows_that_add_rank():

@@ -11,9 +11,9 @@ of the Hermitian basis, it is the row
 
 the row ``sdp.hermitian_equality`` makes from the same maps.  The solver
 uses the structure three times: ``check_families`` validates each family
-once, ``write_rows`` writes a family's rows into A with one lift of the
-basis stack per term, and ``LiftSchur`` forms their Schur complement
-M = A W A^T without touching a coefficient matrix.
+once, ``family_rows`` writes the nonzeros of the rows as coordinate
+triplets (``CooRows``), a few per row, and ``LiftSchur`` forms their Schur
+complement M = A W A^T without touching a coefficient matrix.
 
 Lifted by L = (dims, keep, scale), row k holds A_kv = scale * (I (x) c_k) on
 variable v, with c_k = H_k, H_k^T or [Tr H_k].  So
@@ -100,27 +100,101 @@ def check_families(problem):
                                          f"another lift as {dims}")
 
 
-def write_rows(problem, slots, groups, amat, b):
-    """Write the rows of every family into A and b, after the plain rows.
+class CooRows:
+    """A constraint matrix in coordinate form: A[rows[i], cols[i]] = vals[i],
+    one triplet per nonzero, sorted by row and column.  ``a @ x`` and
+    ``a.T @ y`` are sums over the triplets (``np.bincount``), so the solver
+    multiplies by it as by the dense A."""
 
-    A family's rows on a variable are one lift of its basis stack; the lifted
-    basis is Hermitian exactly, and real on the real blocks.  ``slots[v]`` is
-    the (group, member) of variable v, and a group's members are its columns
-    of A (``sdp._Group``)."""
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    @property
+    def T(self):
+        return CooRows(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def __matmul__(self, x):
+        return np.bincount(self.rows, self.vals * x[self.cols], self.shape[0])
+
+    def __getitem__(self, kept):
+        """The rows ``kept``, an increasing index array, renumbered from 0."""
+        new = np.full(self.shape[0], -1)
+        new[kept] = np.arange(len(kept))
+        rows = new[self.rows]
+        on = rows >= 0
+        return CooRows(rows[on], self.cols[on], self.vals[on], (len(kept), self.shape[1]))
+
+    def row_norms(self):
+        return np.sqrt(np.bincount(self.rows, self.vals**2, self.shape[0]))
+
+    def divide_rows(self, s):
+        return CooRows(self.rows, self.cols, self.vals / s[self.rows], self.shape)
+
+    def toarray(self):
+        a = np.zeros(self.shape)
+        a[self.rows, self.cols] = self.vals
+        return a
+
+
+def family_rows(problem, slots, groups):
+    """The rows of every family, after the plain rows, as ``CooRows`` over
+    all rows of the problem (the plain ones empty), and their rhs.
+
+    A term's nonzeros are found by lifting one matrix of entry codes
+    (``_lift_pattern``, once per kind of lift); the values are the scaled
+    basis entries, so the rows are those a lift of the basis stack gives,
+    entry for entry.  A triplet's column is in the float view of its
+    variable (``sdp._Group``).  Terms that meet on an entry are summed in
+    term order.  ``slots[v]`` is the (group, member) of variable v."""
     nblocks = len(problem.blocks)
     lo = len(problem.constraints)
+    ncols = groups[-1].hi
+    rows, cols, vals, b = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0)]
     for fam in problem.families:
-        basis = _basis_stack(fam.dim)
-        rows = slice(lo, lo + len(basis))
         for v, lift in family_terms(fam, nblocks):
             gi, j = slots[v]
             g = groups[gi]
-            coeff = lift(basis).reshape(len(basis), -1)
-            flat = coeff.view(np.float64) if g.cplx else coeff.real
-            amat[rows, g.lo + j * g.size: g.lo + (j + 1) * g.size] += flat
-        if fam.rhs is not None:
-            b[rows] = np.einsum("kij,ji->k", basis, fam.rhs).real
+            k, col, val = _lift_pattern(lift.dims, lift.keep, lift.transpose, fam.dim, g.n, g.cplx)
+            rows.append(lo + k)
+            cols.append(g.lo + j * g.size + col)
+            vals.append(lift.scale * val)
+        basis = _basis_stack(fam.dim)
+        b.append(np.zeros(len(basis)) if fam.rhs is None else np.einsum("kij,ji->k", basis, fam.rhs).real)
         lo += len(basis)
+    key, inv = np.unique(np.concatenate(rows) * ncols + np.concatenate(cols), return_inverse=True)
+    val = np.bincount(inv, np.concatenate(vals), len(key))
+    key, val = key[val != 0], val[val != 0]
+    return CooRows(key // ncols, key % ncols, val, (lo, ncols)), np.concatenate(b)
+
+
+@lru_cache(maxsize=256)
+def _lift_pattern(dims, keep, transpose, dim, n, cplx):
+    """The entries of the rows I (x) c_k of a lift (dims, keep, transpose)
+    on n x n blocks, c_k = H_k, H_k^T or [Tr H_k], that can be nonzero: rows
+    k, columns in the float view of a block (a complex entry is its (re, im)
+    pair) and values, some zero.  The arrays are read-only.
+
+    Row k has the value coef[k, e] at entry idx[k, e] of H_k (``_row_map``).
+    A lift of the codes 1..dim^2 of the entries puts at each position the
+    code of the entry it holds, or 0; a trace is the one entry held by the
+    whole diagonal."""
+    idx, coef = _row_map(dim, bool(keep), False)[:2]
+    if keep:
+        codes = np.arange(1, dim * dim + 1).reshape(dim, dim)
+        code = Lift(dims, keep, transpose)(codes).real.ravel()
+        pos = np.flatnonzero(code)
+        at = pos[np.argsort(code[pos], kind="stable")].reshape(dim * dim, -1)
+    else:
+        at = (np.arange(n) * (n + 1))[None]
+    pos = at[idx]
+    k = np.broadcast_to(np.arange(len(idx))[:, None, None], pos.shape).ravel()
+    val = np.broadcast_to(coef[:, :, None], pos.shape).ravel()
+    if cplx:
+        k, pos, val = np.repeat(k, 2), 2 * pos.ravel()[:, None] + [0, 1], val.view(np.float64)
+    out = k, pos.ravel(), val.real
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -237,8 +311,9 @@ class LiftSchur:
     Y = Tr_rest[W (I (x) H_k) W].  One real product with the members' scale
     products then gives the block of every pair of families.
 
-    Built once per solve, and called once per step with the NT scaling W of
-    every group, it returns M over every family row, unscaled.  M is
+    Built once per solve, and called with the NT scaling W of every group
+    once per step (and with W = I for the presolve's Gram matrix), it
+    returns M over every family row, unscaled.  M is
     symmetric up to rounding; the factorization reads its lower triangle.
     """
 

@@ -117,12 +117,18 @@ class DiscriminationGame:
 
     @staticmethod
     def from_json(obj) -> "DiscriminationGame":
+        def number(v, what):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ContractError(f"game {what} must be a number, got {v!r}")
+            return v
+
         try:
             game = DiscriminationGame(
-                prior=obj["prior"],
+                prior=[number(p, f"field 'prior' entry {x}") for x, p in enumerate(obj["prior"])],
                 ensembles=[
-                    [(e["p"], matrix_from_json(e["state"])) for e in ens]
-                    for ens in obj["ensembles"]
+                    [(number(e["p"], f"setting {x} entry {i} field 'p'"), matrix_from_json(e["state"]))
+                     for i, e in enumerate(ens)]
+                    for x, ens in enumerate(obj["ensembles"])
                 ],
                 assisted=obj["assisted"],
             )

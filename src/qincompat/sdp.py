@@ -38,10 +38,11 @@ forms, with one way to form M each:
   partial-trace contraction of W, one batched matrix product per pair of
   lift kinds on a group (``families.LiftSchur``).
 
-A problem whose rows all come from families takes the contraction; any
-plain row sends the whole problem to the dense build, which is the
-reference the contraction is tested against.  Either way A itself stays
-dense, for the presolve and for A x and A^T y.
+A problem whose rows all come from families takes the contraction, and
+keeps A in coordinate form (``families.CooRows``): one (row, column, value)
+triplet per nonzero, a few per row, so A x and A^T y are sums over the
+triplets.  Any plain row sends the whole problem to the dense A and the
+dense build, which are the reference the sparse path is tested against.
 
 The search direction is solved in NT-scaled coordinates.  R_v^-1 X_v R_v^-H
 = R_v^H S_v R_v = Lambda_v = diag(lam), and the scaled steps are dX^ =
@@ -63,9 +64,13 @@ diagonal blocks inverted once per step (``_chol_solver``).
 
 Redundant equality rows are removed before the iteration starts: rows are
 taken in order, and a row that is a combination of the rows kept before it
-(an unpivoted Householder QR of A^T, rank threshold ``RANK_TOL`` relative to
-the largest diagonal entry of R) is dropped.  An inconsistent equality
-system is reported as infeasible outright.
+(an unpivoted Householder QR of the dense A^T, rank threshold ``RANK_TOL``
+relative to the largest diagonal entry of R) is dropped.  An inconsistent
+equality system is reported as infeasible outright.  Rows from families
+skip the QR when the contraction at W = I, the Gram matrix of the
+normalized rows, has Cholesky pivots all at least ``GRAM_TOL`` times the
+largest; that proves them independent, and only the compatibility checks,
+whose rows are dependent, form the dense A, for the QR alone.
 A strictly feasible starting point can be injected through ``solve`` when the
 caller knows one; otherwise a scaled-identity cold start is used.
 
@@ -86,13 +91,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .families import LiftSchur, RowFamily, check_families, write_rows
+from .families import CooRows, LiftSchur, RowFamily, check_families, family_rows
 from .linalg import ContractError, DimensionError, hermitian_basis, require_hermitian
 
 DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 RANK_TOL = 1e-10
+GRAM_TOL = 1e-4  # smallest Gram pivot, to the largest, that certifies full rank
 SUBST_BLOCK = 64  # largest diagonal block of the Schur substitution
 STEP_FRACTION = 0.98
 
@@ -442,6 +448,38 @@ def _independent_rows(amat, groups):
     return np.flatnonzero(keep)
 
 
+def _full_rank(lifted, groups, scales):
+    """Whether the rows are certified independent: the Gram matrix of the
+    rows divided by ``scales`` -- the Schur complement ``lifted`` forms at
+    W = I -- has a Cholesky factorization whose every pivot is at least
+    ``GRAM_TOL`` times the largest."""
+    gram = lifted([g.eye() for g in groups]) / np.outer(scales, scales)
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return pivots.min() >= GRAM_TOL * pivots.max()
+
+
+def _kept_rows(amat, b, groups, lifted=None, scales=None):
+    """Indices of the rows the iteration runs on, and the largest residual of
+    A x = b at its least-squares solution when a row was dropped (else 0).
+
+    Rows with a Schur complement ``lifted`` (and norms ``scales``) are all
+    kept when ``_full_rank`` certifies them.  Otherwise the dense A, formed
+    here from ``CooRows``, goes through ``_independent_rows``, and is freed
+    on return."""
+    m = len(b)
+    if not m or lifted is not None and _full_rank(lifted, groups, scales):
+        return np.arange(m), 0.0
+    dense = amat.toarray() if isinstance(amat, CooRows) else amat
+    kept = _independent_rows(dense, groups)
+    if kept.size == m:
+        return kept, 0.0
+    sol, *_ = np.linalg.lstsq(dense, b, rcond=None)
+    return kept, np.abs(dense @ sol - b).max()
+
+
 def _chol(stack):
     """Batched Cholesky; when it fails, every member is factored on its own,
     shifted by 0, 1e-14, 1e-10, then 1e-6 times max(1, its mean eigenvalue).
@@ -522,9 +560,12 @@ def _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y):
     tested against its own scale, so scaling the data keeps the verdict; b.y
     and c.x get a margin, as rounding in c.x = 0 is no certificate."""
     if dobj > 1e-10 * np.linalg.norm(b) * np.linalg.norm(y):
-        top = max(np.linalg.eigvalsh(g.unpack(aty))[:, -1].max() for g in groups)
-        if top <= 1e-9 * np.linalg.norm(aty):
-            return "infeasible"
+        tol = 1e-9 * np.linalg.norm(aty)
+        stacks = [g.unpack(aty) for g in groups]
+        # the largest eigenvalue is at least every diagonal entry
+        if max(np.diagonal(s, axis1=1, axis2=2).real.max() for s in stacks) <= tol:
+            if max(np.linalg.eigvalsh(s)[:, -1].max() for s in stacks) <= tol:
+                return "infeasible"
     xnorm = np.linalg.norm(xvec)
     if pobj < -1e-10 * np.linalg.norm(cvec) * xnorm and np.linalg.norm(ax) <= 1e-9 * xnorm:
         return "unbounded"
@@ -570,19 +611,23 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
         dxs = [_herm(q - w @ ds @ w) for q, w, ds in zip(rdr, ws, dss)]
         return dxs, dy, dss
 
-    def boundary(dlist, left, right):
+    def scaled(dlist, left, right):
+        return [lm @ d @ rm for d, lm, rm in zip(dlist, left, right)]
+
+    def boundary(dhats):
         # largest step keeping the scaled blocks positive definite
         a = np.inf
-        for d, lm, rm, root in zip(dlist, left, right, roots):
-            wmin = np.linalg.eigvalsh(_herm(lm @ d @ rm) / root)[:, 0].min()
+        for dh, root in zip(dhats, roots):
+            wmin = np.linalg.eigvalsh(_herm(dh) / root)[:, 0].min()
             if wmin < -1e-14:
                 a = min(a, -1.0 / wmin)
         return a
 
     # predictor: T = -Lambda^2, so D = -Lambda
     dxa, _, dsa = direction([_lyap(lam, -_diag(lam**2)) for lam in lams])
-    ap = min(1.0, boundary(dxa, rinvs, rinvsh))
-    ad = min(1.0, boundary(dsa, rsh, rs))
+    dxha, dsha = scaled(dxa, rinvs, rinvsh), scaled(dsa, rsh, rs)
+    ap = min(1.0, boundary(dxha))
+    ad = min(1.0, boundary(dsha))
     mu_aff = _inner(
         [x + ap * dx for x, dx in zip(xs, dxa)],
         [s + ad * ds for s, ds in zip(ss, dsa)],
@@ -591,14 +636,11 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
     sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-12))
 
     # corrector: T = sigma mu I - Lambda^2 - (dX^ dS^ + dS^ dX^)/2 of the predictor
-    dhats = []
-    for r, rh, rinv, rinvh, lam, dx, ds in zip(rs, rsh, rinvs, rinvsh, lams, dxa, dsa):
-        dxh = rinv @ dx @ rinvh
-        dsh = rh @ ds @ r
-        dhats.append(_lyap(lam, _diag(sigma * mu - lam**2) - (dxh @ dsh + dsh @ dxh) / 2))
+    dhats = [_lyap(lam, _diag(sigma * mu - lam**2) - (dxh @ dsh + dsh @ dxh) / 2)
+             for lam, dxh, dsh in zip(lams, dxha, dsha)]
     dxs, dy, dss = direction(dhats)
-    ap = min(1.0, STEP_FRACTION * boundary(dxs, rinvs, rinvsh))
-    ad = min(1.0, STEP_FRACTION * boundary(dss, rsh, rs))
+    ap = min(1.0, STEP_FRACTION * boundary(scaled(dxs, rinvs, rinvsh)))
+    ad = min(1.0, STEP_FRACTION * boundary(scaled(dss, rsh, rs)))
     return dxs, dy, dss, ap, ad
 
 
@@ -685,8 +727,9 @@ def _grouped_form(problem):
     appearance; the scalars are real 1x1 variables after the blocks.
     Returns the groups, each variable's (group, member) slot, the objective
     stacks, the constraint matrix A (one row of float views per constraint)
-    and the right-hand side.  The per-row coefficient matrices die here, so
-    they do not sit next to A while the iteration runs.
+    and the right-hand side.  A is ``CooRows`` when every row comes from a
+    family, else dense.  The per-row coefficient matrices die here, so they
+    do not sit next to A while the iteration runs.
     """
     nblocks = len(problem.blocks)
     members = {}
@@ -708,6 +751,14 @@ def _grouped_form(problem):
     objective = list(problem.objective) + [scalar(c) for c in problem.scalar_costs]
     cs = [g.stack(objective) for g in groups]
 
+    coo, bfam = family_rows(problem, slots, groups)
+    nplain = len(problem.constraints)
+    b = np.zeros(coo.shape[0])
+    b[:nplain] = [con.rhs for con in problem.constraints]
+    b[nplain:] = bfam
+    if not nplain:
+        return groups, slots, cs, coo, b
+
     # every coefficient matrix of a group is written with one scatter,
     # symmetrized first: validation lets it be Hermitian only to 1e-12
     entries = [([], [], []) for _ in groups]  # rows, member indices, matrices
@@ -720,17 +771,12 @@ def _grouped_form(problem):
             rows.append(k)
             idx.append(j)
             mats.append(a)
-    nplain = len(problem.constraints)
-    amat = np.zeros((nplain + sum(f.dim**2 for f in problem.families), lo))
-    b = np.zeros(amat.shape[0])
+    amat = coo.toarray()
     for g, (rows, idx, mats) in zip(groups, entries):
         if rows:
             cols = g.lo + g.size * np.array(idx)[:, None] + np.arange(g.size)
             flat = _pack([_herm(_block_stack(mats, g.cplx))])
             amat[np.array(rows)[:, None], cols] = flat.reshape(len(mats), g.size)
-    b[:nplain] = [con.rhs for con in problem.constraints]
-
-    write_rows(problem, slots, groups, amat, b)
     return groups, slots, cs, amat, b
 
 
@@ -758,7 +804,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     nblocks = len(problem.blocks)
     nscalars = len(problem.scalar_costs)
     groups, slots, cs, amat, b = _grouped_form(problem)
-    mfull = amat.shape[0]
+    mfull = len(b)
 
     x0 = None
     if initial_blocks is not None:
@@ -772,31 +818,31 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
         x0 = [g.stack(full) for g in groups]
 
     # drop linearly dependent rows; detect inconsistency
-    kept = _independent_rows(amat, groups) if mfull else np.zeros(0, dtype=int)
-    if kept.size < mfull:
-        sol, *_ = np.linalg.lstsq(amat, b, rcond=None)
-        resid = np.abs(amat @ sol - b).max()
-        if resid > 1e-9 * (1.0 + np.abs(b).max()):
-            zero = [np.zeros((n, n), dtype=complex) for n in problem.blocks]
-            return SdpSolution(
-                status="infeasible", primal_value=np.nan, dual_value=np.nan,
-                block_values=zero, scalar_values=[np.nan] * nscalars,
-                y=np.zeros(mfull), dual_blocks=zero, gap=np.nan,
-                iterations=0, primal_residual=resid, dual_residual=np.nan,
-            )
-        amat, b = amat[kept], b[kept]
-    scales = np.linalg.norm(amat, axis=1)
+    sparse = isinstance(amat, CooRows)
+    lifted = LiftSchur(problem, groups, slots) if sparse else None
+    scales = amat.row_norms() if sparse else np.linalg.norm(amat, axis=1)
     scales[scales == 0] = 1.0
-    amat /= scales[:, None]
+    kept, resid = _kept_rows(amat, b, groups, lifted, scales)
+    if resid > 1e-9 * (1.0 + np.abs(b).max(initial=0.0)):
+        zero = [np.zeros((n, n), dtype=complex) for n in problem.blocks]
+        return SdpSolution(
+            status="infeasible", primal_value=np.nan, dual_value=np.nan,
+            block_values=zero, scalar_values=[np.nan] * nscalars,
+            y=np.zeros(mfull), dual_blocks=zero, gap=np.nan,
+            iterations=0, primal_residual=resid, dual_residual=np.nan,
+        )
+    if kept.size < mfull:
+        amat, b, scales = amat[kept], b[kept], scales[kept]
     b = b / scales
-
-    if problem.families and not problem.constraints:
-        lifted = LiftSchur(problem, groups, slots)
-        cut, outer = np.ix_(kept, kept), np.outer(scales, scales)
+    if sparse:
+        amat = amat.divide_rows(scales)
+        cut = np.ix_(kept, kept) if kept.size < mfull else slice(None)  # no copy of M
+        outer = np.outer(scales, scales)
 
         def schur(rs, ws):
             return lifted(ws)[cut] / outer
     else:
+        amat /= scales[:, None]
         plan = _schur_plan(amat, groups)
 
         def schur(rs, ws):

@@ -267,6 +267,21 @@ def test_game_json_rejects_empty_ensembles_and_non_boolean_flags(change, match):
         DiscriminationGame.from_json({**obj, **change})
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"prior": ["a"]}, "'prior' entry 0"),
+    ({"prior": [True]}, "'prior' entry 0"),
+    ({"prior": [None]}, "'prior' entry 0"),
+    ({"ensembles": [[{"p": "x", "state": "unread"}]]}, "setting 0 entry 0 field 'p'"),
+    ({"ensembles": [[{"p": False, "state": "unread"}]]}, "setting 0 entry 0 field 'p'"),
+])
+def test_game_json_rejects_non_numeric_probabilities(change, match):
+    z0 = matrix_to_json(np.diag([1.0, 0.0]))
+    obj = {"prior": [1], "ensembles": [[{"p": 1, "state": z0}]], "assisted": False}
+    DiscriminationGame.from_json(obj)
+    with pytest.raises(ContractError, match=match):
+        DiscriminationGame.from_json({**obj, **change})
+
+
 def test_game_validation_rejects_bad_inputs():
     from qincompat.linalg import ContractError
     z0 = np.diag([1.0, 0.0]).astype(complex)

@@ -723,16 +723,111 @@ def test_device_programs_cover_every_kind(device_programs):
 def test_family_rows_equal_hermitian_equality_rows(device_programs):
     for what, prob, _, _ in device_programs:
         prob.validate()
-        _, _, _, amat, b = sdp._grouped_form(prob)
+        _, _, _, coo, b = sdp._grouped_form(prob)
         _, _, _, want_a, want_b = sdp._grouped_form(as_plain_rows(prob))
+        amat = coo.toarray()
         assert np.array_equal(amat, want_a), what
         assert np.array_equal(b, want_b), what
+        # one triplet per nonzero, in row-major order
+        assert coo.vals.size == np.count_nonzero(want_a), what
+        assert np.all(np.diff(coo.rows * amat.shape[1] + coo.cols) > 0), what
+
+
+def test_family_row_products_match_the_dense_rows(device_programs):
+    rng = np.random.default_rng(83)
+    for what, prob, _, _ in device_programs:
+        _, _, _, coo, _ = sdp._grouped_form(prob)
+        amat = coo.toarray()
+        kept = np.sort(rng.choice(amat.shape[0], amat.shape[0] // 2, replace=False))
+        for a, want in ((coo, amat), (coo[kept], amat[kept])):
+            x, y = rng.standard_normal(a.shape[1]), rng.standard_normal(a.shape[0])
+            for got, ref in ((a @ x, want @ x), (a.T @ y, want.T @ y)):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), what
+        norms = np.linalg.norm(amat, axis=1)
+        assert np.abs(coo.row_norms() - norms).max() <= 1e-14 * norms.max(), what
+
+
+def test_gram_certificate_keeps_the_rows_the_qr_keeps(device_programs):
+    # the certificate holds exactly on the programs whose rows the QR keeps
+    # in full; on the others, the compatibility checks, the presolve falls
+    # back to the QR and keeps its rows
+    checks = set()
+    for what, prob, _, _ in device_programs:
+        groups, slots, _, coo, b = sdp._grouped_form(prob)
+        scales = coo.row_norms()
+        lifted = families.LiftSchur(prob, groups, slots)
+        certified = sdp._full_rank(lifted, groups, scales)
+        want = sdp._independent_rows(coo.toarray(), groups)
+        assert certified == (want.size == coo.shape[0]), what
+        kept, resid = sdp._kept_rows(coo, b, groups, lifted, scales)
+        assert np.array_equal(kept, want), what
+        assert resid <= 1e-12, what
+        if not certified:
+            checks.add(what)
+    assert checks == {"channel check", "measurement check", "pair check"}
+
+
+def handmade_family_problem(*families_):
+    """Blocks 4 (complex), 3 (complex), 2 (real), 2 (complex) and one scalar."""
+    rng = np.random.default_rng(89)
+    objective = [random_herm(rng, n) for n in (4, 3)] + [np.eye(2, dtype=complex), random_herm(rng, 2)]
+    return SdpProblem(blocks=[4, 3, 2, 2], objective=objective, scalar_costs=[1.0],
+                      real_blocks=frozenset({2}), families=list(families_)).validate()
+
+
+def test_family_rows_of_traces_and_shared_blocks_equal_the_plain_rows():
+    # trace lifts on complex and real blocks of side > 1, and several lifts
+    # of one family on one block, summed in term order
+    from qincompat.families import RowFamily
+    from qincompat.linalg import Lift
+
+    rng = np.random.default_rng(97)
+    prob = handmade_family_problem(
+        RowFamily(2, [(0, Lift((2, 2), (1,))), (1, Lift((3,), (), scale=0.5)),
+                      (2, Lift((2,), (), scale=-1.5))], random_herm(rng, 2), [(0, Lift.trace(2.0))]),
+        RowFamily(2, [(0, Lift((2, 2), (0,), transpose=True)), (0, Lift((2, 2), (1,), scale=0.3)),
+                      (0, Lift((4,), (), scale=0.7))]),
+    )
+    _, _, _, coo, b = sdp._grouped_form(prob)
+    _, _, _, want_a, want_b = sdp._grouped_form(as_plain_rows(prob))
+    assert np.array_equal(coo.toarray(), want_a)
+    assert np.array_equal(b, want_b)
+
+
+def test_gram_certificate_rejects_nearly_dependent_rows():
+    # the second family repeats the first up to 1e-3 H_k on another block:
+    # normalized pivots of about 5e-7, below GRAM_TOL, though the QR keeps
+    # every row; an exact repeat fails the Cholesky, and the QR drops it
+    from qincompat.families import RowFamily
+    from qincompat.linalg import Lift
+
+    base = RowFamily(2, [(0, Lift((2, 2), (1,)))], np.eye(2))
+    for tilt, want in ((1e-3, 8), (0.0, 4)):
+        prob = handmade_family_problem(base, RowFamily(
+            2, [(0, Lift((2, 2), (1,))), (3, Lift.identity(2, scale=tilt))], np.eye(2)))
+        groups, slots, _, coo, b = sdp._grouped_form(prob)
+        lifted = families.LiftSchur(prob, groups, slots)
+        assert not sdp._full_rank(lifted, groups, coo.row_norms())
+        kept, _ = sdp._kept_rows(coo, b, groups, lifted, coo.row_norms())
+        assert np.array_equal(kept, sdp._independent_rows(coo.toarray(), groups))
+        assert kept.size == want
+
+
+def test_full_rank_family_solve_forms_no_dense_rows(device_programs, monkeypatch):
+    def densify(self):
+        raise AssertionError("dense A formed")
+
+    monkeypatch.setattr(families.CooRows, "toarray", densify)
+    for what, prob, args, kwargs in device_programs:
+        if "check" not in what:
+            assert solve(prob, *args, **kwargs).status == "optimal", what
 
 
 def test_lift_schur_matches_the_dense_schur_complement(device_programs):
     rng = np.random.default_rng(73)
     for what, prob, _, _ in device_programs:
-        groups, slots, _, amat, _ = sdp._grouped_form(prob)
+        groups, slots, _, coo, _ = sdp._grouped_form(prob)
+        amat = coo.toarray()
         rs = []
         for g in groups:
             r = rng.standard_normal((g.nb, g.n, g.n)) + g.n * np.eye(g.n)
@@ -757,6 +852,23 @@ def test_structured_solve_matches_the_plain_rows(device_programs):
         assert got.iterations == want.iterations, what
         for a, b in ((got.primal_value, want.primal_value), (got.dual_value, want.dual_value)):
             assert abs(a - b) <= 1e-9 * (1 + abs(b)), what
+
+
+def test_identity_pair_on_c4_traces_less_memory_than_its_dense_rows():
+    # the dense A of this program (528 rows of 9217 floats) alone is 38.9 MB
+    import tracemalloc
+
+    from qincompat.qobjects import identity_channel
+    from qincompat.robustness import robustness_channels_primal
+
+    tracemalloc.start()
+    try:
+        rep = robustness_channels_primal([identity_channel(4), identity_channel(4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(rep.primal_value - 0.6) <= 1e-7
+    assert peak < 528 * 9217 * 8
 
 
 def test_validate_rejects_bad_families():

@@ -158,9 +158,8 @@ def family_rows(problem, slots, groups):
             rows.append(lo + k)
             cols.append(g.lo + j * g.size + col)
             vals.append(lift.scale * val)
-        basis = _basis_stack(fam.dim)
-        b.append(np.zeros(len(basis)) if fam.rhs is None else np.einsum("kij,ji->k", basis, fam.rhs).real)
-        lo += len(basis)
+        b.append(np.zeros(fam.dim**2) if fam.rhs is None else _rhs_rows(fam.dim, fam.rhs))
+        lo += fam.dim**2
     key, inv = np.unique(np.concatenate(rows) * ncols + np.concatenate(cols), return_inverse=True)
     val = np.bincount(inv, np.concatenate(vals), len(key))
     key, val = key[val != 0], val[val != 0]
@@ -195,14 +194,6 @@ def _lift_pattern(dims, keep, transpose, dim, n, cplx):
     for a in out:
         a.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=256)
-def _basis_stack(dim):
-    """The Hermitian basis on C^dim as one read-only (dim^2, dim, dim) stack."""
-    basis = np.array(hermitian_basis(dim))
-    basis.flags.writeable = False
-    return basis
 
 
 @lru_cache(maxsize=256)
@@ -269,14 +260,15 @@ def _row_map(dim, lifted, transpose):
     are conjugate, as u = vec(Y^T) for Hermitian Y: then Re sum_e coef[k, e]
     u[idx[k, e]] = Re u Re(c1 + c2) - Im u Im(c1 - c2), and one of the two
     terms is zero.  So the row is ``factor[k]`` times entry ``entry[k]`` of
-    the float view of u.  The arrays are read-only."""
-    basis = _basis_stack(dim)
+    the float view of u.  The arrays are read-only; the basis stack they are
+    read from is not kept."""
+    basis = np.array(hermitian_basis(dim))
     if not lifted:
         c = np.trace(basis, axis1=1, axis2=2)[:, None]
     else:
         c = (np.swapaxes(basis, 1, 2) if transpose else basis).reshape(len(basis), -1)
     e = max(1, int((c != 0).sum(axis=1).max()))
-    idx = np.argsort(c == 0, axis=1, kind="stable")[:, :e]
+    idx = np.argsort(c == 0, axis=1, kind="stable")[:, :e].copy()  # not a view of the argsort
     coef = np.take_along_axis(c, idx, axis=1)
     c2 = coef[:, 1] if e == 2 else 0.0
     re, im = (coef[:, 0] + c2).real, -(coef[:, 0] - c2).imag
@@ -284,6 +276,16 @@ def _row_map(dim, lifted, transpose):
     for a in maps:
         a.flags.writeable = False
     return maps
+
+
+def _rhs_rows(dim, rhs):
+    """Tr[H_k rhs] = Re vec(H_k) . vec(rhs^T) for every element H_k of the
+    Hermitian basis on C^dim, from the (at most two) nonzero entries of
+    vec(H_k) that ``_row_map`` lists.  Both entries are read, as rhs may be
+    Hermitian only up to rounding."""
+    idx, coef = _row_map(dim, True, False)[:2]
+    u = np.asarray(rhs, dtype=complex).T.ravel()
+    return (coef * u[idx]).sum(axis=1).real
 
 
 def _rows_index(rows, cols):

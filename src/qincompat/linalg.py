@@ -303,19 +303,31 @@ def json_int(obj, field: str, what: str) -> int:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """Decode ``{"rows", "cols", "data"}``: ``data`` is a list of rows * cols
+    row-major [re, im] pairs of finite numbers.  A string, a bool, null, a
+    nested list or an integer too large for a float is rejected, naming the
+    entry."""
     try:
         rows, cols, data = json_int(obj, "rows", "matrix"), json_int(obj, "cols", "matrix"), obj["data"]
     except (KeyError, TypeError) as e:
         raise ContractError(f"malformed matrix object: {e}")
     if rows < 1 or cols < 1:
         raise ContractError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    if not isinstance(data, list):
+        raise ContractError(f"matrix field 'data' must be a list, got {type(data).__name__}")
     if len(data) != rows * cols:
         raise ContractError(f"matrix data has {len(data)} entries, expected {rows * cols}")
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(data):
-        if len(pair) != 2:
-            raise ContractError(f"entry {i} is not a [re, im] pair")
-        flat[i] = float(pair[0]) + 1j * float(pair[1])
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ContractError(f"matrix entry {i} is not a [re, im] pair")
+        for part in pair:
+            if isinstance(part, bool) or not isinstance(part, (int, float)):
+                raise ContractError(f"matrix entry {i} has {part!r}, not a number")
+        try:
+            flat[i] = float(pair[0]) + 1j * float(pair[1])
+        except OverflowError:
+            raise ContractError(f"matrix entry {i} is too large for a float") from None
         if not np.isfinite(flat[i]):
             raise ContractError(f"matrix entry {i} is non-finite")
     return flat.reshape(rows, cols)

@@ -62,15 +62,16 @@ The Schur complement is factored once per step (``_chol``), and both solves
 of the step substitute through that factor block by block, with the
 diagonal blocks inverted once per step (``_chol_solver``).
 
-Redundant equality rows are removed before the iteration starts: rows are
-taken in order, and a row that is a combination of the rows kept before it
-(an unpivoted Householder QR of the dense A^T, rank threshold ``RANK_TOL``
-relative to the largest diagonal entry of R) is dropped.  An inconsistent
-equality system is reported as infeasible outright.  Rows from families
-skip the QR when the contraction at W = I, the Gram matrix of the
-normalized rows, has Cholesky pivots all at least ``GRAM_TOL`` times the
-largest; that proves them independent, and only the compatibility checks,
-whose rows are dependent, form the dense A, for the QR alone.
+Redundant equality rows are removed before the iteration starts, from the
+Gram matrix of the rows normalized to unit length: the contraction at W = I
+for families, A A^T for plain rows.  It is Cholesky-factored in row order,
+and a row whose pivot -- its squared distance from the span of the rows
+kept before it -- is at most ``RANK_TOL`` is dropped (``_kept_rows``).  The
+rhs is eliminated with the kept rows, which leaves on each dropped row the
+part of its rhs its combination of kept rows does not reproduce; a system
+where that is not zero is reported as infeasible outright.  So no program
+made of families forms the dense A, and only the compatibility checks,
+whose marginal equations are dependent, drop rows.
 A strictly feasible starting point can be injected through ``solve`` when the
 caller knows one; otherwise a scaled-identity cold start is used.
 
@@ -97,8 +98,9 @@ from .linalg import ContractError, DimensionError, hermitian_basis, require_herm
 DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
-RANK_TOL = 1e-10
-GRAM_TOL = 1e-4  # smallest Gram pivot, to the largest, that certifies full rank
+# largest pivot of a dropped row: the squared distance of a unit row from
+# the span of the rows kept before it
+RANK_TOL = 1e-12
 SUBST_BLOCK = 64  # largest diagonal block of the Schur substitution
 STEP_FRACTION = 0.98
 
@@ -340,26 +342,6 @@ class _Group:
         return self.view(v[self.lo: self.hi])
 
 
-def _info_columns(groups):
-    """Columns of A holding the diagonal and upper triangle of every member,
-    and their weights: 1 on the diagonal and sqrt(2) off it, so for
-    Hermitian data the weighted columns carry the inner products of the
-    whole float view (the lower triangle only repeats them)."""
-    cols, weights = [], []
-    for g in groups:
-        i, j = np.triu_indices(g.n)
-        weight = np.where(i == j, 1.0, sqrt(2))
-        if g.cplx:
-            # (re, im) of the upper triangle; a diagonal entry is real
-            off = np.concatenate([2 * (i * g.n + j), 2 * (i * g.n + j)[i < j] + 1])
-            weight = np.concatenate([weight, weight[i < j]])
-        else:
-            off = i * g.n + j
-        cols.append((g.lo + g.size * np.arange(g.nb)[:, None] + off).ravel())
-        weights.append(np.tile(weight, g.nb))
-    return np.concatenate(cols), np.concatenate(weights)
-
-
 def _schur_plan(amat, groups):
     """Per group with any nonzero coefficient: its index and the rows of
     ``amat`` that touch it."""
@@ -416,68 +398,34 @@ def _svd(m):
         return vec[..., :n, :], lam[..., top], _ct(vec[..., n:, :])
 
 
-def _independent_rows(amat, groups):
-    """Sorted indices of a maximal set of linearly independent rows.
-
-    Rows are taken in order, and a row is kept unless it is a combination of
-    the rows before it: an unpivoted Householder QR of A^T (only R is
-    formed) drops row k where |R_kk| <= ``RANK_TOL`` max(1, max_j |R_jj|).
-    A^T holds only each block's diagonal and upper-triangle columns
-    (``_info_columns``), about half the columns of A.
-
-    A dropped row leaves an arbitrary direction in Q, and a later |R_kk|
-    misses the part of its row along it; rows past the side of R get no
-    R_kk at all.  So the dropped rows are checked against the kept ones
-    alone: in a QR with the kept rows first, a dropped row's column of R
-    below them is its residual.  A row found independent is kept, and the
-    check repeats.
-    """
-    cols, weights = _info_columns(groups)
-    a = amat[:, cols] * weights
-    diag = np.abs(np.diag(np.linalg.qr(a.T, mode="r")))
-    tol = RANK_TOL * max(1.0, diag.max(initial=0.0))
-    keep = np.zeros(len(a), dtype=bool)
-    keep[: diag.size] = diag > tol
-    while not keep.all():
-        kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
-        r = np.linalg.qr(a[np.concatenate([kept, dropped])].T, mode="r")
-        resid = np.linalg.norm(r[kept.size:, kept.size:], axis=0)
-        if (resid <= tol).all():
-            break
-        keep[dropped[np.argmax(resid > tol)]] = True
-    return np.flatnonzero(keep)
-
-
-def _full_rank(lifted, groups, scales):
-    """Whether the rows are certified independent: the Gram matrix of the
-    rows divided by ``scales`` -- the Schur complement ``lifted`` forms at
-    W = I -- has a Cholesky factorization whose every pivot is at least
-    ``GRAM_TOL`` times the largest."""
-    gram = lifted([g.eye() for g in groups]) / np.outer(scales, scales)
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
-    except np.linalg.LinAlgError:
-        return False
-    return pivots.min() >= GRAM_TOL * pivots.max()
-
-
-def _kept_rows(amat, b, groups, lifted=None, scales=None):
+def _kept_rows(gram, b):
     """Indices of the rows the iteration runs on, and the largest residual of
-    A x = b at its least-squares solution when a row was dropped (else 0).
+    a dropped row (0 when none is dropped).
 
-    Rows with a Schur complement ``lifted`` (and norms ``scales``) are all
-    kept when ``_full_rank`` certifies them.  Otherwise the dense A, formed
-    here from ``CooRows``, goes through ``_independent_rows``, and is freed
-    on return."""
-    m = len(b)
-    if not m or lifted is not None and _full_rank(lifted, groups, scales):
-        return np.arange(m), 0.0
-    dense = amat.toarray() if isinstance(amat, CooRows) else amat
-    kept = _independent_rows(dense, groups)
-    if kept.size == m:
-        return kept, 0.0
-    sol, *_ = np.linalg.lstsq(dense, b, rcond=None)
-    return kept, np.abs(dense @ sol - b).max()
+    ``gram`` is the Gram matrix of the rows normalized to unit length and
+    ``b`` their rhs.  It is Cholesky-factored in row order, and row k is
+    dropped when its pivot, the squared distance of row k from the span of
+    the rows kept before it, is at most ``RANK_TOL``.  b is eliminated as
+    one more column, so a dropped row is left holding b_k less the rhs of
+    the combination of kept rows that reproduces it: its residual.  When
+    every pivot of the plain factorization is above ``RANK_TOL``, all rows
+    are kept without the loop.
+    """
+    try:
+        if (np.diagonal(np.linalg.cholesky(gram)) ** 2 > RANK_TOL).all():
+            return np.arange(len(b)), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    s, r = gram.copy(), b.copy()
+    keep = np.zeros(len(b), dtype=bool)
+    for k in range(len(b)):
+        if s[k, k] > RANK_TOL:
+            keep[k] = True
+            root = sqrt(s[k, k])
+            col = s[k + 1:, k] / root
+            s[k + 1:, k + 1:] -= np.outer(col, col)
+            r[k + 1:] -= col * (r[k] / root)
+    return np.flatnonzero(keep), np.abs(r[~keep]).max(initial=0.0)
 
 
 def _chol(stack):
@@ -817,12 +765,18 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
         full = [(v + v.conj().T) / 2 for v in mats] + [np.array([[float(v)]]) for v in scal]
         x0 = [g.stack(full) for g in groups]
 
-    # drop linearly dependent rows; detect inconsistency
+    # normalize the rows, drop the linearly dependent ones, detect inconsistency
     sparse = isinstance(amat, CooRows)
-    lifted = LiftSchur(problem, groups, slots) if sparse else None
     scales = amat.row_norms() if sparse else np.linalg.norm(amat, axis=1)
     scales[scales == 0] = 1.0
-    kept, resid = _kept_rows(amat, b, groups, lifted, scales)
+    b = b / scales
+    if sparse:
+        lifted = LiftSchur(problem, groups, slots)
+        amat = amat.divide_rows(scales)
+        kept, resid = _kept_rows(lifted([g.eye() for g in groups]) / np.outer(scales, scales), b)
+    else:
+        amat /= scales[:, None]
+        kept, resid = _kept_rows(amat @ amat.T, b)
     if resid > 1e-9 * (1.0 + np.abs(b).max(initial=0.0)):
         zero = [np.zeros((n, n), dtype=complex) for n in problem.blocks]
         return SdpSolution(
@@ -833,16 +787,13 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
         )
     if kept.size < mfull:
         amat, b, scales = amat[kept], b[kept], scales[kept]
-    b = b / scales
     if sparse:
-        amat = amat.divide_rows(scales)
         cut = np.ix_(kept, kept) if kept.size < mfull else slice(None)  # no copy of M
         outer = np.outer(scales, scales)
 
         def schur(rs, ws):
             return lifted(ws)[cut] / outer
     else:
-        amat /= scales[:, None]
         plan = _schur_plan(amat, groups)
 
         def schur(rs, ws):

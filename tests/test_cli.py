@@ -161,6 +161,18 @@ def test_nan_povm_exits_one_naming_non_finite(tmp_path, capsys):
     assert "non-finite" in err
 
 
+def test_oversized_matrix_entry_exits_one_without_a_traceback(tmp_path, capsys):
+    # a 400-digit integer used to escape float() as an OverflowError
+    coll = PovmCollection([basis_povm(2), projective_from_hermitian(SX)]).to_json()
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(coll).replace("[1.0, 0.0]", "[1" + "0" * 400 + ", 0.0]", 1))
+    code, out, err = run_cli(["compat", "measurements", "--input", str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "too large for a float" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("where, field, value", [
     ("channel", "dim_in", 2.9), ("channel", "dim_out", True), ("channel", "dim_in", "2"),
     ("matrix", "rows", 4.5), ("matrix", "cols", 4.0), ("effect", "rows", 2.5),

@@ -237,6 +237,25 @@ def test_matrix_json_malformed():
         matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [0, float("inf")]]})
 
 
+@pytest.mark.parametrize("entry, match", [
+    (["0.5", 0], "entry 1 has '0.5', not a number"),
+    ([True, 0], "entry 1 has True, not a number"),
+    ([0, None], "entry 1 has None, not a number"),
+    ([[0.5], 0], r"entry 1 has \[0.5\], not a number"),
+    ([[0.5, 0]], "entry 1 is not a"),
+    ([10**400, 0], "entry 1 is too large for a float"),
+], ids=["string", "bool", "null", "nested-list", "pair-of-one", "oversized-int"])
+def test_matrix_json_accepts_only_finite_numbers(entry, match):
+    # JSON strings and booleans used to pass as numbers, and an integer too
+    # large for a float escaped as an OverflowError
+    obj = {"rows": 1, "cols": 2, "data": [[1, 0], entry]}
+    with pytest.raises(ContractError, match=match):
+        matrix_from_json(obj)
+    obj["data"] = "ab"
+    with pytest.raises(ContractError, match="'data' must be a list"):
+        matrix_from_json(obj)
+
+
 def embed_by_index(op, dims, keep):
     """I (x) op with op on the factors ``keep`` (in op's factor order), entry
     by entry: <i|out|j> = <i_keep|op|j_keep> when i and j agree elsewhere."""

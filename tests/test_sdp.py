@@ -328,6 +328,35 @@ def mixed_rows_problem(rng, blocks, real, nscalars, m):
     )
 
 
+def rank_oracle(amat):
+    """The rows of ``amat`` taken in order, each kept when it raises the rank
+    of the rows kept before it."""
+    kept = []
+    for k in range(len(amat)):
+        if np.linalg.matrix_rank(amat[kept + [k]]) > len(kept):
+            kept.append(k)
+    return kept
+
+
+def dense_presolve(amat, b):
+    """``sdp._kept_rows`` on the rows of a dense A, normalized as ``solve``
+    normalizes them."""
+    scales = np.linalg.norm(amat, axis=1)
+    scales[scales == 0] = 1.0
+    a = amat / scales[:, None]
+    return sdp._kept_rows(a @ a.T, b / scales)
+
+
+def family_presolve(prob):
+    """``sdp._kept_rows`` on the family rows of ``prob``, with their Gram
+    matrix from the contraction at W = I, as ``solve`` forms it; and the
+    dense A of the rows."""
+    groups, slots, _, coo, b = sdp._grouped_form(prob)
+    scales = coo.row_norms()
+    gram = families.LiftSchur(prob, groups, slots)([g.eye() for g in groups]) / np.outer(scales, scales)
+    return sdp._kept_rows(gram, b / scales), gram, coo.toarray()
+
+
 def test_schur_complement_matches_definition():
     # interleaved sides, some real, and two scalars (which join the real 1x1
     # group), with rows that touch random subsets of the variables
@@ -590,30 +619,26 @@ def test_presolve_keeps_the_rows_that_add_rank():
     rows += [combine([(1.0, 1)]), combine([(1.0, 0), (1.0, 2)]), combine([(-3.7, 3)]),
              LinearConstraint({}, 0.0)]
     groups, _, _, amat, _ = sdp._grouped_form(prob)
-    assert np.array_equal(sdp._independent_rows(amat, groups), np.arange(6))
     assert np.linalg.matrix_rank(amat) == 6
+    # a consistent rhs leaves no residual; moving the rhs of the scaled copy
+    # by delta leaves delta on that row, over its norm
+    b = amat @ rng.standard_normal(amat.shape[1])
+    kept, resid = dense_presolve(amat, b)
+    assert np.array_equal(kept, np.arange(6)) and np.array_equal(kept, rank_oracle(amat))
+    assert resid <= 1e-12 * np.abs(b).max()
+    b[8] += 0.25
+    _, resid = dense_presolve(amat, b)
+    assert abs(resid - 0.25 / np.linalg.norm(amat[8])) <= 1e-12
 
-    # the diagonal and weighted upper-triangle columns carry every inner
-    # product of the rows, so the rank too
-    cols, weights = sdp._info_columns(groups)
-    half = amat[:, cols] * weights
-    assert half.shape[1] < amat.shape[1]
-    gram = amat @ amat.T
-    assert np.abs(half @ half.T - gram).max() <= 1e-13 * np.abs(gram).max()
-    for _ in range(5):
-        prob = mixed_rows_problem(rng, [2, 3, 1], frozenset({2}), 1, 12)
-        groups, _, _, amat, _ = sdp._grouped_form(prob)
-        cols, weights = sdp._info_columns(groups)
-        assert np.linalg.matrix_rank(amat[:, cols] * weights) == np.linalg.matrix_rank(amat)
-
-    # more rows than columns: R has no diagonal entry for the last rows, and
-    # the scaled copy of row 0 tilts what follows; the check against the
-    # kept rows restores row 2
+    # the scaled copy of row 0 makes rows 1 and 3 dependent, and row 4 is in
+    # the span of rows 0 and 2
     scalars = [{0: 0.1, 1: 0.3}, {0: 0.3, 1: 0.9}, {1: 1.0}, {0: 0.2, 1: 0.6}, {0: 1.0, 1: -1.0}]
     prob = SdpProblem(blocks=[], objective=[], scalar_costs=[0.0, 0.0],
                       constraints=[LinearConstraint({}, 0.0, sc) for sc in scalars])
-    groups, _, _, amat, _ = sdp._grouped_form(prob)
-    assert np.array_equal(sdp._independent_rows(amat, groups), [0, 2])
+    groups, _, _, amat, b = sdp._grouped_form(prob)
+    kept, resid = dense_presolve(amat, b)
+    assert np.array_equal(kept, [0, 2]) and np.array_equal(kept, rank_oracle(amat))
+    assert resid == 0.0
 
 
 @pytest.mark.parametrize("m", [1, sdp.SUBST_BLOCK - 1, sdp.SUBST_BLOCK, sdp.SUBST_BLOCK + 1,
@@ -733,6 +758,30 @@ def test_family_rows_equal_hermitian_equality_rows(device_programs):
         assert np.all(np.diff(coo.rows * amat.shape[1] + coo.cols) > 0), what
 
 
+def test_family_rows_keep_no_basis_stack():
+    # the Hermitian basis on C^23 is a 4.5 MB stack: building the rows and
+    # rhs of a family on C^23 must leave only the small per-row maps behind
+    import tracemalloc
+
+    from qincompat.families import RowFamily
+    from qincompat.linalg import Lift
+
+    d = 23
+    rng = np.random.default_rng(101)
+    prob = SdpProblem(blocks=[d], objective=[np.eye(d, dtype=complex)],
+                      families=[RowFamily(d, [(0, Lift.identity(d))], random_herm(rng, d))]).validate()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        form = sdp._grouped_form(prob)
+        assert form[3].shape[0] == d * d
+        del form
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1e6
+
+
 def test_family_row_products_match_the_dense_rows(device_programs):
     rng = np.random.default_rng(83)
     for what, prob, _, _ in device_programs:
@@ -747,22 +796,16 @@ def test_family_row_products_match_the_dense_rows(device_programs):
         assert np.abs(coo.row_norms() - norms).max() <= 1e-14 * norms.max(), what
 
 
-def test_gram_certificate_keeps_the_rows_the_qr_keeps(device_programs):
-    # the certificate holds exactly on the programs whose rows the QR keeps
-    # in full; on the others, the compatibility checks, the presolve falls
-    # back to the QR and keeps its rows
+def test_presolve_keeps_every_device_row_but_in_the_checks(device_programs):
+    # every robustness, dual and game program has independent rows; the
+    # compatibility checks, whose marginal equations are dependent, drop the
+    # rows the rank oracle drops, and their rhs is consistent
     checks = set()
     for what, prob, _, _ in device_programs:
-        groups, slots, _, coo, b = sdp._grouped_form(prob)
-        scales = coo.row_norms()
-        lifted = families.LiftSchur(prob, groups, slots)
-        certified = sdp._full_rank(lifted, groups, scales)
-        want = sdp._independent_rows(coo.toarray(), groups)
-        assert certified == (want.size == coo.shape[0]), what
-        kept, resid = sdp._kept_rows(coo, b, groups, lifted, scales)
-        assert np.array_equal(kept, want), what
+        (kept, resid), _, amat = family_presolve(prob)
+        assert np.array_equal(kept, rank_oracle(amat)), what
         assert resid <= 1e-12, what
-        if not certified:
+        if kept.size < len(amat):
             checks.add(what)
     assert checks == {"channel check", "measurement check", "pair check"}
 
@@ -794,10 +837,10 @@ def test_family_rows_of_traces_and_shared_blocks_equal_the_plain_rows():
     assert np.array_equal(b, want_b)
 
 
-def test_gram_certificate_rejects_nearly_dependent_rows():
+def test_presolve_keeps_nearly_dependent_rows():
     # the second family repeats the first up to 1e-3 H_k on another block:
-    # normalized pivots of about 5e-7, below GRAM_TOL, though the QR keeps
-    # every row; an exact repeat fails the Cholesky, and the QR drops it
+    # the normalized pivots are about 2.5e-7, well above RANK_TOL, and every
+    # row is kept; an exact repeat is dropped
     from qincompat.families import RowFamily
     from qincompat.linalg import Lift
 
@@ -805,22 +848,21 @@ def test_gram_certificate_rejects_nearly_dependent_rows():
     for tilt, want in ((1e-3, 8), (0.0, 4)):
         prob = handmade_family_problem(base, RowFamily(
             2, [(0, Lift((2, 2), (1,))), (3, Lift.identity(2, scale=tilt))], np.eye(2)))
-        groups, slots, _, coo, b = sdp._grouped_form(prob)
-        lifted = families.LiftSchur(prob, groups, slots)
-        assert not sdp._full_rank(lifted, groups, coo.row_norms())
-        kept, _ = sdp._kept_rows(coo, b, groups, lifted, coo.row_norms())
-        assert np.array_equal(kept, sdp._independent_rows(coo.toarray(), groups))
-        assert kept.size == want
+        (kept, resid), gram, amat = family_presolve(prob)
+        assert np.array_equal(kept, rank_oracle(amat))
+        assert kept.size == want and resid <= 1e-12
+        if tilt:
+            pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+            assert 1e-7 < pivots.min() < 1e-6
 
 
-def test_full_rank_family_solve_forms_no_dense_rows(device_programs, monkeypatch):
+def test_family_solve_forms_no_dense_rows(device_programs, monkeypatch):
     def densify(self):
         raise AssertionError("dense A formed")
 
     monkeypatch.setattr(families.CooRows, "toarray", densify)
     for what, prob, args, kwargs in device_programs:
-        if "check" not in what:
-            assert solve(prob, *args, **kwargs).status == "optimal", what
+        assert solve(prob, *args, **kwargs).status == "optimal", what
 
 
 def test_lift_schur_matches_the_dense_schur_complement(device_programs):
@@ -869,6 +911,25 @@ def test_identity_pair_on_c4_traces_less_memory_than_its_dense_rows():
         tracemalloc.stop()
     assert abs(rep.primal_value - 0.6) <= 1e-7
     assert peak < 528 * 9217 * 8
+
+
+def test_channel_check_on_c4_traces_less_memory_than_its_dense_rows():
+    # the compatibility check drops dependent rows; its presolve works on the
+    # Gram matrix, so the dense A (512 rows of 8193 floats, 33.6 MB) is never
+    # formed
+    import tracemalloc
+
+    from qincompat.compat import check_channels
+    from qincompat.qobjects import depolarizing_channel
+
+    tracemalloc.start()
+    try:
+        verdict = check_channels([depolarizing_channel(4, 0.5), depolarizing_channel(4, 0.5)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.compatible
+    assert peak < 512 * 8193 * 8
 
 
 def test_validate_rejects_bad_families():

@@ -5,7 +5,6 @@ they induce."""
 from .linalg import (
     ContractError,
     DimensionError,
-    TensorShape,
     eig_hermitian,
     embed_operator,
     hermitian_basis,

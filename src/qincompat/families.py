@@ -12,8 +12,9 @@ of the Hermitian basis, it is the row
 the row ``sdp.hermitian_equality`` makes from the same maps.  The solver
 uses the structure three times: ``check_families`` validates each family
 once, ``family_rows`` writes the nonzeros of the rows as coordinate
-triplets (``CooRows``), a few per row, and ``LiftSchur`` forms their Schur
-complement M = A W A^T without touching a coefficient matrix.
+triplets (``CooRows``), a few per row, next to those of any plain rows, and
+``LiftSchur`` forms their Schur complement M = A W A^T without touching a
+coefficient matrix.
 
 Lifted by L = (dims, keep, scale), row k holds A_kv = scale * (I (x) c_k) on
 variable v, with c_k = H_k, H_k^T or [Tr H_k].  So
@@ -136,20 +137,23 @@ class CooRows:
         return a
 
 
-def family_rows(problem, slots, groups):
-    """The rows of every family, after the plain rows, as ``CooRows`` over
-    all rows of the problem (the plain ones empty), and their rhs.
+def family_rows(problem, slots, groups, plain):
+    """Every row of the problem as one ``CooRows``: the plain rows, given
+    as the (rows, cols, vals) triplets ``plain``, then the rows of every
+    family; and the rhs of the family rows.
 
     A term's nonzeros are found by lifting one matrix of entry codes
     (``_lift_pattern``, once per kind of lift); the values are the scaled
     basis entries, so the rows are those a lift of the basis stack gives,
     entry for entry.  A triplet's column is in the float view of its
-    variable (``sdp._Group``).  Terms that meet on an entry are summed in
-    term order.  ``slots[v]`` is the (group, member) of variable v."""
+    variable (``sdp._Group``).  Triplets that meet on an entry are summed in
+    term order, and zeros are dropped.  ``slots[v]`` is the (group, member)
+    of variable v."""
     nblocks = len(problem.blocks)
     lo = len(problem.constraints)
     ncols = groups[-1].hi
-    rows, cols, vals, b = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0)]
+    rows, cols, vals = ([a] for a in plain)
+    b = [np.zeros(0)]
     for fam in problem.families:
         for v, lift in family_terms(fam, nblocks):
             gi, j = slots[v]

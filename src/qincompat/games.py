@@ -21,6 +21,7 @@ from .linalg import (
     DimensionError,
     Lift,
     hermitize,
+    json_number,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -117,16 +118,12 @@ class DiscriminationGame:
 
     @staticmethod
     def from_json(obj) -> "DiscriminationGame":
-        def number(v, what):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ContractError(f"game {what} must be a number, got {v!r}")
-            return v
-
         try:
             game = DiscriminationGame(
-                prior=[number(p, f"field 'prior' entry {x}") for x, p in enumerate(obj["prior"])],
+                prior=[json_number(p, f"game field 'prior' entry {x}") for x, p in enumerate(obj["prior"])],
                 ensembles=[
-                    [(number(e["p"], f"setting {x} entry {i} field 'p'"), matrix_from_json(e["state"]))
+                    [(json_number(e["p"], f"game setting {x} entry {i} field 'p'"),
+                      matrix_from_json(e["state"]))
                      for i, e in enumerate(ens)]
                     for x, ens in enumerate(obj["ensembles"])
                 ],

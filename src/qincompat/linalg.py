@@ -40,33 +40,11 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-@dataclass(frozen=True)
-class TensorShape:
-    """Ordered factor dimensions of a tensor-product space."""
-
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DimensionError(f"factor dimensions must be positive, got {dims}")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def total(self) -> int:
-        return prod(self.factor_dims)
-
-    def check(self, a: np.ndarray):
-        if a.shape != (self.total, self.total):
-            raise DimensionError(
-                f"matrix of shape {a.shape} does not act on factors {self.factor_dims}"
-            )
-
-
 def _dims_of(shape) -> tuple[int, ...]:
-    if isinstance(shape, TensorShape):
-        return shape.factor_dims
-    return TensorShape(tuple(shape)).factor_dims
+    dims = tuple(int(d) for d in shape)
+    if not dims or any(d < 1 for d in dims):
+        raise DimensionError(f"factor dimensions must be positive, got {dims}")
+    return dims
 
 
 def partial_trace(a, shape, keep) -> np.ndarray:
@@ -302,6 +280,21 @@ def json_int(obj, field: str, what: str) -> int:
     return v
 
 
+def json_number(v, what: str) -> float:
+    """``v`` as a float if it is a finite JSON number; a string, a bool,
+    null, a list, a non-finite number or an integer too large for a float is
+    rejected, naming ``what``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ContractError(f"{what} has {v!r}, not a number")
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ContractError(f"{what} is too large for a float") from None
+    if not np.isfinite(v):
+        raise ContractError(f"{what} is non-finite")
+    return v
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode ``{"rows", "cols", "data"}``: ``data`` is a list of rows * cols
     row-major [re, im] pairs of finite numbers.  A string, a bool, null, a
@@ -321,13 +314,6 @@ def matrix_from_json(obj) -> np.ndarray:
     for i, pair in enumerate(data):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ContractError(f"matrix entry {i} is not a [re, im] pair")
-        for part in pair:
-            if isinstance(part, bool) or not isinstance(part, (int, float)):
-                raise ContractError(f"matrix entry {i} has {part!r}, not a number")
-        try:
-            flat[i] = float(pair[0]) + 1j * float(pair[1])
-        except OverflowError:
-            raise ContractError(f"matrix entry {i} is too large for a float") from None
-        if not np.isfinite(flat[i]):
-            raise ContractError(f"matrix entry {i} is non-finite")
+        re, im = (json_number(part, f"matrix entry {i}") for part in pair)
+        flat[i] = re + 1j * im
     return flat.reshape(rows, cols)

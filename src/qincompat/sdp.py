@@ -24,25 +24,23 @@ gives flat(A) . flat(X) = Re sum_ij conj(A_ij) X_ij = Re tr(A^H X), which is
 <A, X> = Re tr(AX) for Hermitian data, so packing and unpacking are reshapes
 with no scale factors.
 
+Rows come in two forms, plain rows (``LinearConstraint``, any coefficient
+matrices) and row families (``families.RowFamily``: the rows of one
+operator equation, whose coefficient on each variable is a ``Lift`` of the
+basis element, I (x) H on some tensor factors of the block or Tr H).  Both
+are written into one A in coordinate form (``families.CooRows``), one
+(row, column, value) triplet per nonzero, so A x and A^T y are sums over
+the triplets.
+
 Each iteration forms the Schur complement M = A W A^T, with the NT scaling
-W_v = R_v R_v^H: M_kl = sum_v Re tr(W_v A_kv W_v A_lv).  Rows come in two
-forms, with one way to form M each:
-
-* plain rows (``LinearConstraint``, any coefficient matrices): group by
-  group, the rows touching a group are copied out of A and viewed as one
-  stack, scaled by R with two batched products, and contribute one
-  symmetric rank-k product of the copy (``_schur_complement``);
-* row families (``families.RowFamily``): the rows of one operator
-  equation, whose coefficient on each variable is a ``Lift`` of the basis
-  element, I (x) H on some tensor factors of the block or Tr H.  M is a
-  partial-trace contraction of W, one batched matrix product per pair of
-  lift kinds on a group (``families.LiftSchur``).
-
-A problem whose rows all come from families takes the contraction, and
-keeps A in coordinate form (``families.CooRows``): one (row, column, value)
-triplet per nonzero, a few per row, so A x and A^T y are sums over the
-triplets.  Any plain row sends the whole problem to the dense A and the
-dense build, which are the reference the sparse path is tested against.
+W_v = R_v R_v^H: M_kl = sum_v Re tr(W_v A_kv W_v A_lv).  The input chooses
+its build once per solve.  Any plain row takes the dense build, the
+reference the contraction is tested against: the rows touching a group are
+copied out of the dense A as one stack, scaled by R with two batched
+products, and contribute one rank-k product (``_schur_complement``).  A
+problem of families alone takes a partial-trace contraction of W, one
+batched matrix product per pair of lift kinds on a group
+(``families.LiftSchur``), and never forms the dense A.
 
 The search direction is solved in NT-scaled coordinates.  R_v^-1 X_v R_v^-H
 = R_v^H S_v R_v = Lambda_v = diag(lam), and the scaled steps are dX^ =
@@ -63,15 +61,15 @@ of the step substitute through that factor block by block, with the
 diagonal blocks inverted once per step (``_chol_solver``).
 
 Redundant equality rows are removed before the iteration starts, from the
-Gram matrix of the rows normalized to unit length: the contraction at W = I
-for families, A A^T for plain rows.  It is Cholesky-factored in row order,
-and a row whose pivot -- its squared distance from the span of the rows
-kept before it -- is at most ``RANK_TOL`` is dropped (``_kept_rows``).  The
-rhs is eliminated with the kept rows, which leaves on each dropped row the
-part of its rhs its combination of kept rows does not reproduce; a system
-where that is not zero is reported as infeasible outright.  So no program
-made of families forms the dense A, and only the compatibility checks,
-whose marginal equations are dependent, drop rows.
+Gram matrix of the normalized rows: the chosen build at W = I.  It is
+Cholesky-factored in row order, and a row whose pivot -- its squared
+distance from the span of the rows kept before it -- is at most
+``RANK_TOL`` is dropped (``_kept_rows``).  The rhs is eliminated with the
+kept rows, which leaves on each dropped row the part of its rhs its
+combination of kept rows does not reproduce; a system where that is not
+zero is reported as infeasible outright.  Only the compatibility checks,
+whose marginal equations are dependent, drop rows; every step then cuts
+the kept rows out of the build's M.
 A strictly feasible starting point can be injected through ``solve`` when the
 caller knows one; otherwise a scaled-identity cold start is used.
 
@@ -92,7 +90,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .families import CooRows, LiftSchur, RowFamily, check_families, family_rows
+from .families import LiftSchur, RowFamily, check_families, family_rows
 from .linalg import ContractError, DimensionError, hermitian_basis, require_hermitian
 
 DEFAULT_FEAS_TOL = 1e-8
@@ -246,9 +244,12 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
     its data matrices are embedded and halved so every inner product, and
     with it the primal and dual objective values, is preserved.  Blocks
     already declared real pass through unchanged.  ``solve`` works on the
-    complex blocks directly and does not use this transform.
+    complex blocks directly and does not use this transform.  Only plain
+    rows are embedded: a problem with row families raises ``ContractError``.
     """
     problem.validate()
+    if problem.families:
+        raise ContractError("real_embed takes plain rows only, not row families")
     blocks, objective = [], []
     for b, (n, c) in enumerate(zip(problem.blocks, problem.objective)):
         if b in problem.real_blocks:
@@ -675,9 +676,8 @@ def _grouped_form(problem):
     appearance; the scalars are real 1x1 variables after the blocks.
     Returns the groups, each variable's (group, member) slot, the objective
     stacks, the constraint matrix A (one row of float views per constraint)
-    and the right-hand side.  A is ``CooRows`` when every row comes from a
-    family, else dense.  The per-row coefficient matrices die here, so they
-    do not sit next to A while the iteration runs.
+    as ``CooRows``, and the right-hand side.  The per-row coefficient
+    matrices die here, so they do not sit next to A while the iteration runs.
     """
     nblocks = len(problem.blocks)
     members = {}
@@ -699,16 +699,8 @@ def _grouped_form(problem):
     objective = list(problem.objective) + [scalar(c) for c in problem.scalar_costs]
     cs = [g.stack(objective) for g in groups]
 
-    coo, bfam = family_rows(problem, slots, groups)
-    nplain = len(problem.constraints)
-    b = np.zeros(coo.shape[0])
-    b[:nplain] = [con.rhs for con in problem.constraints]
-    b[nplain:] = bfam
-    if not nplain:
-        return groups, slots, cs, coo, b
-
-    # every coefficient matrix of a group is written with one scatter,
-    # symmetrized first: validation lets it be Hermitian only to 1e-12
+    # the plain rows as triplets, every coefficient matrix of a group in one
+    # pass, symmetrized first: validation lets it be Hermitian only to 1e-12
     entries = [([], [], []) for _ in groups]  # rows, member indices, matrices
     for k, con in enumerate(problem.constraints):
         terms = list(con.coeffs.items())
@@ -719,12 +711,14 @@ def _grouped_form(problem):
             rows.append(k)
             idx.append(j)
             mats.append(a)
-    amat = coo.toarray()
+    plain = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for g, (rows, idx, mats) in zip(groups, entries):
         if rows:
-            cols = g.lo + g.size * np.array(idx)[:, None] + np.arange(g.size)
-            flat = _pack([_herm(_block_stack(mats, g.cplx))])
-            amat[np.array(rows)[:, None], cols] = flat.reshape(len(mats), g.size)
+            plain[0].append(np.repeat(rows, g.size))
+            plain[1].append((g.lo + g.size * np.array(idx)[:, None] + np.arange(g.size)).ravel())
+            plain[2].append(_pack([_herm(_block_stack(mats, g.cplx))]))
+    amat, bfam = family_rows(problem, slots, groups, [np.concatenate(p) for p in plain])
+    b = np.concatenate([[con.rhs for con in problem.constraints], bfam])
     return groups, slots, cs, amat, b
 
 
@@ -766,17 +760,24 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
         x0 = [g.stack(full) for g in groups]
 
     # normalize the rows, drop the linearly dependent ones, detect inconsistency
-    sparse = isinstance(amat, CooRows)
-    scales = amat.row_norms() if sparse else np.linalg.norm(amat, axis=1)
+    scales = amat.row_norms()
     scales[scales == 0] = 1.0
     b = b / scales
-    if sparse:
-        lifted = LiftSchur(problem, groups, slots)
-        amat = amat.divide_rows(scales)
-        kept, resid = _kept_rows(lifted([g.eye() for g in groups]) / np.outer(scales, scales), b)
+    amat = amat.divide_rows(scales)
+    # the Schur complement of every row, from the NT scaling of each group
+    if problem.constraints:  # any plain row: the dense reference build
+        dense = amat.toarray()
+        plan = _schur_plan(dense, groups)
+
+        def build(rs, ws):
+            return _schur_complement(dense, plan, rs)
     else:
-        amat /= scales[:, None]
-        kept, resid = _kept_rows(amat @ amat.T, b)
+        lifted, outer = LiftSchur(problem, groups, slots), np.outer(scales, scales)
+
+        def build(rs, ws):
+            return lifted(ws) / outer
+    eyes = [g.eye() for g in groups]
+    kept, resid = _kept_rows(build(eyes, eyes), b)
     if resid > 1e-9 * (1.0 + np.abs(b).max(initial=0.0)):
         zero = [np.zeros((n, n), dtype=complex) for n in problem.blocks]
         return SdpSolution(
@@ -785,19 +786,13 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
             y=np.zeros(mfull), dual_blocks=zero, gap=np.nan,
             iterations=0, primal_residual=resid, dual_residual=np.nan,
         )
+    cut = slice(None)  # no copy of M
     if kept.size < mfull:
         amat, b, scales = amat[kept], b[kept], scales[kept]
-    if sparse:
-        cut = np.ix_(kept, kept) if kept.size < mfull else slice(None)  # no copy of M
-        outer = np.outer(scales, scales)
+        cut = np.ix_(kept, kept)
 
-        def schur(rs, ws):
-            return lifted(ws)[cut] / outer
-    else:
-        plan = _schur_plan(amat, groups)
-
-        def schur(rs, ws):
-            return _schur_complement(amat, plan, rs)
+    def schur(rs, ws):
+        return build(rs, ws)[cut]
 
     status, iters, xs, ss, ys, pobj, dobj, prel, drel = _ipm(groups, cs, amat, b, opts, schur, x0=x0)
 

@@ -273,6 +273,11 @@ def test_game_json_rejects_empty_ensembles_and_non_boolean_flags(change, match):
     ({"prior": [None]}, "'prior' entry 0"),
     ({"ensembles": [[{"p": "x", "state": "unread"}]]}, "setting 0 entry 0 field 'p'"),
     ({"ensembles": [[{"p": False, "state": "unread"}]]}, "setting 0 entry 0 field 'p'"),
+    # an integer too large for a float used to escape as an OverflowError
+    ({"prior": [10**400]}, "'prior' entry 0 is too large for a float"),
+    ({"ensembles": [[{"p": 10**400, "state": "unread"}]]},
+     "setting 0 entry 0 field 'p' is too large for a float"),
+    ({"prior": [float("nan")]}, "'prior' entry 0 is non-finite"),
 ])
 def test_game_json_rejects_non_numeric_probabilities(change, match):
     z0 = matrix_to_json(np.diag([1.0, 0.0]))

@@ -5,7 +5,6 @@ from qincompat.linalg import (
     ContractError,
     DimensionError,
     Lift,
-    TensorShape,
     eig_hermitian,
     embed_operator,
     hermitian_basis,
@@ -101,12 +100,15 @@ def test_partial_trace_shape_mismatch():
 
 
 def test_tensor_shape_validation():
-    with pytest.raises(DimensionError):
-        TensorShape((2, 0))
-    s = TensorShape((2, 3))
-    assert s.total == 6
-    with pytest.raises(DimensionError):
-        s.check(np.eye(5))
+    # factor dimensions must be positive, and the matrix must act on them
+    for op in (lambda a, dims: partial_trace(a, dims, (0,)),
+               lambda a, dims: partial_transpose(a, dims, (0,))):
+        for dims in ((2, 0), (0,), (2, -3), ()):
+            with pytest.raises(DimensionError, match="factor dimensions must be positive"):
+                op(np.eye(6), dims)
+        with pytest.raises(DimensionError, match=r"does not act on factors \(2, 3\)"):
+            op(np.eye(5), (2, 3))
+        assert op(np.eye(6), (2, 3)).shape in ((2, 2), (6, 6))
 
 
 def test_embed_operator_adjacent():

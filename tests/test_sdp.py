@@ -202,6 +202,28 @@ def test_real_embed_preserves_optimum():
     assert abs(sol.primal_value - value) < 1e-6 * (1 + abs(value))
 
 
+def test_real_embed_rejects_row_families(monkeypatch):
+    # the identity pair's primal is all row families: embedding only its
+    # plain rows would leave a problem with no rows, solved at 0, not 4/3
+    from qincompat import robustness
+    from qincompat.linalg import ContractError
+    from qincompat.qobjects import identity_channel
+
+    programs = []
+
+    def record(prob, *args, **kwargs):
+        programs.append(prob)
+        return solve(prob, *args, **kwargs)
+
+    monkeypatch.setattr(robustness, "solve", record)
+    robustness.robustness_channels_primal([identity_channel(2), identity_channel(2)])
+    prob = programs[0]  # the primal; its dual follows
+    assert prob.families and not prob.constraints
+    assert abs(solve(prob).primal_value - 4 / 3) <= 1e-7
+    with pytest.raises(ContractError, match="row families"):
+        real_embed(prob)
+
+
 def test_bloch_sphere_bruteforce():
     # min <C, X> over states of a qubit equals a dense grid search on pure states
     rng = np.random.default_rng(5)
@@ -363,7 +385,8 @@ def test_schur_complement_matches_definition():
     rng = np.random.default_rng(17)
     blocks = [3, 2, 3, 1, 2, 3]
     prob = mixed_rows_problem(rng, blocks, frozenset({1, 3, 5}), 2, 14)
-    groups, slots, _, amat, _ = sdp._grouped_form(prob)
+    groups, slots, _, coo, _ = sdp._grouped_form(prob)
+    amat = coo.toarray()
     assert [(g.n, g.cplx, g.members) for g in groups] == [
         (3, True, [0, 2]), (2, False, [1]), (1, False, [3, 6, 7]), (2, True, [4]), (3, False, [5]),
     ]
@@ -618,7 +641,7 @@ def test_presolve_keeps_the_rows_that_add_rank():
 
     rows += [combine([(1.0, 1)]), combine([(1.0, 0), (1.0, 2)]), combine([(-3.7, 3)]),
              LinearConstraint({}, 0.0)]
-    groups, _, _, amat, _ = sdp._grouped_form(prob)
+    amat = sdp._grouped_form(prob)[3].toarray()
     assert np.linalg.matrix_rank(amat) == 6
     # a consistent rhs leaves no residual; moving the rhs of the scaled copy
     # by delta leaves delta on that row, over its norm
@@ -635,7 +658,8 @@ def test_presolve_keeps_the_rows_that_add_rank():
     scalars = [{0: 0.1, 1: 0.3}, {0: 0.3, 1: 0.9}, {1: 1.0}, {0: 0.2, 1: 0.6}, {0: 1.0, 1: -1.0}]
     prob = SdpProblem(blocks=[], objective=[], scalar_costs=[0.0, 0.0],
                       constraints=[LinearConstraint({}, 0.0, sc) for sc in scalars])
-    groups, _, _, amat, b = sdp._grouped_form(prob)
+    _, _, _, coo, b = sdp._grouped_form(prob)
+    amat = coo.toarray()
     kept, resid = dense_presolve(amat, b)
     assert np.array_equal(kept, [0, 2]) and np.array_equal(kept, rank_oracle(amat))
     assert resid == 0.0
@@ -750,7 +774,7 @@ def test_family_rows_equal_hermitian_equality_rows(device_programs):
         prob.validate()
         _, _, _, coo, b = sdp._grouped_form(prob)
         _, _, _, want_a, want_b = sdp._grouped_form(as_plain_rows(prob))
-        amat = coo.toarray()
+        amat, want_a = coo.toarray(), want_a.toarray()
         assert np.array_equal(amat, want_a), what
         assert np.array_equal(b, want_b), what
         # one triplet per nonzero, in row-major order
@@ -833,7 +857,7 @@ def test_family_rows_of_traces_and_shared_blocks_equal_the_plain_rows():
     )
     _, _, _, coo, b = sdp._grouped_form(prob)
     _, _, _, want_a, want_b = sdp._grouped_form(as_plain_rows(prob))
-    assert np.array_equal(coo.toarray(), want_a)
+    assert np.array_equal(coo.toarray(), want_a.toarray())
     assert np.array_equal(b, want_b)
 
 
@@ -894,6 +918,30 @@ def test_structured_solve_matches_the_plain_rows(device_programs):
         assert got.iterations == want.iterations, what
         for a, b in ((got.primal_value, want.primal_value), (got.dual_value, want.dual_value)):
             assert abs(a - b) <= 1e-9 * (1 + abs(b)), what
+
+
+def test_mixed_row_kinds_solve_like_the_plain_rows(device_programs):
+    # every other family expanded to plain rows and the rest kept: one A
+    # holds both kinds of triplets, and the problem solves as its all-plain
+    # expansion does; the checks among them drop dependent rows
+    tested = set()
+    for what, prob, args, kwargs in device_programs:
+        if len(prob.families) < 2:
+            continue
+        tested.add(what)
+        rows = [row for fam in prob.families[1::2]
+                for row in hermitian_equality(fam.dim, fam.terms, fam.rhs, fam.scalar_terms)]
+        mixed = SdpProblem(prob.blocks, prob.objective, rows, prob.scalar_costs, prob.real_blocks,
+                           prob.families[::2])
+        assert mixed.constraints and mixed.families, what
+        plain = as_plain_rows(mixed)
+        assert np.array_equal(sdp._grouped_form(mixed)[3].toarray(), sdp._grouped_form(plain)[3].toarray())
+        got, want = solve(mixed, *args, **kwargs), solve(plain, *args, **kwargs)
+        assert got.status == want.status == "optimal", what
+        assert got.iterations == want.iterations, what
+        for a, b in ((got.primal_value, want.primal_value), (got.dual_value, want.dual_value)):
+            assert abs(a - b) <= 1e-9 * (1 + abs(b)), what
+    assert {"channels n=2 2->3", "channel check", "measurement check", "pair check"} <= tested
 
 
 def test_identity_pair_on_c4_traces_less_memory_than_its_dense_rows():

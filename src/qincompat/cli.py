@@ -118,7 +118,10 @@ def _load_json(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as e:
         raise ContractError(f"cannot read input file: {e}")
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ContractError("input file is nested too deeply to parse")
     if not isinstance(obj, dict):
         raise ContractError("input must be a JSON object")
     return obj
@@ -329,6 +332,8 @@ def _cmd_verify(args, opts):
     trials = defaults["trials"] if args.trials is None else args.trials
     if trials < 0:
         raise ContractError(f"--trials must be at least 0, got {trials}")
+    if seed < 0:
+        raise ContractError(f"--seed must be at least 0, got {seed}")
     checks = []
     extra = fn(args.dim, seed, trials, opts, checks)
     passed = all(c["pass"] for c in checks)

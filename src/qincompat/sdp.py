@@ -48,13 +48,16 @@ R^-1 dX R^-H and dS^ = R^H dS R.  Linearizing the symmetrized
 complementarity (X^ S^ + S^ X^)/2 = sigma mu I at X^ = S^ = Lambda gives, for
 D = dX^ + dS^,
 
-    (Lambda D + D Lambda) / 2 = T,   solved by   D_ij = 2 T_ij / (lam_i + lam_j),
+    (Lambda D + D Lambda) / 2 = T,   solved by   D_ij = 2 T_ij / (lam_i + lam_j).
 
-and dX = R D R^H - W dS W with W = R R^H.  The predictor takes T = -Lambda^2
-(so D = -Lambda, the affine step to mu = 0); the corrector takes
-T = sigma mu I - Lambda^2 - (dX^_a dS^_a + dS^_a dX^_a)/2 with the
-predictor's scaled steps dX^_a, dS^_a and Mehrotra's sigma = (mu_aff/mu)^3.
-Both go through ``_lyap``.
+The Schur solve gives dy and dS, then dS^ = R^H dS R and dX^ = D - dS^, so
+R^-1 is never formed.  The step lengths and mu_aff = <Lambda + a_p dX^,
+Lambda + a_d dS^> / n come from dX^ and dS^, and dX = R dX^ R^H, which is
+R D R^H - W dS W without that difference's late-iteration cancellation, is
+formed once, for the update.  The predictor takes D = -Lambda (T =
+-Lambda^2, the affine step to mu = 0); the corrector solves T = sigma mu I -
+Lambda^2 - (dX^_a dS^_a + dS^_a dX^_a)/2 with the predictor's scaled steps
+and Mehrotra's sigma = (mu_aff/mu)^3 through ``_lyap``.
 
 The Schur complement is factored once per step (``_chol``), and both solves
 of the step substitute through that factor block by block, with the
@@ -523,25 +526,21 @@ def _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y):
 def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
     """One Mehrotra predictor-corrector direction (dX, dy, dS) at the iterate
     and its primal and dual step lengths.  ``schur(rs, ws)`` forms the Schur
-    complement from the NT scaling W = R R^H of every group.  Raises
+    complement from the NT scaling W = R R^H of every group.  Each direction
+    is dS^ = R^H dS R and dX^ = D - dS^, the step lengths and mu_aff come
+    from them, and dX = R dX^ R^H is formed once, for the update.  Raises
     ``LinAlgError`` when a factorization breaks down."""
     m = amat.shape[0]
 
     # Nesterov-Todd scaling W = R R^H with R^H S R = R^-1 X R^-H = diag(lam)
-    rs, rsh, rinvs, rinvsh, lams, ws = [], [], [], [], [], []
+    rs, rsh, lams, ws = [], [], [], []
     for x, s in zip(xs, ss):
         lx, ls = _chol(x), _chol(s)
-        u, sig, vh = _svd(_ct(ls) @ lx)
-        sig = np.maximum(sig, 1e-300)
-        root = np.sqrt(sig)
-        r = (lx @ _ct(vh)) / root[:, None, :]
-        rinv = (_ct(u) @ _ct(ls)) / root[:, :, None]
-        rs.append(r)
-        rsh.append(_ct(r))
-        rinvs.append(rinv)
-        rinvsh.append(_ct(rinv))
-        lams.append(sig)
-        ws.append(r @ rsh[-1])
+        _, sig, vh = _svd(_ct(ls) @ lx)
+        lams.append(np.maximum(sig, 1e-300))
+        rs.append((lx @ _ct(vh)) / np.sqrt(lams[-1])[:, None, :])
+        rsh.append(_ct(rs[-1]))
+        ws.append(rs[-1] @ rsh[-1])
     roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
 
     # Schur complement, factored once for both solves
@@ -549,19 +548,14 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
         schur_solve = _chol_solver(_chol(schur(rs, ws)[None])[0])
 
     def direction(dhats):
-        rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
-        if m:
-            rhs = rp + amat @ _pack([w @ rd @ w - q for w, rd, q in zip(ws, rds, rdr)])
-            dy = schur_solve(rhs)
-        else:
-            dy = np.zeros(0)
+        dy = np.zeros(0)
+        if m:  # A dX = rp with dX = R D R^H - W dS W: M dy = rp + A (W Rd W - R D R^H)
+            rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
+            dy = schur_solve(rp + amat @ _pack([w @ rd @ w - q for w, rd, q in zip(ws, rds, rdr)]))
         ady = amat.T @ dy
         dss = [rd - g.unpack(ady) for g, rd in zip(groups, rds)]
-        dxs = [_herm(q - w @ ds @ w) for q, w, ds in zip(rdr, ws, dss)]
-        return dxs, dy, dss
-
-    def scaled(dlist, left, right):
-        return [lm @ d @ rm for d, lm, rm in zip(dlist, left, right)]
+        dshs = [rh @ ds @ r for rh, ds, r in zip(rsh, dss, rs)]
+        return [dh - dsh for dh, dsh in zip(dhats, dshs)], dy, dss, dshs
 
     def boundary(dhats):
         # largest step keeping the scaled blocks positive definite
@@ -572,25 +566,20 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
                 a = min(a, -1.0 / wmin)
         return a
 
-    # predictor: T = -Lambda^2, so D = -Lambda
-    dxa, _, dsa = direction([_lyap(lam, -_diag(lam**2)) for lam in lams])
-    dxha, dsha = scaled(dxa, rinvs, rinvsh), scaled(dsa, rsh, rs)
-    ap = min(1.0, boundary(dxha))
-    ad = min(1.0, boundary(dsha))
-    mu_aff = _inner(
-        [x + ap * dx for x, dx in zip(xs, dxa)],
-        [s + ad * ds for s, ds in zip(ss, dsa)],
-    ) / n_tot
-    mu_aff = max(mu_aff, 0.0)
+    # predictor: D = -Lambda, the affine step to mu = 0
+    dxha, _, _, dsha = direction([-_diag(lam) for lam in lams])
+    ap, ad = min(1.0, boundary(dxha)), min(1.0, boundary(dsha))
+    mu_aff = max(_inner([_diag(lam) + ap * dxh for lam, dxh in zip(lams, dxha)],
+                        [_diag(lam) + ad * dsh for lam, dsh in zip(lams, dsha)]) / n_tot, 0.0)
     sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-12))
 
     # corrector: T = sigma mu I - Lambda^2 - (dX^ dS^ + dS^ dX^)/2 of the predictor
     dhats = [_lyap(lam, _diag(sigma * mu - lam**2) - (dxh @ dsh + dsh @ dxh) / 2)
              for lam, dxh, dsh in zip(lams, dxha, dsha)]
-    dxs, dy, dss = direction(dhats)
-    ap = min(1.0, STEP_FRACTION * boundary(scaled(dxs, rinvs, rinvsh)))
-    ad = min(1.0, STEP_FRACTION * boundary(scaled(dss, rsh, rs)))
-    return dxs, dy, dss, ap, ad
+    dxhs, dy, dss, dshs = direction(dhats)
+    ap = min(1.0, STEP_FRACTION * boundary(dxhs))
+    ad = min(1.0, STEP_FRACTION * boundary(dshs))
+    return [_herm(r @ dxh @ rh) for r, dxh, rh in zip(rs, dxhs, rsh)], dy, dss, ap, ad
 
 
 def _ipm(groups, cs, amat, b, opts, schur, x0=None):
@@ -745,19 +734,29 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
 
     nblocks = len(problem.blocks)
     nscalars = len(problem.scalar_costs)
-    groups, slots, cs, amat, b = _grouped_form(problem)
-    mfull = len(b)
-
-    x0 = None
-    if initial_blocks is not None:
+    start = None
+    if initial_blocks is None:
+        if initial_scalars is not None:
+            raise ContractError("initial_scalars were given without initial_blocks")
+    else:
         mats = [np.asarray(v, dtype=complex) for v in initial_blocks]
         if len(mats) != nblocks:
             raise DimensionError("initial_blocks must match the block list")
-        scal = list(initial_scalars or [])
-        if nscalars and len(scal) != nscalars:
+        for i, (v, n) in enumerate(zip(mats, problem.blocks)):
+            if v.shape != (n, n):
+                raise DimensionError(f"initial block {i} has shape {v.shape}, expected {(n, n)}")
+            if not np.isfinite(v).all():
+                raise ContractError(f"initial block {i} has non-finite entries")
+        scal = np.asarray([] if initial_scalars is None else initial_scalars, dtype=float)
+        if len(scal) != nscalars:
             raise DimensionError("initial_scalars must match the scalar list")
-        full = [(v + v.conj().T) / 2 for v in mats] + [np.array([[float(v)]]) for v in scal]
-        x0 = [g.stack(full) for g in groups]
+        if not np.isfinite(scal).all():
+            raise ContractError("initial_scalars has non-finite entries")
+        start = [(v + v.conj().T) / 2 for v in mats] + [np.array([[v]]) for v in scal]
+
+    groups, slots, cs, amat, b = _grouped_form(problem)
+    mfull = len(b)
+    x0 = None if start is None else [g.stack(start) for g in groups]
 
     # normalize the rows, drop the linearly dependent ones, detect inconsistency
     scales = amat.row_norms()

@@ -124,6 +124,19 @@ def test_malformed_input_exits_one_and_writes_nothing(tmp_path, capsys):
     assert "error" in err
 
 
+def test_deeply_nested_input_exits_one_and_writes_nothing(tmp_path, capsys):
+    # nesting past the parser's recursion limit used to escape as a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    dest = tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["robustness", "channels", "--input", str(deep), "--out", str(dest)], capsys)
+    assert code == 1
+    assert out == ""
+    assert not dest.exists()
+    assert err.startswith("error:") and "nested" in err
+
+
 def test_invalid_object_exits_one(tmp_path, capsys):
     # effects that do not sum to the identity
     bad = tmp_path / "badpovm.json"
@@ -342,6 +355,13 @@ def test_verify_appendix_c_needs_a_sampled_game(capsys, trials):
     assert code == 1
     assert out == ""
     assert "trials" in err
+
+
+def test_negative_seed_exits_one_naming_the_flag(capsys):
+    code, out, err = run_cli(["verify", "prop1", "--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--seed" in err
 
 
 def test_verify_appendix_c_small(capsys):

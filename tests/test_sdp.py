@@ -486,6 +486,39 @@ def test_block_order_does_not_change_the_solution():
     assert np.abs(np.subtract(moved.scalar_values, base.scalar_values)).max() <= 1e-8
 
 
+def test_every_step_solves_the_newton_system_and_stays_interior(monkeypatch):
+    # on a plain-row and a family program, every direction satisfies
+    # dS = Rd - A^T dy and A dX = rp, the latter to 1e-11 (1 + |b|) (at most
+    # 7.7e-13 measured), and its step lengths in (0, 1] keep X and S
+    # positive definite
+    from qincompat.qobjects import identity_channel
+    from qincompat.robustness import robustness_channels_primal
+
+    real_step = sdp._step
+    steps = []
+
+    def checked_step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
+        dxs, dy, dss, ap, ad = real_step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot)
+        aty = amat.T @ dy
+        for g, ds, rd in zip(groups, dss, rds):
+            want = rd - g.unpack(aty)
+            assert np.abs(ds - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
+        bnorm = np.linalg.norm(rp + amat @ sdp._pack(xs))
+        assert np.linalg.norm(amat @ sdp._pack(dxs) - rp) <= 1e-11 * (1.0 + bnorm)
+        assert 0.0 < ap <= 1.0 and 0.0 < ad <= 1.0
+        for x, dx, s, ds in zip(xs, dxs, ss, dss):
+            assert np.linalg.eigvalsh(x + ap * dx)[:, 0].min() > 0.0
+            assert np.linalg.eigvalsh(s + ad * ds)[:, 0].min() > 0.0
+        steps.append(mu)
+        return dxs, dy, dss, ap, ad
+
+    monkeypatch.setattr(sdp, "_step", checked_step)
+    assert solve(mixed_problem(np.random.default_rng(29))).status == "optimal"
+    plain = len(steps)
+    robustness_channels_primal([identity_channel(2)] * 2)
+    assert plain > 0 and len(steps) > plain
+
+
 def test_cholesky_falls_back_per_block(monkeypatch):
     # a failed batched Cholesky must not abort the solve: every block of the
     # stack is factored on its own, and the failing one with a jitter
@@ -621,6 +654,31 @@ def test_invalid_solve_options_are_rejected_naming_the_field(field, value):
     prob = mixed_problem(np.random.default_rng(29))
     with pytest.raises(ContractError, match=field):
         solve(prob, SolveOptions(**{field: value}))
+
+
+@pytest.mark.parametrize("blocks, scalars, error, words", [
+    ({1: np.eye(2)}, [1.0, 1.0], "DimensionError", "initial block 1 has shape"),
+    ({2: np.full((2, 2), np.nan)}, [1.0, 1.0], "ContractError", "initial block 2 has non-finite"),
+    ({0: np.diag([0.5, np.inf])}, [1.0, 1.0], "ContractError", "initial block 0 has non-finite"),
+    ({}, [1.0, np.nan], "ContractError", "initial_scalars has non-finite"),
+    (None, [1.0, 1.0], "ContractError", "initial_scalars were given without initial_blocks"),
+], ids=["shape", "nan-block", "inf-block", "nan-scalar", "scalars-alone"])
+def test_invalid_start_is_rejected_naming_it(blocks, scalars, error, words):
+    # a strictly feasible start (X_b = I / n, u = 1) with one part spoiled
+    from qincompat import linalg
+
+    prob = mixed_problem(np.random.default_rng(29))
+    if blocks is not None:
+        blocks = [blocks.get(b, np.eye(n) / n) for b, n in enumerate(prob.blocks)]
+    with pytest.raises(getattr(linalg, error), match=words):
+        solve(prob, initial_blocks=blocks, initial_scalars=scalars)
+
+
+def test_start_scalars_of_a_problem_without_scalars_are_rejected():
+    from qincompat.linalg import DimensionError
+
+    with pytest.raises(DimensionError, match="initial_scalars"):
+        solve(dominate_projector_problem(), initial_blocks=[np.eye(2), np.eye(2)], initial_scalars=[1.0])
 
 
 def test_presolve_keeps_the_rows_that_add_rank():

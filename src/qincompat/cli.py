@@ -42,7 +42,7 @@ from .games import (
     success_prob,
     unassisted_bound_check,
 )
-from .linalg import ContractError
+from .linalg import ContractError, json_list, json_object
 from .qobjects import (
     ChoiMatrix,
     Povm,
@@ -122,20 +122,15 @@ def _load_json(path: str) -> dict:
         obj = json.loads(text)
     except RecursionError:
         raise ContractError("input file is nested too deeply to parse")
-    if not isinstance(obj, dict):
-        raise ContractError("input must be a JSON object")
-    return obj
+    return json_object(obj, "input")
 
 
 def _load_channels(obj) -> list:
-    if "channels" not in obj or not isinstance(obj["channels"], list):
-        raise ContractError('channel input needs a "channels" list')
-    return [ChoiMatrix.from_json(c) for c in obj["channels"]]
+    channels = json_list(obj["channels"], "input field 'channels'")
+    return [ChoiMatrix.from_json(json_object(c, f"channel {i}")) for i, c in enumerate(channels)]
 
 
 def _load_pair(obj):
-    if "povm" not in obj or "channel" not in obj:
-        raise ContractError('pair input needs "povm" and "channel" entries')
     return Povm.from_json(obj["povm"]), ChoiMatrix.from_json(obj["channel"])
 
 

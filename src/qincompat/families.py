@@ -12,9 +12,9 @@ of the Hermitian basis, it is the row
 the row ``sdp.hermitian_equality`` makes from the same maps.  The solver
 uses the structure three times: ``check_families`` validates each family
 once, ``family_rows`` writes the nonzeros of the rows as coordinate
-triplets (``CooRows``), a few per row, next to those of any plain rows, and
-``LiftSchur`` forms their Schur complement M = A W A^T without touching a
-coefficient matrix.
+triplets (``CooRows``), a few per row, and ``LiftSchur`` forms their Schur
+complement M = A W A^T without touching a coefficient matrix, both with the
+family rows numbered from 0.
 
 Lifted by L = (dims, keep, scale), row k holds A_kv = scale * (I (x) c_k) on
 variable v, with c_k = H_k, H_k^T or [Tr H_k].  So
@@ -137,10 +137,9 @@ class CooRows:
         return a
 
 
-def family_rows(problem, slots, groups, plain):
-    """Every row of the problem as one ``CooRows``: the plain rows, given
-    as the (rows, cols, vals) triplets ``plain``, then the rows of every
-    family; and the rhs of the family rows.
+def family_rows(problem, slots, groups):
+    """The rows of every family, numbered from 0, as one ``CooRows``, and
+    their rhs.
 
     A term's nonzeros are found by lifting one matrix of entry codes
     (``_lift_pattern``, once per kind of lift); the values are the scaled
@@ -150,9 +149,9 @@ def family_rows(problem, slots, groups, plain):
     term order, and zeros are dropped.  ``slots[v]`` is the (group, member)
     of variable v."""
     nblocks = len(problem.blocks)
-    lo = len(problem.constraints)
+    lo = 0
     ncols = groups[-1].hi
-    rows, cols, vals = ([a] for a in plain)
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     b = [np.zeros(0)]
     for fam in problem.families:
         for v, lift in family_terms(fam, nblocks):
@@ -333,7 +332,7 @@ class LiftSchur:
                     fact[v] = lift.dims
         kinds = {}  # kind -> {family: its scale on each member of the group}
         rows = []
-        lo = len(problem.constraints)
+        lo = 0
         for f, fam in enumerate(problem.families):
             rows.append(np.arange(lo, lo + fam.dim**2))
             lo += fam.dim**2

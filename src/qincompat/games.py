@@ -21,7 +21,9 @@ from .linalg import (
     DimensionError,
     Lift,
     hermitize,
+    json_list,
     json_number,
+    json_object,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -118,19 +120,22 @@ class DiscriminationGame:
 
     @staticmethod
     def from_json(obj) -> "DiscriminationGame":
-        try:
-            game = DiscriminationGame(
-                prior=[json_number(p, f"game field 'prior' entry {x}") for x, p in enumerate(obj["prior"])],
-                ensembles=[
-                    [(json_number(e["p"], f"game setting {x} entry {i} field 'p'"),
-                      matrix_from_json(e["state"]))
-                     for i, e in enumerate(ens)]
-                    for x, ens in enumerate(obj["ensembles"])
-                ],
-                assisted=obj["assisted"],
-            )
-        except (KeyError, TypeError) as e:
-            raise ContractError(f"malformed game object: {e}")
+        obj = json_object(obj, "game")
+
+        def entry(e, what):
+            e = json_object(e, what)
+            return json_number(e["p"], f"{what} field 'p'"), matrix_from_json(e["state"])
+
+        game = DiscriminationGame(
+            prior=[json_number(p, f"game field 'prior' entry {x}")
+                   for x, p in enumerate(json_list(obj["prior"], "game field 'prior'"))],
+            ensembles=[
+                [entry(e, f"game setting {x} entry {i}")
+                 for i, e in enumerate(json_list(ens, f"game setting {x}"))]
+                for x, ens in enumerate(json_list(obj["ensembles"], "game field 'ensembles'"))
+            ],
+            assisted=obj["assisted"],
+        )
         if not isinstance(game.assisted, bool):
             raise ContractError(f"game field 'assisted' must be a boolean, got {game.assisted!r}")
         return game.validate()

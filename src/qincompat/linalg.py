@@ -270,10 +270,37 @@ def matrix_to_json(a) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
+class _JsonObject(dict):
+    """A decoded JSON object that reports a missing field by its name."""
+
+    def __init__(self, obj, what):
+        super().__init__(obj)
+        self.what = what
+
+    def __missing__(self, field):
+        raise ContractError(f"{self.what} has no field {field!r}")
+
+
+def json_object(v, what: str) -> dict:
+    """``v`` if it is a JSON object, as a dict whose missing field raises
+    ``ContractError`` naming ``what`` and the field; anything else is
+    rejected, naming ``what``."""
+    if not isinstance(v, dict):
+        raise ContractError(f"{what} must be a JSON object, got {type(v).__name__}")
+    return _JsonObject(v, what)
+
+
+def json_list(v, what: str) -> list:
+    """``v`` if it is a JSON list; anything else is rejected, naming ``what``."""
+    if not isinstance(v, list):
+        raise ContractError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
 def json_int(obj, field: str, what: str) -> int:
     """``obj[field]`` if it is a JSON integer; a bool or a number with a
     fractional part or exponent is rejected, naming the field, rather than
-    truncated.  A missing field raises ``KeyError``."""
+    truncated."""
     v = obj[field]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ContractError(f"{what} field {field!r} must be an integer, got {v!r}")
@@ -300,14 +327,11 @@ def matrix_from_json(obj) -> np.ndarray:
     row-major [re, im] pairs of finite numbers.  A string, a bool, null, a
     nested list or an integer too large for a float is rejected, naming the
     entry."""
-    try:
-        rows, cols, data = json_int(obj, "rows", "matrix"), json_int(obj, "cols", "matrix"), obj["data"]
-    except (KeyError, TypeError) as e:
-        raise ContractError(f"malformed matrix object: {e}")
+    obj = json_object(obj, "matrix")
+    rows, cols, data = json_int(obj, "rows", "matrix"), json_int(obj, "cols", "matrix"), obj["data"]
     if rows < 1 or cols < 1:
         raise ContractError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if not isinstance(data, list):
-        raise ContractError(f"matrix field 'data' must be a list, got {type(data).__name__}")
+    json_list(data, "matrix field 'data'")
     if len(data) != rows * cols:
         raise ContractError(f"matrix data has {len(data)} entries, expected {rows * cols}")
     flat = np.empty(rows * cols, dtype=complex)

@@ -12,6 +12,7 @@ output space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .linalg import (
     DimensionError,
     hermitize,
     json_int,
+    json_list,
+    json_object,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -30,6 +33,15 @@ from .linalg import (
 )
 
 NORM_TOL = 1e-9
+
+
+def _check_sizes(obj, *fields):
+    """Raise ``DimensionError`` naming the first of ``fields`` of ``obj``
+    that is not an integer >= 1 (a bool is not)."""
+    for name in fields:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+            raise DimensionError(f"{type(obj).__name__} field {name!r} must be an integer >= 1, got {v!r}")
 
 
 def max_entangled_state(d: int) -> np.ndarray:
@@ -52,6 +64,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _check_sizes(self, "dim_in", "dim_out")
         self.matrix = np.asarray(self.matrix, dtype=complex)
         d = self.dim_in * self.dim_out
         if self.matrix.shape != (d, d):
@@ -84,12 +97,9 @@ class ChoiMatrix:
 
     @staticmethod
     def from_json(obj) -> "ChoiMatrix":
-        try:
-            c = ChoiMatrix(json_int(obj, "dim_in", "channel"), json_int(obj, "dim_out", "channel"),
-                           matrix_from_json(obj["matrix"]))
-        except (KeyError, TypeError) as e:
-            raise ContractError(f"malformed channel object: {e}")
-        return c.validate()
+        obj = json_object(obj, "channel")
+        return ChoiMatrix(json_int(obj, "dim_in", "channel"), json_int(obj, "dim_out", "channel"),
+                          matrix_from_json(obj["matrix"])).validate()
 
 
 def choi_from_kraus(kraus, dim_in: int | None = None) -> ChoiMatrix:
@@ -196,11 +206,9 @@ class Povm:
 
     @staticmethod
     def from_json(obj) -> "Povm":
-        try:
-            p = Povm([matrix_from_json(m) for m in obj["elements"]])
-        except (KeyError, TypeError) as e:
-            raise ContractError(f"malformed measurement object: {e}")
-        return p.validate()
+        obj = json_object(obj, "measurement")
+        elements = json_list(obj["elements"], "measurement field 'elements'")
+        return Povm([matrix_from_json(m) for m in elements]).validate()
 
 
 @dataclass(eq=False)
@@ -238,10 +246,9 @@ class PovmCollection:
 
     @staticmethod
     def from_json(obj) -> "PovmCollection":
-        try:
-            return PovmCollection([Povm.from_json(p) for p in obj["povms"]])
-        except (KeyError, TypeError) as e:
-            raise ContractError(f"malformed measurement collection: {e}")
+        obj = json_object(obj, "measurement collection")
+        povms = json_list(obj["povms"], "measurement collection field 'povms'")
+        return PovmCollection([Povm.from_json(json_object(p, f"measurement {x}")) for x, p in enumerate(povms)])
 
 
 def basis_povm(d: int) -> Povm:
@@ -281,6 +288,7 @@ class Instrument:
     elements: list
 
     def __post_init__(self):
+        _check_sizes(self, "dim_in", "dim_out")
         self.elements = [np.asarray(m, dtype=complex) for m in self.elements]
         d = self.dim_in * self.dim_out
         if not self.elements:
@@ -307,12 +315,10 @@ class Instrument:
 
     @staticmethod
     def from_json(obj) -> "Instrument":
-        try:
-            ins = Instrument(json_int(obj, "dim_in", "instrument"), json_int(obj, "dim_out", "instrument"),
-                             [matrix_from_json(m) for m in obj["elements"]])
-        except (KeyError, TypeError) as e:
-            raise ContractError(f"malformed instrument object: {e}")
-        return ins.validate()
+        obj = json_object(obj, "instrument")
+        elements = json_list(obj["elements"], "instrument field 'elements'")
+        return Instrument(json_int(obj, "dim_in", "instrument"), json_int(obj, "dim_out", "instrument"),
+                          [matrix_from_json(m) for m in elements]).validate()
 
 
 def instrument_povm(instr: Instrument) -> Povm:
@@ -351,6 +357,7 @@ class JointChannel:
     choi: np.ndarray
 
     def __post_init__(self):
+        _check_sizes(self, "dim_in", "n_outputs", "dim_out")
         self.choi = np.asarray(self.choi, dtype=complex)
         d = self.dim_out**self.n_outputs * self.dim_in
         if self.choi.shape != (d, d):
@@ -372,13 +379,10 @@ class JointChannel:
 
     @staticmethod
     def from_json(obj) -> "JointChannel":
-        try:
-            j = JointChannel(json_int(obj, "dim_in", "joint channel"),
-                             json_int(obj, "n_outputs", "joint channel"),
-                             json_int(obj, "dim_out", "joint channel"), matrix_from_json(obj["choi"]))
-        except (KeyError, TypeError) as e:
-            raise ContractError(f"malformed joint channel object: {e}")
-        return j.validate()
+        obj = json_object(obj, "joint channel")
+        return JointChannel(json_int(obj, "dim_in", "joint channel"),
+                            json_int(obj, "n_outputs", "joint channel"),
+                            json_int(obj, "dim_out", "joint channel"), matrix_from_json(obj["choi"])).validate()
 
 
 def marginal(joint: JointChannel, x: int) -> ChoiMatrix:
@@ -527,10 +531,7 @@ def object_from_json(obj):
         "instrument": Instrument.from_json,
         "joint_channel": JointChannel.from_json,
     }
-    try:
-        kind = obj["kind"]
-    except (KeyError, TypeError):
-        raise ContractError("object has no kind tag")
-    if kind not in kinds:
+    kind = json_object(obj, "object")["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
         raise ContractError(f"unknown object kind {kind!r}")
     return kinds[kind](obj)

@@ -27,10 +27,10 @@ with no scale factors.
 Rows come in two forms, plain rows (``LinearConstraint``, any coefficient
 matrices) and row families (``families.RowFamily``: the rows of one
 operator equation, whose coefficient on each variable is a ``Lift`` of the
-basis element, I (x) H on some tensor factors of the block or Tr H).  Both
-are written into one A in coordinate form (``families.CooRows``), one
-(row, column, value) triplet per nonzero, so A x and A^T y are sums over
-the triplets.
+basis element, I (x) H on some tensor factors of the block or Tr H).  A
+holds the plain rows, which only this module reads, then the family rows,
+in coordinate form (``families.CooRows``): one (row, column, value)
+triplet per nonzero, so A x and A^T y are sums over the triplets.
 
 Each iteration forms the Schur complement M = A W A^T, with the NT scaling
 W_v = R_v R_v^H: M_kl = sum_v Re tr(W_v A_kv W_v A_lv).  The input chooses
@@ -93,7 +93,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .families import LiftSchur, RowFamily, check_families, family_rows
+from .families import CooRows, LiftSchur, RowFamily, check_families, family_rows
 from .linalg import ContractError, DimensionError, hermitian_basis, require_hermitian
 
 DEFAULT_FEAS_TOL = 1e-8
@@ -346,31 +346,20 @@ class _Group:
         return self.view(v[self.lo: self.hi])
 
 
-def _schur_plan(amat, groups):
-    """Per group with any nonzero coefficient: its index and the rows of
-    ``amat`` that touch it."""
-    plan = []
-    for gi, g in enumerate(groups):
-        rows = np.flatnonzero(amat[:, g.lo: g.hi].any(axis=1))
-        if rows.size:
-            plan.append((gi, g, rows))
-    return plan
-
-
-def _schur_complement(amat, plan, rs):
+def _schur_complement(amat, groups, rs):
     """Schur complement M = A W A^T of the NT scaling W_v = R_v R_v^H.
 
-    Row k of ``amat`` holds the float view of A_kv on every variable v, so
+    Row k of the dense ``amat`` holds the float view of A_kv on every v, so
     M_kl = sum_v Re tr(W_v A_kv W_v A_lv) = sum_v <R_v^H A_kv R_v, R_v^H A_lv R_v>.
-    Each group copies the rows that touch it out of A, views the copy as one
-    (k, nb, n, n) stack, scales it with two batched products and adds the
-    rank-k product of the copy (Re G G^H, the float view's inner products of
-    the Hermitian G = R^H A R) into those rows and columns of M.
+    Each group finds the rows that touch it, copies them out of A, views the
+    copy as one (k, nb, n, n) stack, scales it with two batched products and
+    adds the rank-k product of the copy (Re G G^H, the float view's inner
+    products of the Hermitian G = R^H A R) into those rows and columns of M.
     """
     m = amat.shape[0]
     schur = np.zeros((m, m))
-    for gi, g, rows in plan:
-        r = rs[gi]
+    for g, r in zip(groups, rs):
+        rows = np.flatnonzero(amat[:, g.lo: g.hi].any(axis=1))
         f = amat[rows, g.lo: g.hi]
         stack = g.view(f)
         # the stack is the largest array of the build: scale it in place
@@ -543,15 +532,16 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
         ws.append(rs[-1] @ rsh[-1])
     roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
 
-    # Schur complement, factored once for both solves
+    # Schur complement, factored once for both solves, and W Rd W, not a function of D
     if m:
         schur_solve = _chol_solver(_chol(schur(rs, ws)[None])[0])
+        wrdws = [w @ rd @ w for w, rd in zip(ws, rds)]
 
     def direction(dhats):
         dy = np.zeros(0)
         if m:  # A dX = rp with dX = R D R^H - W dS W: M dy = rp + A (W Rd W - R D R^H)
             rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
-            dy = schur_solve(rp + amat @ _pack([w @ rd @ w - q for w, rd, q in zip(ws, rds, rdr)]))
+            dy = schur_solve(rp + amat @ _pack([wrdw - q for wrdw, q in zip(wrdws, rdr)]))
         ady = amat.T @ dy
         dss = [rd - g.unpack(ady) for g, rd in zip(groups, rds)]
         dshs = [rh @ ds @ r for rh, ds, r in zip(rsh, dss, rs)]
@@ -659,14 +649,16 @@ def _ipm(groups, cs, amat, b, opts, schur, x0=None):
 
 
 def _grouped_form(problem):
-    """The problem in block groups, with its constraints as rows of A.
+    """The problem in block groups, with its rows as rows of A.
 
     Variables are grouped by (side, complex or real) in order of first
     appearance; the scalars are real 1x1 variables after the blocks.
     Returns the groups, each variable's (group, member) slot, the objective
-    stacks, the constraint matrix A (one row of float views per constraint)
-    as ``CooRows``, and the right-hand side.  The per-row coefficient
-    matrices die here, so they do not sit next to A while the iteration runs.
+    stacks, A as ``CooRows`` and the right-hand side.  A holds the nonzeros
+    of the plain rows, written once into a dense array, then the rows of
+    ``family_rows``, shifted below them, so it stays sorted by row and
+    column.  The coefficient matrices and the dense array die here, so they
+    do not sit next to A while the iteration runs.
     """
     nblocks = len(problem.blocks)
     members = {}
@@ -688,25 +680,19 @@ def _grouped_form(problem):
     objective = list(problem.objective) + [scalar(c) for c in problem.scalar_costs]
     cs = [g.stack(objective) for g in groups]
 
-    # the plain rows as triplets, every coefficient matrix of a group in one
-    # pass, symmetrized first: validation lets it be Hermitian only to 1e-12
-    entries = [([], [], []) for _ in groups]  # rows, member indices, matrices
-    for k, con in enumerate(problem.constraints):
+    # the plain rows, dense: each coefficient symmetrized (validation lets it
+    # be Hermitian only to 1e-12) into its variable's float view
+    plain = np.zeros((len(problem.constraints), groups[-1].hi))
+    for row, con in zip(plain, problem.constraints):
         terms = list(con.coeffs.items())
         terms += [(nblocks + j, scalar(a)) for j, a in con.scalar_coeffs.items()]
         for v, a in terms:
             gi, j = slots[v]
-            rows, idx, mats = entries[gi]
-            rows.append(k)
-            idx.append(j)
-            mats.append(a)
-    plain = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
-    for g, (rows, idx, mats) in zip(groups, entries):
-        if rows:
-            plain[0].append(np.repeat(rows, g.size))
-            plain[1].append((g.lo + g.size * np.array(idx)[:, None] + np.arange(g.size)).ravel())
-            plain[2].append(_pack([_herm(_block_stack(mats, g.cplx))]))
-    amat, bfam = family_rows(problem, slots, groups, [np.concatenate(p) for p in plain])
+            groups[gi].unpack(row)[j] = _herm(_block_stack([a], groups[gi].cplx)[0])
+    rows, cols = np.nonzero(plain)
+    fam, bfam = family_rows(problem, slots, groups)
+    amat = CooRows(np.concatenate([rows, len(plain) + fam.rows]), np.concatenate([cols, fam.cols]),
+                   np.concatenate([plain[rows, cols], fam.vals]), (len(plain) + fam.shape[0], fam.shape[1]))
     b = np.concatenate([[con.rhs for con in problem.constraints], bfam])
     return groups, slots, cs, amat, b
 
@@ -766,10 +752,9 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     # the Schur complement of every row, from the NT scaling of each group
     if problem.constraints:  # any plain row: the dense reference build
         dense = amat.toarray()
-        plan = _schur_plan(dense, groups)
 
         def build(rs, ws):
-            return _schur_complement(dense, plan, rs)
+            return _schur_complement(dense, groups, rs)
     else:
         lifted, outer = LiftSchur(problem, groups, slots), np.outer(scales, scales)
 

@@ -137,6 +137,33 @@ def test_deeply_nested_input_exits_one_and_writes_nothing(tmp_path, capsys):
     assert err.startswith("error:") and "nested" in err
 
 
+def test_non_object_channel_exits_one_naming_the_entry(tmp_path, capsys):
+    # Python's TypeError text about string indices used to be the message
+    bad, dest = tmp_path / "bad.json", tmp_path / "report.json"
+    bad.write_text(json.dumps({"channels": [identity_channel(2).to_json(), "x"]}))
+    code, out, err = run_cli(
+        ["robustness", "channels", "--input", str(bad), "--out", str(dest)], capsys)
+    assert code == 1
+    assert out == "" and not dest.exists()
+    assert err.startswith("error:") and "channel 1 must be a JSON object" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target, doc, match", [
+    ("channels", [], "input must be a JSON object, got list"),
+    ("channels", {"channel": {}}, "input has no field 'channels'"),
+    ("channels", {"channels": {"a": 1}}, "input field 'channels' must be a list, got dict"),
+    ("pair", {"channel": {}}, "input has no field 'povm'"),
+])
+def test_malformed_input_layout_exits_one_naming_the_field(tmp_path, capsys, target, doc, match):
+    bad, dest = tmp_path / "bad.json", tmp_path / "report.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["compat", target, "--input", str(bad), "--out", str(dest)], capsys)
+    assert code == 1
+    assert out == "" and not dest.exists()
+    assert err.startswith("error:") and match in err
+
+
 def test_invalid_object_exits_one(tmp_path, capsys):
     # effects that do not sum to the identity
     bad = tmp_path / "badpovm.json"

@@ -287,6 +287,26 @@ def test_game_json_rejects_non_numeric_probabilities(change, match):
         DiscriminationGame.from_json({**obj, **change})
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"ensembles": ["ab"]}, "game setting 0 must be a list, got str"),
+    ({"ensembles": [["x"]]}, "game setting 0 entry 0 must be a JSON object, got str"),
+    ({"ensembles": {"a": 1}}, "game field 'ensembles' must be a list, got dict"),
+    ({"prior": {"a": 1}}, "game field 'prior' must be a list, got dict"),
+    ({"prior": 1.0}, "game field 'prior' must be a list, got float"),
+    ({"ensembles": [[{"p": 1}]]}, "game setting 0 entry 0 has no field 'state'"),
+])
+def test_game_json_names_a_non_object_or_non_list(change, match):
+    # a string ensemble used to leak Python's TypeError text, and a dict
+    # prior was read as the list of its keys
+    z0 = matrix_to_json(np.diag([1.0, 0.0]))
+    obj = {"prior": [1], "ensembles": [[{"p": 1, "state": z0}]], "assisted": False}
+    DiscriminationGame.from_json(obj)
+    with pytest.raises(ContractError, match=match):
+        DiscriminationGame.from_json({**obj, **change})
+    with pytest.raises(ContractError, match="game must be a JSON object, got list"):
+        DiscriminationGame.from_json([obj])
+
+
 def test_game_validation_rejects_bad_inputs():
     from qincompat.linalg import ContractError
     z0 = np.diag([1.0, 0.0]).astype(complex)

@@ -258,6 +258,18 @@ def test_matrix_json_accepts_only_finite_numbers(entry, match):
         matrix_from_json(obj)
 
 
+@pytest.mark.parametrize("obj, match", [
+    ("x", "matrix must be a JSON object, got str"),
+    ([[1, 0]], "matrix must be a JSON object, got list"),
+    ({"rows": 1, "cols": 1, "data": {"a": 1}}, "matrix field 'data' must be a list, got dict"),
+    ({"rows": 1, "data": [[1, 0]]}, "matrix has no field 'cols'"),
+], ids=["string", "list", "dict-data", "missing-cols"])
+def test_matrix_json_names_a_non_object_or_non_list(obj, match):
+    # Python's own TypeError text used to leak into the message
+    with pytest.raises(ContractError, match=match):
+        matrix_from_json(obj)
+
+
 def embed_by_index(op, dims, keep):
     """I (x) op with op on the factors ``keep`` (in op's factor order), entry
     by entry: <i|out|j> = <i_keep|op|j_keep> when i and j agree elsewhere."""

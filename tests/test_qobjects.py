@@ -327,6 +327,58 @@ def test_json_sizes_must_be_integers(field, value):
         object_from_json(obj)
 
 
+@pytest.mark.parametrize("decode, obj, match", [
+    (ChoiMatrix.from_json, "x", "channel must be a JSON object, got str"),
+    (Povm.from_json, ["x"], "measurement must be a JSON object, got list"),
+    (Povm.from_json, {"elements": {"a": 1}}, "measurement field 'elements' must be a list, got dict"),
+    (PovmCollection.from_json, {"povms": {"a": 1}},
+     "measurement collection field 'povms' must be a list, got dict"),
+    (PovmCollection.from_json, {"povms": ["x"]}, "measurement 0 must be a JSON object, got str"),
+    (Instrument.from_json, 3, "instrument must be a JSON object, got int"),
+    (Instrument.from_json, {"dim_in": 1, "dim_out": 1, "elements": "ab"},
+     "instrument field 'elements' must be a list, got str"),
+    (JointChannel.from_json, None, "joint channel must be a JSON object, got NoneType"),
+    (object_from_json, "x", "object must be a JSON object, got str"),
+    (object_from_json, {"kind": ["choi"]}, "unknown object kind"),
+    (ChoiMatrix.from_json, {"dim_in": 2, "dim_out": 2}, "channel has no field 'matrix'"),
+    (JointChannel.from_json, {"dim_in": 2, "dim_out": 2}, "joint channel has no field 'n_outputs'"),
+    (object_from_json, {"dim": 2}, "object has no field 'kind'"),
+], ids=["channel", "povm", "povm-elements", "collection-povms", "collection-entry", "instrument",
+        "instrument-elements", "joint-channel", "object", "unhashable-kind", "channel-missing",
+        "joint-missing", "object-missing"])
+def test_json_decoders_name_a_non_object_or_non_list(decode, obj, match):
+    # Python's own TypeError text used to leak into the message, and a dict
+    # in place of a list was read as the list of its keys
+    with pytest.raises(ContractError, match=match):
+        decode(obj)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: JointChannel(2, -1, 2, np.eye(1)), "n_outputs"),  # 2**-1 * 2 == 1
+    (lambda: JointChannel(1, 2, True, np.eye(1)), "dim_out"),
+    (lambda: ChoiMatrix(0, 2, np.zeros((0, 0))).validate(), "dim_in"),
+    (lambda: ChoiMatrix(2.0, 2, np.eye(4) / 4).validate(), "dim_in"),
+    (lambda: ChoiMatrix(True, True, np.eye(1)).validate(), "dim_in"),
+    (lambda: ChoiMatrix(1, np.int64(-1), -np.eye(1)), "dim_out"),
+    (lambda: Instrument(2, 1.0, [np.eye(4) / 4]).validate(), "dim_out"),
+    (lambda: Instrument(-2, -2, [np.eye(4) / 4]).validate(), "dim_in"),
+], ids=["joint-negative", "joint-bool", "choi-zero", "choi-float", "choi-bool", "choi-numpy-negative",
+        "instrument-float", "instrument-negative"])
+def test_sizes_must_be_positive_integers(make, field):
+    # each of these used to construct because the matrix shape matched, and
+    # then validated or failed later with another error
+    with pytest.raises(DimensionError, match=f"'{field}' must be an integer >= 1"):
+        make()
+
+
+def test_json_sizes_must_be_positive():
+    obj = ChoiMatrix(2, 2, np.eye(4) / 4).to_json()
+    obj["dim_in"], obj["dim_out"] = -1, -4
+    # it used to fail in the partial trace, naming no field
+    with pytest.raises(DimensionError, match="'dim_in' must be an integer >= 1, got -1"):
+        ChoiMatrix.from_json(obj)
+
+
 def test_validation_rejects_bad_choi():
     with pytest.raises(ContractError):
         # input marginal off from I/d

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -413,7 +416,7 @@ def test_schur_complement_matches_definition():
         rs.append(r)
     ws = [rs[gi][j] @ rs[gi][j].conj().T for gi, j in slots]
 
-    got = sdp._schur_complement(amat, sdp._schur_plan(amat, groups), rs)
+    got = sdp._schur_complement(amat, groups, rs)
     want = np.array([
         [sum(np.trace(w @ ak @ w @ al).real for w, ak, al in zip(ws, rk, rl)) for rl in dense]
         for rk in dense
@@ -840,6 +843,21 @@ def test_family_rows_equal_hermitian_equality_rows(device_programs):
         assert np.all(np.diff(coo.rows * amat.shape[1] + coo.cols) > 0), what
 
 
+def test_families_reads_no_plain_rows():
+    # the plain-row format belongs to sdp: families numbers its rows from 0,
+    # reads no problem.constraints and imports nothing from sdp
+    tree = ast.parse(Path(families.__file__).read_text())
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "constraints"), node.lineno
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(n.split(".")[-1] == "sdp" for n in names), node.lineno
+
+
 def test_family_rows_keep_no_basis_stack():
     # the Hermitian basis on C^23 is a 4.5 MB stack: building the rows and
     # rhs of a family on C^23 must leave only the small per-row maps behind
@@ -959,7 +977,7 @@ def test_lift_schur_matches_the_dense_schur_complement(device_programs):
                 r = r + 1j * rng.standard_normal((g.nb, g.n, g.n))
             rs.append(r)
         ws = [r @ sdp._ct(r) for r in rs]
-        want = sdp._schur_complement(amat, sdp._schur_plan(amat, groups), rs)
+        want = sdp._schur_complement(amat, groups, rs)
         got = families.LiftSchur(prob, groups, slots)(ws)
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-12 * scale, what

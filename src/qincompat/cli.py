@@ -156,31 +156,22 @@ def _record(checks, name, value, target, tol, mode="abs"):
 
 # ------------------------------------------------------------- commands
 
-def _cmd_robustness(args, opts):
-    obj = _load_json(args.input)
-    if args.target == "channels":
-        rep = robustness_channels_primal(_load_channels(obj), opts)
-    elif args.target == "measurements":
-        rep = robustness_measurements(PovmCollection.from_json(obj), opts)
+def _cmd_target(args, opts):
+    """``robustness`` or ``compat`` on the objects of the input file.  The
+    table is built per call, so that a rebound module attribute is the
+    function that runs."""
+    decode, robust, check = {  # the input's objects, and the two functions run on them
+        "channels": (lambda obj: (_load_channels(obj),), robustness_channels_primal, check_channels),
+        "measurements": (lambda obj: (PovmCollection.from_json(obj),),
+                         robustness_measurements, check_measurements),
+        "pair": (_load_pair, robustness_pair_primal, check_pair),
+    }[args.target]
+    objects = decode(_load_json(args.input))
+    if args.command == "robustness":
+        payload = robust(*objects, opts).to_json()
     else:
-        povm, channel = _load_pair(obj)
-        rep = robustness_pair_primal(povm, channel, opts)
-    payload = rep.to_json()
-    payload["input"] = args.input
-    return payload, 0
-
-
-def _cmd_compat(args, opts):
-    obj = _load_json(args.input)
-    if args.target == "channels":
-        verdict = check_channels(_load_channels(obj), opts)
-    elif args.target == "measurements":
-        verdict = check_measurements(PovmCollection.from_json(obj), opts)
-    else:
-        povm, channel = _load_pair(obj)
-        verdict = check_pair(povm, channel, opts)
-    payload = verdict.to_json()
-    payload["target"] = args.target
+        payload = check(*objects, opts).to_json()
+        payload["target"] = args.target
     payload["input"] = args.input
     return payload, 0
 
@@ -421,7 +412,7 @@ def _run(args) -> tuple[dict, int]:
         # every demo and suite needs a nontrivial Hilbert space
         raise ContractError(f"--dim must be at least 2, got {args.dim}")
     opts = SolveOptions(feas_tol=args.tol_feas, gap_tol=args.tol_gap)
-    dispatch = {"robustness": _cmd_robustness, "compat": _cmd_compat,
+    dispatch = {"robustness": _cmd_target, "compat": _cmd_target,
                 "verify": _cmd_verify, "demo": _cmd_demo}
     payload, code = dispatch[args.command](args, opts)
     payload["command"] = args.command

@@ -9,7 +9,9 @@ of the Hermitian basis, it is the row
 
     sum_b <lift_b(H_k), X_b> + sum_j lift_j(H_k) u_j = Tr[H_k rhs],
 
-the row ``sdp.hermitian_equality`` makes from the same maps.  The solver
+the row ``sdp.hermitian_equality`` makes from the same maps.  Every form
+of the rows below is read from the two entries of each H_k that
+``linalg.hermitian_entries`` lists; no dense basis is built.  The solver
 uses the structure three times: ``check_families`` validates each family
 once, ``family_rows`` writes the nonzeros of the rows as coordinate
 triplets (``CooRows``), a few per row, and ``LiftSchur`` forms their Schur
@@ -36,7 +38,7 @@ from math import prod
 
 import numpy as np
 
-from .linalg import ContractError, DimensionError, Lift, hermitian_basis, require_hermitian
+from .linalg import ContractError, DimensionError, Lift, hermitian_entries, is_integer, require_hermitian
 
 
 @dataclass
@@ -73,8 +75,8 @@ def check_families(problem):
     factored = {}  # block -> the factor dimensions its partial lifts use
     for f, fam in enumerate(problem.families):
         what = f"row family {f}"
-        if fam.dim < 1:
-            raise DimensionError(f"{what} has nonpositive dimension {fam.dim}")
+        if not (is_integer(fam.dim) and fam.dim >= 1):
+            raise DimensionError(f"{what} has dimension {fam.dim!r}, not an integer >= 1")
         if fam.rhs is not None:
             if np.shape(fam.rhs) != (fam.dim, fam.dim):
                 raise DimensionError(f"{what} rhs has shape {np.shape(fam.rhs)}")
@@ -256,25 +258,22 @@ def _contraction(dims, keep_a, keep_b):
 def _row_map(dim, lifted, transpose):
     """The rows of a family on C^dim in terms of vec(c), for c the operator
     its lift puts on the kept factors: H_k, H_k^T, or [Tr H_k] when nothing
-    is ``lifted`` (a trace).  A basis element has at most two nonzero
-    entries, so row k is sum_e coef[k, e] vec(c)[idx[k, e]].
+    is ``lifted`` (a trace).  Row k is sum_e coef[k, e] vec(c)[idx[k, e]],
+    e = 0, 1, read from the basis entries (``hermitian_entries``): H^T is
+    the conjugate of a Hermitian H, so a transpose conjugates the
+    coefficients, and a trace keeps those on the diagonal, at entry 0.
 
     The second form is for a vector u whose entries at transposed positions
     are conjugate, as u = vec(Y^T) for Hermitian Y: then Re sum_e coef[k, e]
     u[idx[k, e]] = Re u Re(c1 + c2) - Im u Im(c1 - c2), and one of the two
     terms is zero.  So the row is ``factor[k]`` times entry ``entry[k]`` of
-    the float view of u.  The arrays are read-only; the basis stack they are
-    read from is not kept."""
-    basis = np.array(hermitian_basis(dim))
+    the float view of u.  The arrays are read-only."""
+    idx, coef = hermitian_entries(dim)
     if not lifted:
-        c = np.trace(basis, axis1=1, axis2=2)[:, None]
-    else:
-        c = (np.swapaxes(basis, 1, 2) if transpose else basis).reshape(len(basis), -1)
-    e = max(1, int((c != 0).sum(axis=1).max()))
-    idx = np.argsort(c == 0, axis=1, kind="stable")[:, :e].copy()  # not a view of the argsort
-    coef = np.take_along_axis(c, idx, axis=1)
-    c2 = coef[:, 1] if e == 2 else 0.0
-    re, im = (coef[:, 0] + c2).real, -(coef[:, 0] - c2).imag
+        idx, coef = np.zeros_like(idx), np.where(idx % (dim + 1) == 0, coef, 0)
+    elif transpose:
+        coef = coef.conj()
+    re, im = (coef[:, 0] + coef[:, 1]).real, -(coef[:, 0] - coef[:, 1]).imag
     maps = idx, coef, 2 * idx[:, 0] + (im != 0), np.where(im != 0, im, re)
     for a in maps:
         a.flags.writeable = False
@@ -283,9 +282,8 @@ def _row_map(dim, lifted, transpose):
 
 def _rhs_rows(dim, rhs):
     """Tr[H_k rhs] = Re vec(H_k) . vec(rhs^T) for every element H_k of the
-    Hermitian basis on C^dim, from the (at most two) nonzero entries of
-    vec(H_k) that ``_row_map`` lists.  Both entries are read, as rhs may be
-    Hermitian only up to rounding."""
+    Hermitian basis on C^dim, from its two entries (``_row_map``).  Both
+    are read, as rhs may be Hermitian only up to rounding."""
     idx, coef = _row_map(dim, True, False)[:2]
     u = np.asarray(rhs, dtype=complex).T.ravel()
     return (coef * u[idx]).sum(axis=1).real
@@ -311,15 +309,16 @@ class LiftSchur:
     transpose and family dimension -- differ only in their scale on each
     member.  So for each pair of kinds on a group, T is formed once for the
     members both touch and changed to the two Hermitian bases
-    (``_row_map``): two gathers on one side, and one gather from the float
-    view on the other, as u_k = T^T vec(c_k) is vec(Y^T) for the Hermitian
+    (``_row_map``): on one side by two products, one per entry of c_k, and
+    their sum; on the other by one gather from the float view, as
+    u_k = T^T vec(c_k) is vec(Y^T) for the Hermitian
     Y = Tr_rest[W (I (x) H_k) W].  One real product with the members' scale
     products then gives the block of every pair of families.
 
     Built once per solve, and called with the NT scaling W of every group
     once per step (and with W = I for the presolve's Gram matrix), it
-    returns M over every family row, unscaled.  M is
-    symmetric up to rounding; the factorization reads its lower triangle.
+    returns M over every family row, unscaled.  M is symmetric up to
+    rounding; the factorization reads its lower triangle.
     """
 
     def __init__(self, problem, groups, slots):
@@ -364,17 +363,17 @@ class LiftSchur:
                     members = slice(None)
                 ra = np.concatenate([rows[f] for f in fams_a])
                 rb = np.concatenate([rows[f] for f in fams_b])
-                self.pairs.append((
-                    ka[0], members, _contraction(ka[1], ka[2], kb[2]), ia, ca[:, :, None],
+                self.pairs.append((  # the entry columns copied: numpy copies a strided index per use
+                    ka[0], members, _contraction(ka[1], ka[2], kb[2]), ia.T.copy(), ca.T[:, :, None].copy(),
                     eb, fb, weights, (len(fams_a), len(fams_b)), _rows_index(ra, rb),
                     None if ka == kb else _rows_index(rb, ra),
                 ))
 
     def __call__(self, ws):
         schur = np.zeros((self.m, self.m))
-        for gi, members, contract, ia, ca, eb, fb, weights, (na, nb), cut, mirror in self.pairs:
+        for gi, members, contract, (i0, i1), (c0, c1), eb, fb, weights, (na, nb), cut, mirror in self.pairs:
             t = contract(ws[gi][members])
-            u = (t[:, ia, :] * ca).sum(axis=2)
+            u = t[:, i0] * c0 + t[:, i1] * c1
             v = u.view(np.float64)[:, :, eb] * fb
             if weights is None:
                 block = v[0]

@@ -40,11 +40,23 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def is_integer(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _dims_of(shape) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in shape)
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionError(f"factor dimensions must be positive, got {dims}")
-    return dims
+    dims = tuple(shape)
+    if not dims or not all(is_integer(d) and d >= 1 for d in dims):
+        raise DimensionError(f"factor dimensions must be positive integers, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
+def _positions(positions) -> tuple[int, ...]:
+    positions = tuple(positions)
+    if not all(map(is_integer, positions)):
+        raise DimensionError(f"factor positions must be integers, got {positions}")
+    return tuple(int(p) for p in positions)
 
 
 def partial_trace(a, shape, keep) -> np.ndarray:
@@ -58,7 +70,7 @@ def partial_trace(a, shape, keep) -> np.ndarray:
     n = len(dims)
     if a.shape[0] != prod(dims):
         raise DimensionError(f"matrix of shape {a.shape} does not act on factors {dims}")
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_positions(keep)))
     if not keep:
         raise ContractError("keep must name at least one factor")
     if keep[0] < 0 or keep[-1] >= n:
@@ -81,8 +93,7 @@ def partial_transpose(a, shape, positions) -> np.ndarray:
         raise DimensionError(f"matrix of shape {a.shape} does not act on factors {dims}")
     t = a.reshape(dims + dims)
     axes = list(range(2 * n))
-    for p in positions:
-        p = int(p)
+    for p in _positions(positions):
         if p < 0 or p >= n:
             raise DimensionError(f"position {p} out of range for {n} factors")
         axes[p], axes[n + p] = axes[n + p], axes[p]
@@ -123,10 +134,7 @@ class Lift:
     scale: float = 1.0
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        keep = tuple(int(k) for k in self.keep)
-        if any(d < 1 for d in dims):
-            raise DimensionError(f"factor dimensions must be positive, got {dims}")
+        dims, keep = _dims_of(self.dims) if len(self.dims) else (), _positions(self.keep)
         if len(set(keep)) != len(keep):
             raise DimensionError(f"repeated positions in {list(keep)}")
         if any(k < 0 or k >= len(dims) for k in keep):
@@ -229,27 +237,30 @@ def op_norm(a, tol: float = PSD_TOL) -> float:
     return float(max(w[-1], 0.0))
 
 
+def hermitian_entries(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal (Frobenius) basis of d x d Hermitian matrices as two
+    read-only (d^2, 2) lists: element k is coef[k, 0] at the row-major entry
+    idx[k, 0] plus coef[k, 1] at idx[k, 1].  First the d units E_jj (their
+    second entry a zero at the same place), then for each j < k in row-major
+    order (E_jk + E_kj)/sqrt 2 and i (E_jk - E_kj)/sqrt 2."""
+    if not (is_integer(d) and d >= 1):
+        raise DimensionError(f"dimension must be a positive integer, got {d!r}")
+    j, k = np.triu_indices(d, 1)
+    diag, s = np.arange(d) * (d + 1), 1.0 / np.sqrt(2.0)
+    idx = np.concatenate([np.c_[diag, diag], np.repeat(np.c_[j * d + k, k * d + j], 2, axis=0)])
+    coef = np.zeros((d * d, 2), dtype=complex)
+    coef[:d, 0], coef[d::2], coef[d + 1::2] = 1.0, s, (1j * s, -1j * s)
+    for a in (idx, coef):
+        a.flags.writeable = False
+    return idx, coef
+
+
 def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of d x d Hermitian matrices; d^2 elements."""
-    if d < 1:
-        raise DimensionError("dimension must be positive")
-    basis = []
-    for j in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[j, j] = 1.0
-        basis.append(e)
-    s = 1.0 / np.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[j, k] = s
-            e[k, j] = s
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[j, k] = 1j * s
-            e[k, j] = -1j * s
-            basis.append(e)
-    return basis
+    """The elements of ``hermitian_entries(d)`` as dense d x d matrices."""
+    idx, coef = hermitian_entries(d)
+    basis = np.zeros((d * d, d * d), dtype=complex)
+    np.add.at(basis, (np.arange(d * d)[:, None], idx), coef)  # a unit's zero adds nothing
+    return list(basis.reshape(d * d, d, d))
 
 
 def swap_matrix(d: int) -> np.ndarray:
@@ -302,7 +313,7 @@ def json_int(obj, field: str, what: str) -> int:
     fractional part or exponent is rejected, naming the field, rather than
     truncated."""
     v = obj[field]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not is_integer(v):
         raise ContractError(f"{what} field {field!r} must be an integer, got {v!r}")
     return v
 

@@ -12,7 +12,6 @@ output space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .linalg import (
     ContractError,
     DimensionError,
     hermitize,
+    is_integer,
     json_int,
     json_list,
     json_object,
@@ -40,7 +40,7 @@ def _check_sizes(obj, *fields):
     that is not an integer >= 1 (a bool is not)."""
     for name in fields:
         v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+        if not (is_integer(v) and v >= 1):
             raise DimensionError(f"{type(obj).__name__} field {name!r} must be an integer >= 1, got {v!r}")
 
 

@@ -89,12 +89,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from numbers import Integral
 
 import numpy as np
 
 from .families import CooRows, LiftSchur, RowFamily, check_families, family_rows
-from .linalg import ContractError, DimensionError, hermitian_basis, require_hermitian
+from .linalg import ContractError, DimensionError, hermitian_basis, is_integer, require_hermitian
 
 DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_GAP_TOL = 1e-8
@@ -166,8 +165,8 @@ class SdpProblem:
         if not np.all(np.isfinite(self.scalar_costs)):
             raise ContractError("scalar_costs has non-finite entries")
         for b, (n, c) in enumerate(zip(self.blocks, self.objective)):
-            if n < 1:
-                raise DimensionError(f"block {b} has nonpositive dimension {n}")
+            if not (is_integer(n) and n >= 1):
+                raise DimensionError(f"block {b} has dimension {n!r}, not an integer >= 1")
             if c.shape != (n, n):
                 raise DimensionError(f"objective for block {b} has shape {c.shape}, expected {(n, n)}")
             require_hermitian(c, what=f"objective block {b}")
@@ -519,8 +518,6 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
     is dS^ = R^H dS R and dX^ = D - dS^, the step lengths and mu_aff come
     from them, and dX = R dX^ R^H is formed once, for the update.  Raises
     ``LinAlgError`` when a factorization breaks down."""
-    m = amat.shape[0]
-
     # Nesterov-Todd scaling W = R R^H with R^H S R = R^-1 X R^-H = diag(lam)
     rs, rsh, lams, ws = [], [], [], []
     for x, s in zip(xs, ss):
@@ -533,15 +530,13 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
     roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
 
     # Schur complement, factored once for both solves, and W Rd W, not a function of D
-    if m:
-        schur_solve = _chol_solver(_chol(schur(rs, ws)[None])[0])
-        wrdws = [w @ rd @ w for w, rd in zip(ws, rds)]
+    schur_solve = _chol_solver(_chol(schur(rs, ws)[None])[0])
+    wrdws = [w @ rd @ w for w, rd in zip(ws, rds)]
 
     def direction(dhats):
-        dy = np.zeros(0)
-        if m:  # A dX = rp with dX = R D R^H - W dS W: M dy = rp + A (W Rd W - R D R^H)
-            rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
-            dy = schur_solve(rp + amat @ _pack([wrdw - q for wrdw, q in zip(wrdws, rdr)]))
+        # A dX = rp with dX = R D R^H - W dS W: M dy = rp + A (W Rd W - R D R^H)
+        rdr = [r @ dh @ rh for r, dh, rh in zip(rs, dhats, rsh)]
+        dy = schur_solve(rp + amat @ _pack([wrdw - q for wrdw, q in zip(wrdws, rdr)]))
         ady = amat.T @ dy
         dss = [rd - g.unpack(ady) for g, rd in zip(groups, rds)]
         dshs = [rh @ ds @ r for rh, ds, r in zip(rsh, dss, rs)]
@@ -715,7 +710,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
         if not (np.isfinite(tol) and tol > 0):
             raise ContractError(f"{name} must be a finite number > 0, got {tol}")
     mi = opts.max_iter
-    if isinstance(mi, bool) or not isinstance(mi, Integral) or mi < 0:
+    if not (is_integer(mi) and mi >= 0):
         raise ContractError(f"max_iter must be an integer >= 0, got {mi!r}")
 
     nblocks = len(problem.blocks)
@@ -781,8 +776,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     status, iters, xs, ss, ys, pobj, dobj, prel, drel = _ipm(groups, cs, amat, b, opts, schur, x0=x0)
 
     y = np.zeros(mfull)
-    if kept.size:
-        y[kept] = ys / scales
+    y[kept] = ys / scales
 
     xs = [xs[gi][j] for gi, j in slots]
     ss = [ss[gi][j] for gi, j in slots]

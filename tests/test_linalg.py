@@ -103,12 +103,20 @@ def test_tensor_shape_validation():
     # factor dimensions must be positive, and the matrix must act on them
     for op in (lambda a, dims: partial_trace(a, dims, (0,)),
                lambda a, dims: partial_transpose(a, dims, (0,))):
-        for dims in ((2, 0), (0,), (2, -3), ()):
+        # a float or a bool is rejected, not truncated
+        for dims in ((2, 0), (0,), (2, -3), (), (2.9, 2), (2, True), (2.0, 3)):
             with pytest.raises(DimensionError, match="factor dimensions must be positive"):
                 op(np.eye(6), dims)
         with pytest.raises(DimensionError, match=r"does not act on factors \(2, 3\)"):
             op(np.eye(5), (2, 3))
         assert op(np.eye(6), (2, 3)).shape in ((2, 2), (6, 6))
+        assert op(np.eye(6), (np.int64(2), np.int32(3))).shape in ((2, 2), (6, 6))
+    for positions in ((0.5,), (True,), (0, 1.0)):
+        with pytest.raises(DimensionError, match="positions must be integers"):
+            partial_trace(np.eye(4), (2, 2), positions)
+        with pytest.raises(DimensionError, match="positions must be integers"):
+            partial_transpose(np.eye(4), (2, 2), positions)
+    assert partial_trace(np.eye(4), (2, 2), (np.int64(1),)).shape == (2, 2)
 
 
 def test_embed_operator_adjacent():
@@ -326,6 +334,11 @@ def test_lift_rejects_bad_input():
         Lift((2, 2), (2,))
     with pytest.raises(DimensionError):
         Lift((2, 0), (0,))
+    for dims, keep in (((2.7, True), (0,)), ((2.0, 2), (0,)), ((2, 2), (0.5,)), ((2, 2), (True,))):
+        with pytest.raises(DimensionError, match="must be positive integers|must be integers"):
+            Lift(dims, keep)
+    lift = Lift((np.int64(2), 3), (np.int64(1),))
+    assert lift.dims == (2, 3) and lift.keep == (1,) and type(lift.dims[0]) is int
     with pytest.raises(ContractError, match="not finite"):
         Lift((2,), (0,), scale=np.nan)
     with pytest.raises(DimensionError, match="does not match"):

@@ -170,6 +170,12 @@ def test_unbounded():
     prob = SdpProblem(blocks=[2], objective=[c], constraints=[])
     sol = solve(prob)
     assert sol.status == "unbounded"
+    # with no rows and a bounded objective, the Newton steps run on an empty
+    # Schur complement down to the optimum 0
+    for c in (np.eye(2), np.diag([1.0, 2.0])):
+        sol = solve(SdpProblem(blocks=[2], objective=[c.astype(complex)], scalar_costs=[1.0]))
+        assert sol.status == "optimal" and sol.iterations > 0 and sol.y.shape == (0,)
+        assert abs(sol.primal_value) <= 1e-8 and abs(sol.dual_value) <= 1e-8
 
 
 def test_real_embed_real_block_unchanged():
@@ -276,6 +282,11 @@ def test_validate_rejects_bad_problem():
         SdpProblem(blocks=[2], objective=[eye], constraints=[row], scalar_costs=[1.0]).validate()
     with pytest.raises(DimensionError, match="real block 1"):
         SdpProblem(blocks=[2], objective=[eye], constraints=[], real_blocks=frozenset({1})).validate()
+    # a side is an integer >= 1: a float or a bool is rejected, a numpy integer kept
+    for side in (2.0, True, 0):
+        with pytest.raises(DimensionError, match="block 0 has dimension"):
+            SdpProblem(blocks=[side], objective=[eye]).validate()
+    SdpProblem(blocks=[np.int64(2)], objective=[eye]).validate()
 
 
 def test_tolerances_respected():
@@ -882,6 +893,24 @@ def test_family_rows_keep_no_basis_stack():
     assert retained < 1e6
 
 
+def test_device_rows_and_schur_build_no_dense_basis(device_programs, monkeypatch):
+    # the rows, the rhs and the Schur complement of every device program
+    # read the basis as entry lists: no dense basis stack is built
+    from qincompat import linalg
+
+    def dense(d):
+        raise AssertionError("dense Hermitian basis built")
+
+    families._row_map.cache_clear()
+    families._lift_pattern.cache_clear()
+    monkeypatch.setattr(linalg, "hermitian_basis", dense)
+    monkeypatch.setattr(families, "hermitian_basis", dense, raising=False)
+    for what, prob, _, _ in device_programs:
+        groups, slots, _, _, b = sdp._grouped_form(prob)
+        schur = families.LiftSchur(prob, groups, slots)([g.eye() for g in groups])
+        assert schur.shape == (len(b), len(b)), what
+
+
 def test_family_row_products_match_the_dense_rows(device_programs):
     rng = np.random.default_rng(83)
     for what, prob, _, _ in device_programs:
@@ -1078,6 +1107,9 @@ def test_validate_rejects_bad_families():
         (DimensionError, "unknown scalar", RowFamily(2, [], scalar_terms=[(1, Lift.trace())])),
         (DimensionError, "rhs", RowFamily(2, [], np.eye(3))),
         (ContractError, "Hermitian", RowFamily(2, [], np.array([[0, 1], [0, 0]]))),
+        (DimensionError, "not an integer", RowFamily(2.0, [(0, Lift((2, 2), (1,)))], np.eye(2))),
+        (DimensionError, "not an integer", RowFamily(True, [(1, Lift.identity(1))])),
+        (DimensionError, "not an integer", RowFamily(0, [])),
     ]
     for err, match, fam in bad:
         with pytest.raises(err, match=match):

@@ -38,7 +38,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import ContractError, DimensionError, Lift, hermitian_entries, is_integer, require_hermitian
+from .linalg import (ContractError, DimensionError, Lift, hermitian_entries, is_integer, require_hermitian,
+                     require_index)
 
 
 @dataclass
@@ -84,13 +85,11 @@ def check_families(problem):
         for j, lift in fam.scalar_terms:
             if not isinstance(lift, Lift) or lift.dims:
                 raise ContractError(f"{what} couples scalar {j} by {lift!r}, not a trace Lift")
-            if j < 0 or j >= len(problem.scalar_costs):
-                raise DimensionError(f"{what} references unknown scalar {j}")
+            require_index(j, len(problem.scalar_costs), f"{what} references unknown scalar")
         for b, lift in fam.terms:
             if not isinstance(lift, Lift):
                 raise ContractError(f"{what} maps block {b} by {lift!r}, not a Lift")
-            if b < 0 or b >= len(problem.blocks):
-                raise DimensionError(f"{what} references unknown block {b}")
+            require_index(b, len(problem.blocks), f"{what} references unknown block")
             if lift.size != problem.blocks[b] or lift.arg_dim not in (None, fam.dim):
                 raise DimensionError(f"{what} lifts C^{fam.dim} by {lift} onto block {b} "
                                      f"of side {problem.blocks[b]}")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .compat import JointDevice, channel_device, pair_device, unit_marginal
 from .linalg import (
+    TOL,
     ContractError,
     DimensionError,
     Lift,
@@ -31,6 +32,7 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     require_hermitian,
+    require_psd,
 )
 from .qobjects import (
     ChoiMatrix,
@@ -49,7 +51,6 @@ from .robustness import WitnessSet
 from .sdp import SdpProblem, SolveOptions, require_optimal, solve
 
 PROB_TOL = 1e-12
-STATE_TOL = 1e-9
 WITNESS_DROP_TOL = 1e-10
 
 
@@ -100,11 +101,10 @@ class DiscriminationGame:
             for i, (_, rho) in enumerate(ens):
                 if rho.shape != (sd, sd):
                     raise DimensionError("all states must share one space")
-                rho = require_hermitian(rho, 1e-9, what=f"state {i}|{x}")
-                if np.linalg.eigvalsh(rho)[0] < -STATE_TOL:
-                    raise ContractError(f"state {i}|{x} is not PSD")
-                if abs(np.trace(rho).real - 1) > STATE_TOL:
-                    raise ContractError(f"state {i}|{x} is not normalized")
+                what = f"state {i}|{x}"  # Hermitian to TOL, then PSD once symmetrized
+                rho = require_psd(require_hermitian(rho, TOL, what=what), what)
+                if abs(np.trace(rho).real - 1) > TOL:
+                    raise ContractError(f"{what} is not normalized")
         return self
 
     def to_json(self) -> dict:

@@ -5,8 +5,10 @@ Everything downstream leans on the conventions fixed here:
 * matrices are numpy ``complex128`` arrays, row-major, and the composite
   index of a Kronecker product ``A (x) B`` is ``i * cols(B) + k``;
 * transposes and partial transposes are taken in the computational basis;
-* Hermiticity is checked entrywise to ``HERMITIAN_TOL``, positivity via the
-  smallest eigenvalue to ``PSD_TOL``.
+* an index is an integer, never a bool or a float, in range (``require_index``);
+* Hermiticity is checked entrywise to ``HERMITIAN_TOL``; positivity (the
+  smallest eigenvalue, ``require_psd``), normalization and every other input
+  check on a quantum object to the one tolerance ``TOL``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import prod
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-PSD_TOL = 1e-9
+TOL = 1e-9
 
 
 class DimensionError(ValueError):
@@ -45,6 +47,12 @@ def is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def require_index(i, n: int, what: str):
+    """Raise ``DimensionError`` naming ``what`` and ``i`` unless ``i`` is an integer in 0..n-1."""
+    if not (is_integer(i) and 0 <= i < n):
+        raise DimensionError(f"{what} {i!r}: not an integer in [0, {n})")
+
+
 def _dims_of(shape) -> tuple[int, ...]:
     dims = tuple(shape)
     if not dims or not all(is_integer(d) and d >= 1 for d in dims):
@@ -52,10 +60,12 @@ def _dims_of(shape) -> tuple[int, ...]:
     return tuple(int(d) for d in dims)
 
 
-def _positions(positions) -> tuple[int, ...]:
+def _positions(positions, n: int) -> tuple[int, ...]:
     positions = tuple(positions)
     if not all(map(is_integer, positions)):
         raise DimensionError(f"factor positions must be integers, got {positions}")
+    if not all(0 <= p < n for p in positions):
+        raise DimensionError(f"positions {list(positions)} out of range for {n} factors")
     return tuple(int(p) for p in positions)
 
 
@@ -70,11 +80,9 @@ def partial_trace(a, shape, keep) -> np.ndarray:
     n = len(dims)
     if a.shape[0] != prod(dims):
         raise DimensionError(f"matrix of shape {a.shape} does not act on factors {dims}")
-    keep = sorted(set(_positions(keep)))
+    keep = sorted(set(_positions(keep, n)))
     if not keep:
         raise ContractError("keep must name at least one factor")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise DimensionError(f"keep {keep} out of range for {n} factors")
     t = a.reshape(dims + dims)
     ket = list(range(n))
     bra = [i if i not in keep else n + i for i in range(n)]
@@ -93,9 +101,7 @@ def partial_transpose(a, shape, positions) -> np.ndarray:
         raise DimensionError(f"matrix of shape {a.shape} does not act on factors {dims}")
     t = a.reshape(dims + dims)
     axes = list(range(2 * n))
-    for p in _positions(positions):
-        if p < 0 or p >= n:
-            raise DimensionError(f"position {p} out of range for {n} factors")
+    for p in _positions(positions, n):
         axes[p], axes[n + p] = axes[n + p], axes[p]
     return np.ascontiguousarray(t.transpose(axes).reshape(a.shape))
 
@@ -134,11 +140,10 @@ class Lift:
     scale: float = 1.0
 
     def __post_init__(self):
-        dims, keep = _dims_of(self.dims) if len(self.dims) else (), _positions(self.keep)
+        dims = _dims_of(self.dims) if len(self.dims) else ()
+        keep = _positions(self.keep, len(dims))
         if len(set(keep)) != len(keep):
             raise DimensionError(f"repeated positions in {list(keep)}")
-        if any(k < 0 or k >= len(dims) for k in keep):
-            raise DimensionError(f"positions {list(keep)} out of range for {len(dims)} factors")
         if not np.isfinite(self.scale):
             raise ContractError(f"lift scale {self.scale} is not finite")
         object.__setattr__(self, "dims", dims)
@@ -221,20 +226,26 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
 
 
-def is_psd(a, tol: float = PSD_TOL) -> bool:
+def require_psd(a, what: str, tol: float = TOL) -> np.ndarray:
+    """Check Hermiticity (``require_hermitian``) and that the smallest
+    eigenvalue is at least -tol; return the symmetrized matrix."""
+    a = require_hermitian(a, what=what)
+    w = np.linalg.eigvalsh(a)[0]
+    if w < -tol:
+        raise ContractError(f"{what} is not PSD (min eigenvalue {w:.3e})")
+    return a
+
+
+def is_psd(a, tol: float = TOL) -> bool:
     """True iff the smallest eigenvalue of (the symmetrized) ``a`` is >= -tol."""
     a = hermitize(a)
     w = np.linalg.eigvalsh(a)
     return bool(w[0] >= -tol)
 
 
-def op_norm(a, tol: float = PSD_TOL) -> float:
+def op_norm(a, tol: float = TOL) -> float:
     """Largest eigenvalue of a Hermitian PSD matrix."""
-    a = require_hermitian(a, what="op_norm input")
-    w = np.linalg.eigvalsh(a)
-    if w[0] < -tol:
-        raise ContractError(f"op_norm input is not PSD (min eigenvalue {w[0]:.3e})")
-    return float(max(w[-1], 0.0))
+    return float(max(np.linalg.eigvalsh(require_psd(a, "op_norm input", tol))[-1], 0.0))
 
 
 def hermitian_entries(d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    TOL,
     ContractError,
     DimensionError,
     hermitize,
@@ -29,10 +30,9 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     require_hermitian,
+    require_psd,
     swap_matrix,
 )
-
-NORM_TOL = 1e-9
 
 
 def _check_sizes(obj, *fields):
@@ -74,16 +74,13 @@ class ChoiMatrix:
             )
 
     def validate(self) -> "ChoiMatrix":
-        m = require_hermitian(self.matrix, what="Choi matrix")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -NORM_TOL:
-            raise ContractError(f"Choi matrix is not PSD (min eigenvalue {w[0]:.3e})")
+        m = require_psd(self.matrix, "Choi matrix")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > NORM_TOL:
+        if abs(tr - 1.0) > TOL:
             raise ContractError(f"Choi matrix trace is {tr}, expected 1")
         marg = partial_trace(m, (self.dim_out, self.dim_in), (1,))
         dev = np.abs(marg - np.eye(self.dim_in) / self.dim_in).max()
-        if dev > NORM_TOL:
+        if dev > TOL:
             raise ContractError(f"input marginal deviates from I/d by {dev:.3e}")
         return self
 
@@ -111,7 +108,7 @@ def choi_from_kraus(kraus, dim_in: int | None = None) -> ChoiMatrix:
     if dim_in is not None and din != dim_in:
         raise DimensionError(f"Kraus input dimension {din} != declared {dim_in}")
     tp = sum(k.conj().T @ k for k in ops)
-    if np.abs(tp - np.eye(din)).max() > 1e-9:
+    if np.abs(tp - np.eye(din)).max() > TOL:
         raise ContractError("Kraus operators are not trace preserving")
     j = np.zeros((dout * din, dout * din), dtype=complex)
     for k in ops:
@@ -139,8 +136,8 @@ def depolarizing_channel(d: int, visibility: float) -> ChoiMatrix:
 
 def constant_channel(d_in: int, sigma) -> ChoiMatrix:
     """Channel discarding its input and preparing the state ``sigma``."""
-    sigma = require_hermitian(sigma, what="prepared state")
-    if abs(np.trace(sigma).real - 1.0) > NORM_TOL:
+    sigma = require_psd(sigma, "prepared state")
+    if abs(np.trace(sigma).real - 1.0) > TOL:
         raise ContractError("prepared state must have unit trace")
     return ChoiMatrix(d_in, sigma.shape[0], kron(sigma, np.eye(d_in) / d_in))
 
@@ -190,13 +187,8 @@ class Povm:
         return len(self.elements)
 
     def validate(self) -> "Povm":
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, m in enumerate(self.elements):
-            m = require_hermitian(m, what=f"effect {i}")
-            if np.linalg.eigvalsh(m)[0] < -NORM_TOL:
-                raise ContractError(f"effect {i} is not PSD")
-            total += m
-        if np.abs(total - np.eye(self.dim)).max() > NORM_TOL:
+        total = sum(require_psd(m, f"effect {i}") for i, m in enumerate(self.elements))
+        if np.abs(total - np.eye(self.dim)).max() > TOL:
             raise ContractError("effects do not sum to the identity")
         return self
 
@@ -303,9 +295,7 @@ class Instrument:
 
     def validate(self) -> "Instrument":
         for i, m in enumerate(self.elements):
-            m = require_hermitian(m, what=f"instrument element {i}")
-            if np.linalg.eigvalsh(m)[0] < -NORM_TOL:
-                raise ContractError(f"instrument element {i} is not PSD")
+            require_psd(m, f"instrument element {i}")
         ChoiMatrix(self.dim_in, self.dim_out, sum(self.elements)).validate()
         return self
 
@@ -387,8 +377,8 @@ class JointChannel:
 
 def marginal(joint: JointChannel, x: int) -> ChoiMatrix:
     """Choi matrix of the x-th output (1-based), the others traced out."""
-    if not 1 <= x <= joint.n_outputs:
-        raise DimensionError(f"output index {x} out of range 1..{joint.n_outputs}")
+    if not (is_integer(x) and 1 <= x <= joint.n_outputs):
+        raise DimensionError(f"output index {x!r}: not an integer in 1..{joint.n_outputs}")
     m = partial_trace(joint.choi, joint.shape, (x - 1, joint.n_outputs))
     return ChoiMatrix(joint.dim_in, joint.dim_out, m)
 

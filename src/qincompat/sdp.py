@@ -93,7 +93,7 @@ from math import sqrt
 import numpy as np
 
 from .families import CooRows, LiftSchur, RowFamily, check_families, family_rows
-from .linalg import ContractError, DimensionError, hermitian_basis, is_integer, require_hermitian
+from .linalg import ContractError, DimensionError, hermitian_basis, is_integer, require_hermitian, require_index
 
 DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_GAP_TOL = 1e-8
@@ -144,7 +144,9 @@ class SdpProblem:
     complex Hermitian unless their index appears in ``real_blocks``, in which
     case all data touching them must be real symmetric.  ``scalar_costs``
     declares one nonnegative scalar variable per entry.  The rows are the
-    plain ``constraints``, then the rows of each of the ``families``.
+    plain ``constraints``, then the rows of each of the ``families``.  A
+    block or scalar is named by its index, an integer (not a bool) counted
+    from 0 (``linalg.require_index``).
     """
 
     blocks: list[int]
@@ -160,8 +162,7 @@ class SdpProblem:
         if len(self.objective) != len(self.blocks):
             raise DimensionError("objective must have one matrix per block")
         for b in self.real_blocks:
-            if b < 0 or b >= len(self.blocks):
-                raise DimensionError(f"real block {b} is not in the block list")
+            require_index(b, len(self.blocks), "unknown real block")
         if not np.all(np.isfinite(self.scalar_costs)):
             raise ContractError("scalar_costs has non-finite entries")
         for b, (n, c) in enumerate(zip(self.blocks, self.objective)):
@@ -176,8 +177,7 @@ class SdpProblem:
             if not np.isfinite(con.rhs):
                 raise ContractError(f"constraint {k} has non-finite rhs")
             for b, a in con.coeffs.items():
-                if b < 0 or b >= len(self.blocks):
-                    raise DimensionError(f"constraint {k} references unknown block {b}")
+                require_index(b, len(self.blocks), f"constraint {k} references unknown block")
                 n = self.blocks[b]
                 if a.shape != (n, n):
                     raise DimensionError(f"constraint {k} coefficient on block {b} has shape {a.shape}")
@@ -185,8 +185,7 @@ class SdpProblem:
                 if b in self.real_blocks and np.abs(a.imag).max() > 1e-12:
                     raise ContractError(f"constraint {k} has complex data on real block {b}")
             for j, a in con.scalar_coeffs.items():
-                if j < 0 or j >= len(self.scalar_costs):
-                    raise DimensionError(f"constraint {k} references unknown scalar {j}")
+                require_index(j, len(self.scalar_costs), f"constraint {k} references unknown scalar")
                 if not np.isfinite(a):
                     raise ContractError(f"constraint {k} has non-finite coefficient on scalar {j}")
         check_families(self)

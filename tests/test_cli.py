@@ -305,16 +305,23 @@ def test_flag_the_subcommand_does_not_read_exits_one(tmp_path, capsys, command, 
     assert flag in err
 
 
-def test_verify_duality_passes(capsys):
-    code, out, _ = run_cli(["verify", "duality", "--trials", "1"], capsys)
+@pytest.mark.parametrize("suite, trials, names, tolerances", [
+    ("duality", 1, ["identity_pair_dim2", "identity_pair_dim3", "random_pair_0"], {1e-6}),
+    ("prop1", 1, ["collection_0_delta", "collection_1_delta", "max_delta"], {1e-6}),
+    ("prop2", 1, ["pair_0_delta", "pair_1_delta", "max_delta"], {1e-6}),
+    ("theorem2", 2, ["pair_0_incompatible", "pair_0_game_ratio", "pair_1_incompatible",
+                     "pair_1_game_ratio"], {0.0, 1e-5}),
+], ids=["duality", "prop1", "prop2", "theorem2"])
+def test_verify_duality_passes(capsys, suite, trials, names, tolerances):
+    # the delta suites and the sampled pairs of theorem2 run nowhere else
+    code, out, _ = run_cli(["verify", suite, "--trials", str(trials)], capsys)
     assert code == 0
     rep = json.loads(out)
     assert rep["passed"] is True
-    assert rep["suite"] == "duality"
-    names = [c["name"] for c in rep["checks"]]
-    assert "identity_pair_dim2" in names and "identity_pair_dim3" in names
+    assert rep["suite"] == suite
+    assert [c["name"] for c in rep["checks"]] == names
     assert all(c["pass"] for c in rep["checks"])
-    assert all(c["tolerance"] == 1e-6 for c in rep["checks"])
+    assert {c["tolerance"] for c in rep["checks"]} == tolerances
 
 
 def test_verify_failure_exits_three(capsys, monkeypatch):

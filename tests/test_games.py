@@ -325,3 +325,5 @@ def test_game_validation_rejects_bad_inputs():
         DiscriminationGame(prior=[1.0], ensembles=[[(1.0, z0), (nan, z0)]]).validate()
     with pytest.raises(ContractError):
         DiscriminationGame(prior=[1.0], ensembles=[[(1.0, z0 + nan * np.eye(2))]]).validate()
+    with pytest.raises(ContractError, match=r"state 1\|0 is not PSD"):
+        DiscriminationGame(prior=[1.0], ensembles=[[(0.5, z0), (0.5, np.diag([1.5, -0.5]))]]).validate()

@@ -1,8 +1,9 @@
-"""The names ``perfbench/run.py`` traces must exist in the package.
+"""The names ``perfbench`` reads from the package must exist in it.
 
 The tracer rebinds each ``(module, function)`` of its ``TARGETS`` list and
 reads a few ``SdpProblem`` fields after every solve, so renaming one of them
-breaks ``--trace 1``.  The script is parsed, not imported or run.
+breaks ``--trace 1``; the workloads and the ceiling call the package as
+``q.<name>``.  The scripts are parsed, not imported or run.
 """
 
 import ast
@@ -14,7 +15,8 @@ import pytest
 
 from qincompat.sdp import SdpProblem
 
-RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+RUN = BENCH / "run.py"
 
 
 @pytest.fixture(scope="module")
@@ -48,3 +50,19 @@ def test_solve_hook_reads_problem_fields(script):
                 todo.append(node.func.id)
     assert reads
     assert reads <= {f.name for f in dataclasses.fields(SdpProblem)}, reads
+
+
+def test_every_package_name_the_workloads_read_exists():
+    # ``q`` is the package as ``run.import_package`` returns it, after
+    # ``import qincompat.cli``
+    import qincompat
+    import qincompat.cli  # noqa: F401
+
+    if not BENCH.exists():
+        pytest.skip("perfbench/ is not in this checkout")
+    trees = [ast.parse((BENCH / f).read_text()) for f in ("workloads.py", "ceiling.py")]
+    names = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "q"}
+    assert names
+    missing = sorted(n for n in names if not hasattr(qincompat, n))
+    assert not missing, missing

@@ -125,6 +125,8 @@ def test_constant_channel():
     ch = constant_channel(2, sigma).validate()
     rho = random_state(2, rng)
     assert np.abs(apply_channel(ch, rho) - sigma).max() < 1e-12
+    with pytest.raises(ContractError, match="prepared state is not PSD"):
+        constant_channel(2, np.diag([1.5, -0.5]))
 
 
 def test_qc_channel_z_basis():
@@ -172,8 +174,8 @@ def test_povm_validation():
     Povm([SZ * 0 + np.eye(2) / 2, np.eye(2) / 2]).validate()
     with pytest.raises(ContractError):
         Povm([np.eye(2), np.eye(2)]).validate()
-    with pytest.raises(ContractError):
-        Povm([SZ, np.eye(2) - SZ]).validate()  # not PSD
+    with pytest.raises(ContractError, match="effect 0 is not PSD"):
+        Povm([SZ, np.eye(2) - SZ]).validate()
     with pytest.raises(ContractError):
         Povm([[[np.nan, 0], [0, 0]], np.eye(2)]).validate()
 
@@ -214,8 +216,10 @@ def test_joint_channel_marginal():
     joint = random_joint_channel(2, 2, 2, rng, kraus_rank=3).validate()
     for x in (1, 2):
         marginal(joint, x).validate()
-    with pytest.raises(DimensionError):
-        marginal(joint, 3)
+    # the output index is an integer in 1..n_outputs, a bool is not one
+    for x in (3, 0, True, 1.0):
+        with pytest.raises(DimensionError, match=f"output index {x!r}"):
+            marginal(joint, x)
     # marginals act consistently with the joint on states
     rho = random_state(2, rng)
     big = apply_channel(ChoiMatrix(2, 4, joint.choi), rho)
@@ -389,3 +393,10 @@ def test_validation_rejects_bad_choi():
         m = np.eye(4) / 4
         m[0, 1] = np.nan
         ChoiMatrix(2, 2, m).validate()
+    # unit trace and input marginal I/2, but eigenvalues 1/4 +- 1/2
+    with pytest.raises(ContractError, match="Choi matrix is not PSD"):
+        ChoiMatrix(2, 2, np.eye(4) / 4 + kron(SZ, SZ) / 2).validate()
+    # the elements sum to the channel I/4, but the second is not PSD
+    zz = kron(SZ, SZ) / 8
+    with pytest.raises(ContractError, match="instrument element 1 is not PSD"):
+        Instrument(2, 2, [np.eye(4) / 4 + zz, -zz]).validate()

@@ -288,6 +288,31 @@ def test_validate_rejects_bad_problem():
             SdpProblem(blocks=[side], objective=[eye]).validate()
     SdpProblem(blocks=[np.int64(2)], objective=[eye]).validate()
 
+    def problem(*rows, objective=eye, real=frozenset()):
+        return SdpProblem(blocks=[2], objective=[objective], constraints=list(rows),
+                          scalar_costs=[1.0], real_blocks=real)
+
+    sy = np.array([[0, -1j], [1j, 0]])
+    # an index is an integer, not a float or a bool; a numpy integer is kept
+    problem(LinearConstraint({np.int64(0): eye}, 1.0, {np.int64(0): 1.0}),
+            real=frozenset({np.int64(0)})).validate()
+    bad = [
+        (DimensionError, "objective for block 0 has shape", problem(objective=np.eye(3))),
+        (ContractError, "real block 0 has imaginary part", problem(objective=sy, real=frozenset({0}))),
+        (ContractError, "non-finite rhs", problem(LinearConstraint({0: eye}, np.nan))),
+        (DimensionError, "unknown block 1", problem(LinearConstraint({1: eye}, 1.0))),
+        (DimensionError, "unknown block 0.0", problem(LinearConstraint({0.0: eye}, 1.0))),
+        (DimensionError, "block 0 has shape", problem(LinearConstraint({0: np.eye(3)}, 1.0))),
+        (ContractError, "complex data on real block 0",
+         problem(LinearConstraint({0: sy}, 1.0), real=frozenset({0}))),
+        (DimensionError, "unknown scalar 1", problem(LinearConstraint({0: eye}, 1.0, {1: 1.0}))),
+        (DimensionError, "unknown scalar 0.0", problem(LinearConstraint({0: eye}, 1.0, {0.0: 1.0}))),
+        (DimensionError, "real block 0.0", problem(real=frozenset({0.0}))),
+    ]
+    for err, match, prob in bad:
+        with pytest.raises(err, match=match):
+            prob.validate()
+
 
 def test_tolerances_respected():
     rng = np.random.default_rng(31)
@@ -676,14 +701,16 @@ def test_invalid_solve_options_are_rejected_naming_the_field(field, value):
     ({0: np.diag([0.5, np.inf])}, [1.0, 1.0], "ContractError", "initial block 0 has non-finite"),
     ({}, [1.0, np.nan], "ContractError", "initial_scalars has non-finite"),
     (None, [1.0, 1.0], "ContractError", "initial_scalars were given without initial_blocks"),
-], ids=["shape", "nan-block", "inf-block", "nan-scalar", "scalars-alone"])
+    ({3: None}, [1.0, 1.0], "DimensionError", "initial_blocks must match the block list"),
+], ids=["shape", "nan-block", "inf-block", "nan-scalar", "scalars-alone", "short"])
 def test_invalid_start_is_rejected_naming_it(blocks, scalars, error, words):
     # a strictly feasible start (X_b = I / n, u = 1) with one part spoiled
     from qincompat import linalg
 
     prob = mixed_problem(np.random.default_rng(29))
-    if blocks is not None:
+    if blocks is not None:  # None leaves the block out
         blocks = [blocks.get(b, np.eye(n) / n) for b, n in enumerate(prob.blocks)]
+        blocks = [v for v in blocks if v is not None]
     with pytest.raises(getattr(linalg, error), match=words):
         solve(prob, initial_blocks=blocks, initial_scalars=scalars)
 
@@ -995,8 +1022,16 @@ def test_family_solve_forms_no_dense_rows(device_programs, monkeypatch):
 
 
 def test_lift_schur_matches_the_dense_schur_complement(device_programs):
+    from qincompat.families import RowFamily
+    from qincompat.linalg import Lift
+
+    # the lifts on factor 0 hold rows 0-3 and 8-11, so their pair with
+    # themselves adds its block by a scatter (np.ix_)
+    lifts = [Lift((2, 2), (0,)), Lift((2, 2), (1,)), Lift((2, 2), (0,), scale=2.0)]
+    scattered = SdpProblem(blocks=[4], objective=[np.eye(4, dtype=complex)],
+                           families=[RowFamily(2, [(0, lift)]) for lift in lifts])
     rng = np.random.default_rng(73)
-    for what, prob, _, _ in device_programs:
+    for what, prob, *_ in device_programs + [("scattered rows", scattered)]:
         groups, slots, _, coo, _ = sdp._grouped_form(prob)
         amat = coo.toarray()
         rs = []
@@ -1099,6 +1134,9 @@ def test_validate_rejects_bad_families():
     problem(RowFamily(2, [(0, Lift((2, 2), (1,))), (1, Lift.trace())], np.eye(2),
                       [(0, Lift.trace(-1.0))])).validate()
     bad = [
+        (DimensionError, "unknown block 1.0", RowFamily(1, [(1.0, Lift.identity(1))])),
+        (DimensionError, "unknown block True", RowFamily(1, [(True, Lift.identity(1))])),
+        (DimensionError, "unknown scalar 0.0", RowFamily(2, [], scalar_terms=[(0.0, Lift.trace())])),
         (DimensionError, "block 0", RowFamily(2, [(0, Lift((2, 3), (1,)))])),
         (DimensionError, "block 0", RowFamily(3, [(0, Lift((2, 2), (1,)))])),
         (ContractError, "not a Lift", RowFamily(2, [(0, lambda h: h)])),

@@ -24,6 +24,7 @@ numerical breakdown, 3 a verification check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -70,7 +71,9 @@ from .robustness import (
 from .sdp import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL, SolveOptions, SolverFailure
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     p = argparse.ArgumentParser(
         prog="qincompat",
         description="robustness of quantum incompatibility and its discrimination games",

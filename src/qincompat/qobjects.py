@@ -143,13 +143,14 @@ def constant_channel(d_in: int, sigma) -> ChoiMatrix:
 
 
 def apply_channel(choi: ChoiMatrix, rho) -> np.ndarray:
-    """Image of a state under the channel: d * Tr_in[J (I (x) rho^T)]."""
+    """Image of a state under the channel: d * Tr_in[J (I (x) rho^T)], whose
+    entry (a, b) is d * sum_ij J_(a,i),(b,j) rho_ij."""
     rho = np.asarray(rho, dtype=complex)
     d = choi.dim_in
     if rho.shape != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match input dimension {d}")
-    op = choi.matrix @ kron(np.eye(choi.dim_out), rho.T)
-    return d * partial_trace(op, (choi.dim_out, d), (0,))
+    j = choi.matrix.reshape(choi.dim_out, d, choi.dim_out, d)
+    return d * np.einsum("aibj,ij->ab", j, rho)
 
 
 def apply_channel_extended(choi: ChoiMatrix, rho) -> np.ndarray:

@@ -15,14 +15,14 @@ problem return bit-identical results.
 The variables are grouped by side and by kind (complex, or real for the
 declared real blocks and the scalars, which are real 1x1 variables), in order
 of first appearance.  Each group keeps its iterates in one (nb, n, n) stack,
-so the NT scaling (Cholesky, SVD), the directions and the step search are one
-batched LAPACK or BLAS call per group and step.  The constraint matrix A is
-real: row k holds, group after group, the float view of the stack of the
-coefficient matrices A_kv, row-major with a complex entry as its (re, im)
-pair, so 2 n^2 floats per complex block and n^2 per real one.  That view
-gives flat(A) . flat(X) = Re sum_ij conj(A_ij) X_ij = Re tr(A^H X), which is
-<A, X> = Re tr(AX) for Hermitian data, so packing and unpacking are reshapes
-with no scale factors.
+so the NT scaling (one Cholesky call for X and S, then one SVD), the
+directions and the step search are batched LAPACK or BLAS calls per group
+and step.  The constraint matrix A is real: row k holds, group after group,
+the float view of the stack of the coefficient matrices A_kv, row-major
+with a complex entry as its (re, im) pair, so 2 n^2 floats per complex
+block and n^2 per real one.  That view gives flat(A) . flat(X) = Re sum_ij
+conj(A_ij) X_ij = Re tr(A^H X), which is <A, X> = Re tr(AX) for Hermitian
+data, so packing and unpacking are reshapes with no scale factors.
 
 Rows come in two forms, plain rows (``LinearConstraint``, any coefficient
 matrices) and row families (``families.RowFamily``: the rows of one
@@ -52,12 +52,16 @@ D = dX^ + dS^,
 
 The Schur solve gives dy and dS, then dS^ = R^H dS R and dX^ = D - dS^, so
 R^-1 is never formed.  The step lengths and mu_aff = <Lambda + a_p dX^,
-Lambda + a_d dS^> / n come from dX^ and dS^, and dX = R dX^ R^H, which is
-R D R^H - W dS W without that difference's late-iteration cancellation, is
-formed once, for the update.  The predictor takes D = -Lambda (T =
--Lambda^2, the affine step to mu = 0); the corrector solves T = sigma mu I -
-Lambda^2 - (dX^_a dS^_a + dS^_a dX^_a)/2 with the predictor's scaled steps
-and Mehrotra's sigma = (mu_aff/mu)^3 through ``_lyap``.
+Lambda + a_d dS^> / n come from dX^ and dS^: a length keeps Lambda + a dX^
+(or Lambda + a dS^) PSD, so it is read off the smallest eigenvalue of
+Lambda^-1/2 dX^ Lambda^-1/2, one ``eigvalsh`` call per group for the pair.
+dX = R dX^ R^H, which is R D R^H - W dS W without that difference's
+late-iteration cancellation, is formed once, for the update.  The predictor
+takes D = -Lambda (T = -Lambda^2, the affine step to mu = 0), so its dX^ =
+-Lambda - dS^ and one spectrum, of dS^, gives both its lengths
+(``_predictor_lengths``); the corrector solves T = sigma mu I - Lambda^2 -
+(dX^_a dS^_a + dS^_a dX^_a)/2 with the predictor's scaled steps and
+Mehrotra's sigma = (mu_aff/mu)^3 through ``_lyap``.
 
 The Schur complement is factored once per step (``_chol``), and both solves
 of the step substitute through that factor block by block, with the
@@ -493,12 +497,13 @@ def _chol_solver(l):
     return solve
 
 
-def _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y):
+def _certificate(groups, bn, cn, aty, ax, xvec, pobj, dobj, y):
     """``infeasible`` (b.y > 0, A^T y <= 0) or ``unbounded`` (c.x < 0, A x = 0)
-    when the iterate is a Farkas certificate, else None.  Each quantity is
-    tested against its own scale, so scaling the data keeps the verdict; b.y
-    and c.x get a margin, as rounding in c.x = 0 is no certificate."""
-    if dobj > 1e-10 * np.linalg.norm(b) * np.linalg.norm(y):
+    when the iterate is a Farkas certificate, else None; ``bn`` and ``cn``
+    are |b| and |c|.  Each quantity is tested against its own scale, so
+    scaling the data keeps the verdict; b.y and c.x get a margin, as
+    rounding in c.x = 0 is no certificate."""
+    if dobj > 1e-10 * bn * np.linalg.norm(y):
         tol = 1e-9 * np.linalg.norm(aty)
         stacks = [g.unpack(aty) for g in groups]
         # the largest eigenvalue is at least every diagonal entry
@@ -506,8 +511,26 @@ def _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y):
             if max(np.linalg.eigvalsh(s)[:, -1].max() for s in stacks) <= tol:
                 return "infeasible"
     xnorm = np.linalg.norm(xvec)
-    if pobj < -1e-10 * np.linalg.norm(cvec) * xnorm and np.linalg.norm(ax) <= 1e-9 * xnorm:
+    if pobj < -1e-10 * cn * xnorm and np.linalg.norm(ax) <= 1e-9 * xnorm:
         return "unbounded"
+
+
+def _largest_step(wmin):
+    """Largest a with I + a W >= 0 for a Hermitian W of smallest eigenvalue
+    ``wmin``; inf unless wmin is below -1e-14."""
+    return -1.0 / wmin if wmin < -1e-14 else np.inf
+
+
+def _predictor_lengths(roots, dshs):
+    """The predictor's primal and dual step lengths from the spectrum of
+    Lambda^-1/2 dS^ Lambda^-1/2 alone (``roots`` holds sqrt(lam_i lam_j)):
+    its dX^ = -Lambda - dS^ makes Lambda^-1/2 dX^ Lambda^-1/2 = -I -
+    Lambda^-1/2 dS^ Lambda^-1/2, whose smallest eigenvalue is -1 less the
+    largest of that spectrum."""
+    spectra = [np.linalg.eigvalsh(dsh / root) for dsh, root in zip(dshs, roots)]
+    ap = _largest_step(-1.0 - max(w[:, -1].max() for w in spectra))
+    ad = _largest_step(min(w[:, 0].min() for w in spectra))
+    return min(1.0, ap), min(1.0, ad)
 
 
 def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
@@ -515,12 +538,16 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
     and its primal and dual step lengths.  ``schur(rs, ws)`` forms the Schur
     complement from the NT scaling W = R R^H of every group.  Each direction
     is dS^ = R^H dS R and dX^ = D - dS^, the step lengths and mu_aff come
-    from them, and dX = R dX^ R^H is formed once, for the update.  Raises
-    ``LinAlgError`` when a factorization breaks down."""
+    from them, and dX = R dX^ R^H is formed once, for the update.  X and S
+    of a group are factored in one Cholesky call.  ``eigvalsh`` reads the
+    lower triangle of a scaled step, so it is not symmetrized first.
+    Raises ``LinAlgError`` when a factorization breaks down."""
     # Nesterov-Todd scaling W = R R^H with R^H S R = R^-1 X R^-H = diag(lam)
     rs, rsh, lams, ws = [], [], [], []
     for x, s in zip(xs, ss):
-        lx, ls = _chol(x), _chol(s)
+        nb = len(x)
+        l = _chol(np.concatenate([x, s]))
+        lx, ls = l[:nb], l[nb:]
         _, sig, vh = _svd(_ct(ls) @ lx)
         lams.append(np.maximum(sig, 1e-300))
         rs.append((lx @ _ct(vh)) / np.sqrt(lams[-1])[:, None, :])
@@ -541,28 +568,24 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
         dshs = [rh @ ds @ r for rh, ds, r in zip(rsh, dss, rs)]
         return [dh - dsh for dh, dsh in zip(dhats, dshs)], dy, dss, dshs
 
-    def boundary(dhats):
-        # largest step keeping the scaled blocks positive definite
-        a = np.inf
-        for dh, root in zip(dhats, roots):
-            wmin = np.linalg.eigvalsh(_herm(dh) / root)[:, 0].min()
-            if wmin < -1e-14:
-                a = min(a, -1.0 / wmin)
-        return a
-
     # predictor: D = -Lambda, the affine step to mu = 0
-    dxha, _, _, dsha = direction([-_diag(lam) for lam in lams])
-    ap, ad = min(1.0, boundary(dxha)), min(1.0, boundary(dsha))
-    mu_aff = max(_inner([_diag(lam) + ap * dxh for lam, dxh in zip(lams, dxha)],
-                        [_diag(lam) + ad * dsh for lam, dsh in zip(lams, dsha)]) / n_tot, 0.0)
+    diags = [_diag(lam) for lam in lams]
+    dxha, _, _, dsha = direction([-d for d in diags])
+    ap, ad = _predictor_lengths(roots, dsha)
+    mu_aff = max(_inner([d + ap * dxh for d, dxh in zip(diags, dxha)],
+                        [d + ad * dsh for d, dsh in zip(diags, dsha)]) / n_tot, 0.0)
     sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-12))
 
-    # corrector: T = sigma mu I - Lambda^2 - (dX^ dS^ + dS^ dX^)/2 of the predictor
-    dhats = [_lyap(lam, _diag(sigma * mu - lam**2) - (dxh @ dsh + dsh @ dxh) / 2)
+    # corrector: T = sigma mu I - Lambda^2 - (dX^ dS^ + dS^ dX^)/2 of the
+    # predictor, the last term herm(dX^ dS^) as dX^ and dS^ are Hermitian
+    dhats = [_lyap(lam, _diag(sigma * mu - lam**2) - _herm(dxh @ dsh))
              for lam, dxh, dsh in zip(lams, dxha, dsha)]
     dxhs, dy, dss, dshs = direction(dhats)
-    ap = min(1.0, STEP_FRACTION * boundary(dxhs))
-    ad = min(1.0, STEP_FRACTION * boundary(dshs))
+    # smallest eigenvalues of the scaled dX^ and dS^, one call per group
+    wmins = [np.linalg.eigvalsh(np.stack([dxh, dsh]) / root)[:, :, 0].min(axis=1)
+             for dxh, dsh, root in zip(dxhs, dshs, roots)]
+    ap = min(1.0, STEP_FRACTION * _largest_step(min(w[0] for w in wmins)))
+    ad = min(1.0, STEP_FRACTION * _largest_step(min(w[1] for w in wmins)))
     return [_herm(r @ dxh @ rh) for r, dxh, rh in zip(rs, dxhs, rsh)], dy, dss, ap, ad
 
 
@@ -575,8 +598,7 @@ def _ipm(groups, cs, amat, b, opts, schur, x0=None):
     objectives and residuals."""
     n_tot = sum(g.nb * g.n for g in groups)
     cvec = _pack(cs)
-    bnorm = 1.0 + np.linalg.norm(b)
-    cnorm = 1.0 + np.linalg.norm(cvec)
+    bn, cn = np.linalg.norm(b), np.linalg.norm(cvec)
 
     if x0 is not None:
         # lift every block to a smallest eigenvalue of at least 1e-6
@@ -606,8 +628,8 @@ def _ipm(groups, cs, amat, b, opts, schur, x0=None):
         pobj = float(cvec @ xvec)
         dobj = float(b @ y)
         mu = _inner(xs, ss) / n_tot
-        prel = np.linalg.norm(rp) / bnorm
-        drel = sqrt(sum(np.linalg.norm(r) ** 2 for r in rds)) / cnorm
+        prel = np.linalg.norm(rp) / (1.0 + bn)
+        drel = sqrt(sum(np.linalg.norm(r) ** 2 for r in rds)) / (1.0 + cn)
         grel = abs(pobj - dobj) / (1.0 + abs(pobj))
         murel = n_tot * mu / (1.0 + abs(pobj))
         current = (xs, ss, y, pobj, dobj, prel, drel)
@@ -616,7 +638,7 @@ def _ipm(groups, cs, amat, b, opts, schur, x0=None):
             best, best_score = current, score
         converged = (prel <= opts.feas_tol and drel <= opts.feas_tol
                      and grel <= opts.gap_tol and murel <= opts.gap_tol)
-        status = "optimal" if converged else _certificate(groups, b, cvec, aty, ax, xvec, pobj, dobj, y)
+        status = "optimal" if converged else _certificate(groups, bn, cn, aty, ax, xvec, pobj, dobj, y)
         if status:
             break
         if np.linalg.norm(xvec) > xdiverged or np.linalg.norm(y) > ydiverged:

@@ -346,6 +346,23 @@ def test_verify_report_deterministic_modulo_timestamp(capsys):
     assert reports[0] == reports[1]
 
 
+def test_cached_parser_serves_every_call_alike(tmp_path, capsys):
+    # the parser is built once per process: neither a usage error nor
+    # --help leaves anything behind for the next call
+    assert cli._parser() is cli._parser()
+    assert run_cli(["robustness", "measurements"], capsys)[0] == 1  # no --input
+    assert run_cli(["--help"], capsys)[0] == 0
+    reports = []
+    for _ in range(2):
+        code, out, _ = run_cli(
+            ["robustness", "measurements", "--input", write_zx(tmp_path)], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        rep.pop("timestamp")
+        reports.append(json.dumps(rep, sort_keys=True))
+    assert reports[0] == reports[1]
+
+
 def test_verify_seed_changes_samples(capsys):
     vals = []
     for seed in ("5", "6"):

@@ -66,17 +66,18 @@ def test_identity_channel():
 
 def test_choi_from_kraus_matches_direct_action():
     rng = np.random.default_rng(1)
-    ch = random_channel(2, 3, 2, rng).validate()
-    # recover Kraus by eigendecomposition and compare channel action
-    w, v = np.linalg.eigh(ch.matrix)
-    rho = random_state(2, rng)
-    out = np.zeros((3, 3), dtype=complex)
-    for k in range(len(w)):
-        if w[k] < 1e-12:
-            continue
-        a = np.sqrt(2 * w[k]) * v[:, k].reshape(3, 2)
-        out += a @ rho @ a.conj().T
-    assert np.abs(out - apply_channel(ch, rho)).max() < 1e-10
+    for d_in, d_out in ((2, 3), (3, 2)):
+        ch = random_channel(d_in, d_out, 2, rng).validate()
+        # recover Kraus by eigendecomposition and compare channel action
+        w, v = np.linalg.eigh(ch.matrix)
+        rho = random_state(d_in, rng)
+        out = np.zeros((d_out, d_out), dtype=complex)
+        for k in range(len(w)):
+            if w[k] < 1e-12:
+                continue
+            a = np.sqrt(d_in * w[k]) * v[:, k].reshape(d_out, d_in)
+            out += a @ rho @ a.conj().T
+        assert np.abs(out - apply_channel(ch, rho)).max() < 1e-10
 
 
 def test_unitary_channel():

@@ -609,6 +609,65 @@ def test_lyap_solves_the_scaled_complementarity_equation(cplx):
         assert np.abs(got + sdp._diag(lam)).max() <= 1e-13 * lam.max()
 
 
+def boundary(dhats, roots):
+    # reference step search: the largest step keeping Lambda + a dh PSD,
+    # from one spectrum per group and direction
+    a = np.inf
+    for dh, root in zip(dhats, roots):
+        wmin = np.linalg.eigvalsh(sdp._herm(dh) / root)[:, 0].min()
+        if wmin < -1e-14:
+            a = min(a, -1.0 / wmin)
+    return a
+
+
+def predictor_lengths_by_two_spectra(lams, dshs):
+    roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
+    dxhs = [-sdp._diag(lam) - dsh for lam, dsh in zip(lams, dshs)]
+    return min(1.0, boundary(dxhs, roots)), min(1.0, boundary(dshs, roots))
+
+
+def test_predictor_step_lengths_from_one_spectrum(monkeypatch):
+    # with D = -Lambda, dX^ = -Lambda - dS^, so both predictor step lengths
+    # come from the spectrum of Lambda^-1/2 dS^ Lambda^-1/2: on random
+    # stacks and on the predictor iterates of a plain-row and a family
+    # program, they equal the ones of the two spectra
+    rng = np.random.default_rng(41)
+    cases = []
+    for cplx in (True, False):
+        for scale in (1e-3, 1.0, 1e3):
+            for ns in ((1,), (2,), (5,), (1, 2, 5)):
+                lams = [rng.uniform(0.01, 10.0, (4, n)) for n in ns]
+                dshs = [scale * np.array([random_herm(rng, n) for _ in range(4)]) for n in ns]
+                cases.append((lams, dshs if cplx else [d.real for d in dshs]))
+    sampled = len(cases)
+
+    real_lengths = sdp._predictor_lengths
+
+    def recorded(roots, dshs):
+        # root_ii = sqrt(lam_i^2) is lam_i exactly
+        cases.append(([np.diagonal(r, axis1=1, axis2=2) for r in roots], dshs))
+        return real_lengths(roots, dshs)
+
+    from qincompat.qobjects import identity_channel
+    from qincompat.robustness import robustness_channels_primal
+
+    monkeypatch.setattr(sdp, "_predictor_lengths", recorded)
+    assert solve(mixed_problem(np.random.default_rng(29))).status == "optimal"
+    plain = len(cases)
+    robustness_channels_primal([identity_channel(2)] * 2)
+    assert len(cases) > plain > sampled
+
+    short = [0, 0]
+    for lams, dshs in cases:
+        roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
+        got = real_lengths(roots, dshs)
+        want = predictor_lengths_by_two_spectra(lams, dshs)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), (got, want)
+        short = [k + (a < 1.0) for k, a in zip(short, want)]
+    # both lengths fall short of the full step on many inputs
+    assert min(short) > len(cases) // 4, short
+
+
 def test_stall_exit_is_reported():
     # a gap tolerance no iterate can reach: the steps shrink below 1e-8 and
     # the solve stops early, saying so

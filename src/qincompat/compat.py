@@ -8,9 +8,10 @@ extending its member and normalization equations, ``RowFamily`` objects
 whose identity multiple is derived from their lifts.  The check
 maximizes t such that a joint device with the required marginals has every
 block >= t * I; the members are compatible exactly when the optimal margin is
-nonnegative, up to ``MARGIN_TOL``.  The margin is shifted by a constant from
-a particular solution of the marginal equations, keeping the program in
-nonnegative standard form; that solution is also the starting point.
+nonnegative, up to ten times the solve's feasibility tolerance.  The margin
+is shifted by a constant from a particular solution of the marginal
+equations, keeping the program in nonnegative standard form; that solution is
+also the starting point.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .qobjects import (
 from .families import RowFamily
 from .sdp import SdpProblem, SolveOptions, require_optimal, solve
 
-MARGIN_TOL = 1e-7
 MAX_SETTINGS = 4
 MAX_OUTCOMES = 4
 
@@ -152,8 +152,8 @@ def channel_device(n: int, d_in: int, d_out: int, chois=None) -> JointDevice:
         multiple = tau0 / full
     return JointDevice(
         "channel", [full], members, norm, d_in, particular, multiple,
-        joint=lambda bs: JointChannel(d_in, n, d_out, snap_choi_matrix(bs[0], d_in, d_out**n)),
-        noise=lambda bs: [ChoiMatrix(d_in, d_out, snap_choi_matrix(b, d_in, d_out)) for b in bs],
+        joint=lambda bs: JointChannel(d_in, n, d_out, snap_choi_matrix(bs[0], d_in)),
+        noise=lambda bs: [ChoiMatrix(d_in, d_out, snap_choi_matrix(b, d_in)) for b in bs],
     )
 
 
@@ -204,7 +204,7 @@ def pair_device(o: int, d: int, dp: int, povm: Povm | None = None,
         "pair", [full] * o, members, norm, d, particular, multiple,
         joint=lambda bs: snap_instrument(bs, d, dp),
         noise=lambda bs: (snap_povm(bs[:o]),
-                          ChoiMatrix(d, dp, snap_choi_matrix(bs[o], d, dp))),
+                          ChoiMatrix(d, dp, snap_choi_matrix(bs[o], d))),
     )
 
 
@@ -241,11 +241,12 @@ def max_margin_check(device: JointDevice,
     sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])
     require_optimal(sol, f"{device.name} compatibility")
     margin = sol.scalar_values[0] - t0
+    compatible = margin >= -10 * (options or SolveOptions()).feas_tol
     joint = None
-    if margin >= -MARGIN_TOL:
+    if compatible:
         joint = device.joint([hermitize(b) + margin * np.eye(b.shape[0])
                               for b in sol.block_values])
-    return CompatibilityVerdict(margin >= -MARGIN_TOL, margin, joint)
+    return CompatibilityVerdict(compatible, margin, joint)
 
 
 def check_measurements(collection: PovmCollection,

@@ -193,11 +193,6 @@ class Lift:
         return out.reshape(lead + (self.size, self.size))
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    a = as_matrix(a)
-    return bool(np.abs(a - a.conj().T).max() <= tol)
-
-
 def hermitize(a) -> np.ndarray:
     a = as_matrix(a)
     return (a + a.conj().T) / 2

@@ -328,14 +328,9 @@ def instrument_total(instr: Instrument) -> ChoiMatrix:
 def lueders_instrument(povm: Povm) -> Instrument:
     """Square-root instrument of a measurement, outcome state kept on the same space."""
     d = povm.dim
-    els = []
-    for m in povm.elements:
-        m = hermitize(m)
-        w, v = np.linalg.eigh(m)
-        root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        vec = root.ravel()
-        els.append(np.outer(vec, vec.conj()) / d)
-    return Instrument(d, d, els)
+    roots = _spectral(np.array([hermitize(m) for m in povm.elements]),
+                      lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    return Instrument(d, d, [np.outer(r.ravel(), r.ravel().conj()) / d for r in roots])
 
 
 @dataclass(eq=False)
@@ -416,51 +411,49 @@ def pad_choi(choi: ChoiMatrix, dim_out: int) -> ChoiMatrix:
 # -- polish helpers for solver output ---------------------------------------
 #
 # Interior point iterates satisfy the defining equalities only to solver
-# tolerance; these snap them onto the exactly normalized sets so the strict
-# type validators accept them.  The perturbation is on the order of the
-# solver residual.
+# tolerance.  A POVM, a Choi matrix and an instrument are all PSD blocks on
+# (output) (x) (input) whose input marginals sum to I / k (k = 1 for a POVM,
+# whose output is trivial; k = dim_in for a channel or an instrument), so one
+# rule snaps them all: clip each block to PSD, form S = k * sum_b Tr_out B_b
+# and conjugate every block by I (x) S^-1/2.  The result is PSD with exact
+# marginals by construction, and moves by the order of the solver residual.
 
-def _clip_psd(m) -> np.ndarray:
-    """Hermitian part of ``m`` with its negative eigenvalues set to zero."""
-    w, v = np.linalg.eigh(hermitize(m))
-    return v @ np.diag(np.clip(w, 0.0, None)) @ v.conj().T
+def _spectral(stack, f) -> np.ndarray:
+    """f applied to the eigenvalues of each Hermitian matrix in ``stack``."""
+    w, v = np.linalg.eigh(stack)
+    return (v * f(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+
+
+def _inv_sqrt(w) -> np.ndarray:
+    if w[0] <= 1e-12:
+        raise ContractError("input marginal is singular, cannot renormalize")
+    return 1.0 / np.sqrt(w)
+
+
+def _normalize(blocks, dim_in: int, k: int) -> np.ndarray:
+    """The blocks, stacked, snapped onto the PSD blocks whose input marginals
+    sum to I / k; ``ContractError`` if that sum is singular after clipping."""
+    b = np.asarray(blocks, dtype=complex)
+    b = _spectral((b + np.swapaxes(b, -1, -2).conj()) / 2, lambda w: np.clip(w, 0.0, None))
+    dim_out = b.shape[-1] // dim_in
+    s = k * np.trace(b.sum(axis=0).reshape(dim_out, dim_in, dim_out, dim_in), axis1=0, axis2=2)
+    x = kron(np.eye(dim_out), _spectral(hermitize(s), _inv_sqrt))
+    return x @ b @ x
 
 
 def snap_povm(elements) -> Povm:
-    clipped = [_clip_psd(m) for m in elements]
-    total = hermitize(sum(clipped))
-    w, v = np.linalg.eigh(total)
-    if w[0] <= 1e-12:
-        raise ContractError("effect sum is singular, cannot renormalize")
-    inv_root = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return Povm([inv_root @ m @ inv_root for m in clipped])
+    """Effects clipped and conjugated by S^-1/2, S their sum: a valid POVM."""
+    return Povm(list(_normalize(elements, len(elements[0]), 1)))
 
 
-def snap_choi_matrix(matrix, dim_in: int, dim_out_total: int) -> np.ndarray:
-    m = hermitize(matrix)
-    for _ in range(3):
-        m = _clip_psd(m)
-        tr = np.trace(m).real
-        if tr > 1e-12:
-            m = m / tr
-        marg = partial_trace(m, (dim_out_total, dim_in), (1,))
-        m = m + kron(np.eye(dim_out_total) / dim_out_total,
-                     np.eye(dim_in) / dim_in - marg)
-        m = hermitize(m)
-    return m
+def snap_choi_matrix(matrix, dim_in: int) -> np.ndarray:
+    """A valid Choi matrix on (output) (x) (input), by the same rule."""
+    return _normalize([matrix], dim_in, dim_in)[0]
 
 
 def snap_instrument(elements, dim_in: int, dim_out: int) -> Instrument:
-    o = len(elements)
-    clipped = [_clip_psd(m) for m in elements]
-    total = sum(clipped)
-    tr = np.trace(total).real
-    if tr > 1e-12:
-        clipped = [m / tr for m in clipped]
-        total = total / tr
-    marg = partial_trace(total, (dim_out, dim_in), (1,))
-    fix = kron(np.eye(dim_out) / dim_out, np.eye(dim_in) / dim_in - marg) / o
-    return Instrument(dim_in, dim_out, [m + fix for m in clipped])
+    """A valid instrument, by the same rule on all its elements at once."""
+    return Instrument(dim_in, dim_out, list(_normalize(elements, dim_in, dim_in)))
 
 
 # -- samplers ----------------------------------------------------------------

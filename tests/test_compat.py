@@ -3,7 +3,6 @@ import pytest
 
 from qincompat.linalg import ContractError, hermitian_basis, partial_trace
 from qincompat.compat import (
-    MARGIN_TOL,
     assignments,
     channel_device,
     check_channels,
@@ -25,6 +24,7 @@ from qincompat.qobjects import (
     identity_channel,
     instrument_povm,
     instrument_total,
+    lueders_instrument,
     marginal,
     projective_from_hermitian,
     random_channel,
@@ -32,6 +32,7 @@ from qincompat.qobjects import (
     random_povm,
     random_state,
 )
+from qincompat.sdp import SolveOptions
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -111,29 +112,38 @@ def test_depolarizing_self_compatibility():
     assert not bad.compatible
 
 
+# the verdict follows the solve's tolerance: at 1e-6 the second input of each
+# test below is compatible with a margin below -1e-7
+LOOSE = SolveOptions(feas_tol=1e-6, gap_tol=1e-6)
+
+
 def test_joint_channel_reproduces_marginals():
-    rng = np.random.default_rng(5)
-    joint = random_joint_channel(2, 2, 2, rng, kraus_rank=3)
-    pair = [marginal(joint, 1), marginal(joint, 2)]
-    v = check_channels(pair)
-    assert v.compatible
-    v.joint.validate()
-    for x in (1, 2):
-        got = marginal(v.joint, x)
-        assert np.abs(got.matrix - pair[x - 1].matrix).max() < 1e-6
+    for kraus_rank, options in ((3, None), (1, LOOSE)):
+        rng = np.random.default_rng(5)
+        joint = random_joint_channel(2, 2, 2, rng, kraus_rank=kraus_rank)
+        pair = [marginal(joint, 1), marginal(joint, 2)]
+        v = check_channels(pair, options)
+        assert v.compatible
+        v.joint.validate()
+        for x in (1, 2):
+            got = marginal(v.joint, x)
+            assert np.abs(got.matrix - pair[x - 1].matrix).max() < 1e-6
 
 
 def test_pair_lueders_compatible():
     dephase = choi_from_kraus([np.diag([1.0, 0.0]).astype(complex),
                                np.diag([0.0, 1.0]).astype(complex)])
-    v = check_pair(z_povm(), dephase)
-    assert v.compatible
-    ins = v.joint
-    ins.validate()
-    back = instrument_povm(ins)
-    for got, orig in zip(back.elements, z_povm().elements):
-        assert np.abs(got - orig).max() < 1e-6
-    assert np.abs(instrument_total(ins).matrix - dephase.matrix).max() < 1e-6
+    tilted = projective_from_hermitian(np.array([[1, 0.3], [0.3, -1]]))
+    for povm, channel, options in ((z_povm(), dephase, None),
+                                   (tilted, instrument_total(lueders_instrument(tilted)), LOOSE)):
+        v = check_pair(povm, channel, options)
+        assert v.compatible
+        ins = v.joint
+        ins.validate()
+        back = instrument_povm(ins)
+        for got, orig in zip(back.elements, povm.elements):
+            assert np.abs(got - orig).max() < 1e-6
+        assert np.abs(instrument_total(ins).matrix - channel.matrix).max() < 1e-6
 
 
 def test_pair_with_identity_incompatible():
@@ -165,7 +175,7 @@ def test_mixing_with_trivial_preserves_compatibility():
 def test_margin_tolerance_band():
     # boundary case lands within the documented tolerance of zero
     v = check_measurements(PovmCollection([z_povm(), z_povm()]))
-    assert v.margin >= -MARGIN_TOL
+    assert v.margin >= -10 * SolveOptions().feas_tol
 
 
 # -- the joint-device descriptions behind every check, primal and game ----

@@ -8,8 +8,6 @@ from qincompat.linalg import (
     eig_hermitian,
     embed_operator,
     hermitian_basis,
-    hermitize,
-    is_hermitian,
     is_psd,
     kron,
     matrix_from_json,
@@ -21,7 +19,6 @@ from qincompat.linalg import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -191,19 +188,12 @@ def test_is_psd():
     assert not is_psd(np.diag([1.0, -1e-6]))
 
 
-def test_hermitian_checks():
-    assert is_hermitian(SY)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-    h = hermitize(np.array([[1, 2], [0, 1]], dtype=complex))
-    assert is_hermitian(h)
-
-
 def test_hermitian_basis_orthonormal():
     for d in (2, 3):
         basis = hermitian_basis(d)
         assert len(basis) == d * d
         for i, a in enumerate(basis):
-            assert is_hermitian(a)
+            assert np.array_equal(a, a.conj().T)
             for j, b in enumerate(basis):
                 ip = np.trace(a @ b).real
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-12

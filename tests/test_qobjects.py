@@ -269,6 +269,11 @@ def test_samplers_produce_valid_objects():
         assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
 
 
+def _random_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2
+
+
 def test_snap_povm():
     rng = np.random.default_rng(13)
     m = random_povm(2, 2, rng)
@@ -276,15 +281,49 @@ def test_snap_povm():
     snapped = snap_povm(dirty)
     snapped.validate()
     assert np.abs(snapped.elements[0] - m.elements[0]).max() < 1e-7
+    # the effects are clipped to PSD and conjugated by S^-1/2, S their sum,
+    # exactly as written here
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 2
+        dirty = [e + 1e-8 * _random_hermitian(rng, d) for e in random_povm(d, d, rng).elements]
+        clipped = []
+        for e in dirty:
+            w, v = np.linalg.eigh((e + e.conj().T) / 2)
+            clipped.append(v @ np.diag(np.clip(w, 0.0, None)) @ v.conj().T)
+        w, v = np.linalg.eigh((sum(clipped) + sum(clipped).conj().T) / 2)
+        inv_root = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+        for got, c in zip(snap_povm(dirty).elements, clipped):
+            assert got.tobytes() == (inv_root @ c @ inv_root).tobytes()
+
+
+def test_snaps_are_valid_on_boundary_inputs():
+    # rank-deficient devices plus noise of the solver's tolerance: clipping
+    # and renormalizing leaves PSD blocks with exact marginals
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 2
+        choi = unitary_channel(random_unitary(d, rng)).matrix
+        lueders = lueders_instrument(random_povm(d, d, rng))
+        for eps in (1e-8, 1e-7, 1e-6):
+            snapped = snap_choi_matrix(choi + eps * _random_hermitian(rng, d * d), d)
+            ChoiMatrix(d, d, snapped).validate()
+            assert np.linalg.eigvalsh(snapped)[0] >= -1e-12
+            ins = snap_instrument([m + eps * _random_hermitian(rng, d * d) for m in lueders.elements], d, d)
+            ins.validate()
+            assert min(np.linalg.eigvalsh(m)[0] for m in ins.elements) >= -1e-12
 
 
 def test_snap_choi_matrix():
     rng = np.random.default_rng(14)
     ch = random_channel(2, 2, 2, rng)
     dirty = ch.matrix + 1e-8 * np.eye(4)
-    snapped = snap_choi_matrix(dirty, 2, 2)
+    snapped = snap_choi_matrix(dirty, 2)
     ChoiMatrix(2, 2, snapped).validate()
     assert np.abs(snapped - ch.matrix).max() < 1e-7
+    # no renormalization makes a zero input marginal I / d
+    with pytest.raises(ContractError, match="singular"):
+        snap_choi_matrix(np.diag([1.0, 0.0, 0.0, 0.0]), 2)
 
 
 def test_snap_instrument():

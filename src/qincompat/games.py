@@ -7,6 +7,15 @@ beats every compatible strategy on the game built from the collection's own
 witness operators, and the best achievable advantage ratio equals one plus
 the robustness.  The denominators maximize over the compatible cone by
 semidefinite programming.
+
+The success probability is linear in the processing devices, and every score
+reads that one functional: ``_kernels`` turns a game and its final
+measurements into one kernel K_m per member R_m of a processing resource,
+which then scores sum_m Re Tr[K_m R_m].  A channel of Choi matrix J, met by
+rho on (input d) x (reference) before the effect M on (output) x (reference),
+scores Tr[J K] with K[(b,j),(a,i)] = d sum_rs rho[(i,r),(j,s)] M[(b,s),(a,r)];
+an unassisted game has a one-dimensional reference.  A strategy, measuring
+directly as the identity channel, and the compatible optimum both read it.
 """
 
 from __future__ import annotations
@@ -20,17 +29,14 @@ from .linalg import (
     TOL,
     ContractError,
     DimensionError,
-    Lift,
     hermitize,
     json_list,
     json_number,
     json_object,
-    kron,
     matrix_from_json,
     matrix_to_json,
     op_norm,
     partial_trace,
-    partial_transpose,
     require_hermitian,
     require_psd,
 )
@@ -38,10 +44,7 @@ from .qobjects import (
     ChoiMatrix,
     Povm,
     PovmCollection,
-    apply_channel,
-    apply_channel_extended,
     cloning_channel,
-    identity_channel,
     marginal,
     max_entangled_state,
     random_povm,
@@ -162,76 +165,97 @@ class Strategy:
         return Strategy(pair_mode=(povm, channel, self.pair_mode[2]))
 
 
-def _branch_value(ens, effects, process) -> float:
-    if len(ens) != len(effects):
-        raise DimensionError("ensemble size and measurement outcomes differ")
-    total = 0.0
-    for (p, rho), m in zip(ens, effects):
-        if p == 0.0:
-            continue
-        sigma = process(rho)
-        if sigma.shape != m.shape:
-            raise DimensionError("state and effect dimensions differ")
-        total += p * np.trace(sigma @ m).real
-    return total
-
-
-def success_prob(game: DiscriminationGame, strat: Strategy) -> float:
-    """Average probability of guessing the drawn state's label."""
+def _final_measurements(strat: Strategy) -> tuple[str, PovmCollection]:
+    """A strategy's kind, "channels" or "pair", and its final measurements."""
     if strat.pair_mode is not None:
         povm, channel, final = strat.pair_mode
         if povm is None or channel is None:
             raise ContractError("pair-mode strategy template is not filled in")
-        if game.n != 2 or not game.assisted:
-            raise ContractError("pair-mode strategies need a two-ensemble assisted game")
-        db = game.state_dim // povm.dim
-        total = game.prior[0] * _branch_value(
-            game.ensembles[0], [kron(m, np.eye(db)) for m in povm.elements],
-            lambda rho: rho,
-        )
-        total += game.prior[1] * _branch_value(
-            game.ensembles[1], final.elements,
-            lambda rho: apply_channel_extended(channel, rho),
-        )
-        return float(total)
-
+        return "pair", PovmCollection([final])
     if strat.measurements is None:
         raise ContractError("strategy carries no measurements")
-    if strat.measurements.n != game.n:
-        raise DimensionError("one measurement per setting required")
-    if strat.preprocess is not None and len(strat.preprocess) != game.n:
+    return "channels", strat.measurements
+
+
+def _score(strat: Strategy, device: JointDevice, coeffs) -> float:
+    """sum_m Re Tr[K_m R_m] over the strategy's devices R_m, their dimensions checked
+    first: a flattened product would not tell C^3 -> C^2 from C^2 -> C^3."""
+    d = device.k
+    dp = device.members[-1].dim // d
+    effects, channels = [], strat.preprocess
+    if strat.pair_mode is not None:
+        povm, channel, _ = strat.pair_mode
+        effects, channels = povm.elements, [channel]
+        if povm.outcomes != len(coeffs) - 1:
+            raise DimensionError("ensemble size and measurement outcomes differ")
+        if povm.dim != d:
+            raise DimensionError(f"state and effect dimensions differ: the measurement "
+                                 f"acts on C^{povm.dim}, the game on C^{d}")
+    elif channels is None:
+        omega = np.eye(d).ravel() / np.sqrt(d)  # identity_channel needs d >= 2
+        channels = [ChoiMatrix(d, d, np.outer(omega, omega))] * len(coeffs)
+    elif len(channels) != len(coeffs):
         raise DimensionError("one preprocessing channel per setting required")
-    total = 0.0
-    for x in range(game.n):
-        if strat.preprocess is None:
-            process = lambda rho: rho
-        elif game.assisted:
-            process = lambda rho, c=strat.preprocess[x]: apply_channel_extended(c, rho)
-        else:
-            process = lambda rho, c=strat.preprocess[x]: apply_channel(c, rho)
-        total += game.prior[x] * _branch_value(
-            game.ensembles[x], strat.measurements.povms[x].elements, process,
-        )
-    return float(total)
+    for x, c in enumerate(channels):
+        if (c.dim_in, c.dim_out) != (d, dp):
+            raise DimensionError(f"state and effect dimensions differ: channel {x} maps "
+                                 f"C^{c.dim_in} to C^{c.dim_out}, the game needs C^{d} to C^{dp}")
+    members = [*effects, *(c.matrix for c in channels)]
+    return float(sum(np.einsum("ij,ji->", k, r).real for k, r in zip(coeffs, members)))
 
 
-def _assisted_coeff(rho, m, d: int, dp: int, db: int) -> np.ndarray:
-    # linear kernel on the Choi matrix: Tr[(channel x id)(rho) m] = Tr[J k]
-    rho_ta = partial_transpose(rho, (d, db), (0,))
-    m_lift = Lift((dp, d, db), (0, 2))(m)
-    prod = kron(np.eye(dp), rho_ta) @ m_lift
-    return hermitize(d * partial_trace(prod, (dp, d, db), (0, 1)))
+def success_prob(game: DiscriminationGame, strat: Strategy) -> float:
+    """Average probability of guessing the drawn state's label."""
+    kind, meas = _final_measurements(strat)
+    return _score(strat, *_kernels(game, meas, kind))
 
 
-def _assisted_dims(game: DiscriminationGame, meas_dim: int):
-    """Base dimension of an assisted game's states on base x base, and the
-    output dimension of a measurement on output x base."""
-    d = int(round(np.sqrt(game.state_dim)))
-    if d * d != game.state_dim:
-        raise DimensionError("assisted games need states on a square space")
-    if meas_dim % d:
-        raise DimensionError("measurement space must factor as output x base")
-    return d, meas_dim // d
+def _kernel(rho, m, d: int, dp: int, db: int) -> np.ndarray:
+    """The kernel K of the module docstring: Tr[J K] = Tr[(channel x id)(rho) m],
+    with rho on (input d) x (reference db) and m on (output dp) x (reference)."""
+    k = np.einsum("irjs,bsar->bjai", rho.reshape(d, db, d, db), m.reshape(dp, db, dp, db))
+    return hermitize(d * k.reshape(dp * d, dp * d))
+
+
+def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str):
+    """The joint device of the compatible resources of ``kind`` (see
+    ``best_compatible_success``) and one kernel per member of the device."""
+    game.validate()
+    if kind == "channels":
+        if meas.n != game.n:
+            raise DimensionError("one measurement per setting required")
+    elif kind == "pair":
+        if meas.n != 1:
+            raise DimensionError("pair games use a single final measurement")
+        if game.n != 2 or not game.assisted:
+            raise ContractError("pair games have two ensembles of assisted states")
+    else:
+        raise ContractError(f"unknown strategy kind {kind!r}")
+    d, dp, db = game.state_dim, meas.dim, 1
+    if game.assisted:  # states on base x base, measurements on output x base
+        d = db = int(round(np.sqrt(game.state_dim)))
+        if d * d != game.state_dim:
+            raise DimensionError("assisted games need states on a square space")
+        if meas.dim % d:
+            raise DimensionError("measurement space must factor as output x base")
+        dp = meas.dim // d
+
+    def kernel(x, povm):
+        if len(game.ensembles[x]) != povm.outcomes:
+            raise DimensionError("ensemble size and measurement outcomes differ")
+        kx = np.zeros((dp * d, dp * d), dtype=complex)
+        for (p, rho), m in zip(game.ensembles[x], povm.elements):
+            if p != 0.0:
+                kx += p * _kernel(rho, m, d, dp, db)
+        return game.prior[x] * kx
+
+    if kind == "channels":
+        coeffs = [kernel(x, povm) for x, povm in enumerate(meas.povms)]
+        return channel_device(game.n, d, dp), coeffs
+    # the instrument's measurement meets setting 1, its channel setting 2
+    first = game.ensembles[0]
+    coeffs = [game.prior[0] * p * partial_trace(rho, (d, d), (0,)) for p, rho in first]
+    return pair_device(len(first), d, dp), coeffs + [kernel(1, meas.povms[0])]
 
 
 def best_compatible_program(device: JointDevice, coeffs,
@@ -260,53 +284,17 @@ def best_compatible_success(game: DiscriminationGame, meas: PovmCollection,
     player uses an arbitrary instrument; its measurement answers setting 1
     and its total channel feeds the single POVM in ``meas`` for setting 2.
     """
-    game.validate()
-    if kind == "channels":
-        if meas.n != game.n:
-            raise DimensionError("one measurement per setting required")
-        if game.assisted:
-            d, dp = _assisted_dims(game, meas.dim)
-        else:
-            d = game.state_dim
-            dp = meas.dim
-        coeffs = []
-        for x in range(game.n):
-            if len(game.ensembles[x]) != meas.povms[x].outcomes:
-                raise DimensionError("ensemble size and measurement outcomes differ")
-            kx = np.zeros((dp * d, dp * d), dtype=complex)
-            for (p, rho), m in zip(game.ensembles[x], meas.povms[x].elements):
-                if p == 0.0:
-                    continue
-                if game.assisted:
-                    kx += p * _assisted_coeff(rho, m, d, dp, d)
-                else:
-                    kx += p * d * kron(m, rho.T)
-            coeffs.append(game.prior[x] * kx)
-        return best_compatible_program(channel_device(game.n, d, dp), coeffs, options,
-                                       "compatible-best (channels)")
+    device, coeffs = _kernels(game, meas, kind)
+    return best_compatible_program(device, coeffs, options, f"compatible-best ({kind})")
 
-    if kind == "pair":
-        if meas.n != 1:
-            raise DimensionError("pair games use a single final measurement")
-        final = meas.povms[0]
-        if game.n != 2 or not game.assisted:
-            raise ContractError("pair games have two ensembles of assisted states")
-        d, dp = _assisted_dims(game, final.dim)
-        o = len(game.ensembles[0])
-        if len(game.ensembles[1]) != final.outcomes:
-            raise DimensionError("ensemble size and measurement outcomes differ")
-        # the instrument's measurement meets setting 1, its channel setting 2
-        coeffs = [game.prior[0] * p * partial_trace(rho, (d, d), (0,))
-                  for p, rho in game.ensembles[0]]
-        kshared = np.zeros((dp * d, dp * d), dtype=complex)
-        for (p, rho), li in zip(game.ensembles[1], final.elements):
-            if p == 0.0:
-                continue
-            kshared += game.prior[1] * p * _assisted_coeff(rho, li, d, dp, d)
-        return best_compatible_program(pair_device(o, d, dp), coeffs + [kshared], options,
-                                       "compatible-best (pair)")
 
-    raise ContractError(f"unknown strategy kind {kind!r}")
+def _witness_measurement(a, norm: float, dim: int) -> list:
+    """Effects of the two-outcome witness measurement [a / |a|, I - a / |a|],
+    or [I, 0] when the witness operator is numerically zero."""
+    eye = np.eye(dim)
+    if norm < WITNESS_DROP_TOL:
+        return [eye, np.zeros_like(eye)]
+    return [a / norm, eye - a / norm]
 
 
 def game_from_channel_witness(witness: WitnessSet, d: int, dp: int):
@@ -323,20 +311,13 @@ def game_from_channel_witness(witness: WitnessSet, d: int, dp: int):
         raise DegenerateWitnessError("all witness operators are numerically zero")
     psi = max_entangled_state(d)
     junk = np.eye(d * d) / (d * d)
-    eye = np.eye(dp * d)
-    prior = []
-    ensembles = []
-    povms = []
-    for a, na in zip(ops, norms):
-        if na < WITNESS_DROP_TOL:
-            prior.append(0.0)
-            povms.append(Povm([eye.copy(), np.zeros_like(eye)]))
-        else:
-            prior.append(na / total)
-            povms.append(Povm([a / na, eye - a / na]))
-        ensembles.append([(1.0, psi), (0.0, junk)])
-    game = DiscriminationGame(prior=prior, ensembles=ensembles, assisted=True)
-    return game.validate(), PovmCollection(povms)
+    game = DiscriminationGame(
+        prior=[0.0 if na < WITNESS_DROP_TOL else na / total for na in norms],
+        ensembles=[[(1.0, psi), (0.0, junk)]] * len(ops),
+        assisted=True,
+    )
+    return game.validate(), PovmCollection(
+        [Povm(_witness_measurement(a, na, dp * d)) for a, na in zip(ops, norms)])
 
 
 def game_from_pair_witness(witness: WitnessSet, d: int, dp: int):
@@ -365,15 +346,11 @@ def game_from_pair_witness(witness: WitnessSet, d: int, dp: int):
         elif t < WITNESS_DROP_TOL:
             first.append((0.0, junk))
         else:
-            first.append((t / total1, kron(a / t, mixed)))
+            first.append((t / total1, np.kron(a / t, mixed)))
     second = [(1.0, max_entangled_state(d))] + [(0.0, junk)] * (o - 1)
 
-    eye = np.eye(dp * d)
-    if bnorm < WITNESS_DROP_TOL:
-        final_els = [eye.copy(), np.zeros_like(eye)]
-    else:
-        final_els = [b_op / bnorm, eye - b_op / bnorm]
-    final = Povm(final_els + [np.zeros_like(eye)] * (o - 2))
+    unused = [np.zeros((dp * d, dp * d))] * (o - 2)
+    final = Povm(_witness_measurement(b_op, bnorm, dp * d) + unused)
 
     game = DiscriminationGame(
         prior=[total1 / denom, bnorm / denom],
@@ -386,9 +363,16 @@ def game_from_pair_witness(witness: WitnessSet, d: int, dp: int):
 def advantage_ratio(game: DiscriminationGame, meas: PovmCollection,
                     resource_strategy: Strategy, kind: str = "channels",
                     options: SolveOptions | None = None) -> float:
-    """Success of the given strategy over the best compatible one."""
-    num = success_prob(game, resource_strategy)
-    den = best_compatible_success(game, meas, kind, options)
+    """Success of the given strategy over the best compatible one, both
+    followed by ``meas``: the strategy must be of ``kind`` and measure with
+    ``meas``."""
+    own_kind, own = _final_measurements(resource_strategy)
+    if own_kind != kind or own.n != meas.n or not all(
+            np.array_equal(p.elements, q.elements) for p, q in zip(own.povms, meas.povms)):
+        raise ContractError(f"the strategy is not a {kind} strategy that measures with meas")
+    device, coeffs = _kernels(game, meas, kind)
+    num = _score(resource_strategy, device, coeffs)
+    den = best_compatible_program(device, coeffs, options, f"compatible-best ({kind})")
     if den <= 0:
         raise ContractError("compatible strategies score zero on this game")
     return num / den
@@ -422,16 +406,16 @@ def unassisted_bound_check(d: int, trials: int, rng_seed: int = 0,
         raise ContractError(f"need at least one sampled game, got trials={trials}")
     rng = np.random.default_rng(rng_seed)
     bound = 2 * (d + 1) / (d + 3)
-    ids = [identity_channel(d), identity_channel(d)]
     clone = cloning_channel(d)
     clones = [marginal(clone, 1), marginal(clone, 2)]
     max_ratio = 0.0
     for _ in range(trials):
         game = random_game(d, 2, 2, rng)
         meas = PovmCollection([random_povm(d, 2, rng) for _ in range(2)])
-        p_id = success_prob(game, Strategy(preprocess=ids, measurements=meas))
-        p_clone = success_prob(game, Strategy(preprocess=clones, measurements=meas))
-        p_best = best_compatible_success(game, meas, "channels", options)
+        device, coeffs = _kernels(game, meas, "channels")
+        p_id = _score(Strategy(measurements=meas), device, coeffs)  # the identity channels
+        p_clone = _score(Strategy(preprocess=clones, measurements=meas), device, coeffs)
+        p_best = best_compatible_program(device, coeffs, options, "compatible-best (channels)")
         if p_clone <= 0 or p_best <= 0:
             raise ContractError("degenerate sampled game")
         ratio = p_id / p_best

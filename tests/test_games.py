@@ -1,6 +1,8 @@
 """Discrimination games: success probabilities, compatible-best SDPs,
 witness-built games, and the unassisted bound."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from qincompat.games import (
     DiscriminationGame,
     PovmCollection,
     Strategy,
-    _assisted_coeff,
+    _kernel,
     advantage_ratio,
     best_compatible_success,
     game_from_channel_witness,
@@ -18,10 +20,11 @@ from qincompat.games import (
     success_prob,
     unassisted_bound_check,
 )
-from qincompat.linalg import ContractError, matrix_to_json
+from qincompat.linalg import ContractError, DimensionError, kron, matrix_to_json
 from qincompat.qobjects import (
     Povm,
     apply_channel,
+    apply_channel_extended,
     basis_povm,
     identity_channel,
     marginal,
@@ -107,17 +110,77 @@ def test_success_prob_matches_monte_carlo():
     assert abs(est - exact) < 3 * sigma + 1e-9
 
 
-def test_assisted_coeff_is_adjoint_of_extended_application():
+@pytest.mark.parametrize("d, dp, db", [(2, 3, 2), (3, 2, 3), (2, 3, 1), (3, 2, 1)])
+def test_assisted_coeff_is_adjoint_of_extended_application(d, dp, db):
     rng = np.random.default_rng(5)
-    d, dp, db = 2, 3, 2
     choi = random_channel(d, dp, 2, rng)
     rho = random_state(d * db, rng)
     h = rng.standard_normal((dp * db, dp * db)) + 1j * rng.standard_normal((dp * db, dp * db))
     m = h @ h.conj().T
-    from qincompat.qobjects import apply_channel_extended
-    lhs = np.trace(apply_channel_extended(choi, rho) @ m).real
-    rhs = np.trace(choi.matrix @ _assisted_coeff(rho, m, d, dp, db)).real
+    # with no reference (db = 1) the channel acts on the state alone
+    push = apply_channel if db == 1 else apply_channel_extended
+    lhs = np.trace(push(choi, rho) @ m).real
+    rhs = np.trace(choi.matrix @ _kernel(rho, m, d, dp, db)).real
     assert abs(lhs - rhs) < 1e-10
+
+
+def _pushed_through(game, strat):
+    """sum_x prior(x) sum_i p(i|x) Tr[M_i|x Phi_x(rho_i|x)], each state pushed
+    through its channel: the operational definition of the success
+    probability."""
+    if strat.pair_mode is not None:
+        povm, channel, final = strat.pair_mode
+        db = game.state_dim // povm.dim
+        first = sum(p * np.trace(rho @ kron(m, np.eye(db))).real
+                    for (p, rho), m in zip(game.ensembles[0], povm.elements))
+        second = sum(p * np.trace(apply_channel_extended(channel, rho) @ m).real
+                     for (p, rho), m in zip(game.ensembles[1], final.elements))
+        return game.prior[0] * first + game.prior[1] * second
+    total = 0.0
+    for x, povm in enumerate(strat.measurements.povms):
+        for (p, rho), m in zip(game.ensembles[x], povm.elements):
+            if strat.preprocess is not None:
+                push = apply_channel_extended if game.assisted else apply_channel
+                rho = push(strat.preprocess[x], rho)
+            total += game.prior[x] * p * np.trace(rho @ m).real
+    return total
+
+
+def _strategy_forms():
+    rng = np.random.default_rng(67)
+
+    def measured(d, assisted, outcomes=2):
+        game = random_game(d, 2, outcomes, rng, assisted=assisted)
+        sd = game.state_dim
+        return game, Strategy(measurements=PovmCollection(
+            [random_povm(sd, outcomes, rng) for _ in range(2)]))
+
+    def preprocessed(assisted):
+        game = random_game(2, 2, 2, rng, assisted=assisted)
+        md = 6 if assisted else 3
+        return game, Strategy(preprocess=[random_channel(2, 3, 2, rng) for _ in range(2)],
+                              measurements=PovmCollection([random_povm(md, 2, rng)
+                                                           for _ in range(2)]))
+
+    pair_game = random_game(2, 2, 2, rng, assisted=True)
+    pair = Strategy(pair_mode=(random_povm(2, 2, rng), random_channel(2, 3, 2, rng),
+                               random_povm(6, 2, rng)))
+    return {
+        "measured, unassisted, d=1": measured(1, False),
+        "measured, unassisted, d=2": measured(2, False),
+        "measured, assisted": measured(2, True, 3),
+        "preprocessed, unassisted": preprocessed(False),
+        "preprocessed, assisted": preprocessed(True),
+        "pair": (pair_game, pair),
+    }
+
+
+@pytest.mark.parametrize("form", list(_strategy_forms()))
+def test_success_prob_matches_pushing_states_through_channels(form):
+    game, strat = _strategy_forms()[form]
+    want = _pushed_through(game.validate(), strat)
+    assert 0.0 < want < 1.0
+    assert abs(success_prob(game, strat) - want) < 1e-12
 
 
 def test_identity_pair_game_hits_closed_form_ratio():
@@ -140,6 +203,22 @@ def test_witness_game_ratio_equals_one_plus_robustness():
         ratio = advantage_ratio(game, meas, strat, "channels")
         assert abs(ratio - (1 + rep.primal_value)) < 1e-5
         assert ratio >= 1 + rep.dual_value - 1e-5
+
+
+def test_advantage_ratio_needs_the_strategy_to_measure_with_meas():
+    # both scores are read from the kernels of meas, so a strategy that
+    # measures otherwise, or is of the other kind, is refused
+    ids = [identity_channel(2), identity_channel(2)]
+    game, meas = game_from_channel_witness(robustness_channels_dual(ids), 2, 2)
+    copy = PovmCollection([Povm(list(p.elements)) for p in meas.povms])
+    assert advantage_ratio(game, meas, Strategy(preprocess=ids, measurements=copy)) > 1.3
+    swapped = PovmCollection([Povm(p.elements[::-1]) for p in meas.povms])
+    pair = Strategy(pair_mode=(basis_povm(2), identity_channel(2), meas.povms[0]))
+    for strat, kind in ((Strategy(preprocess=ids, measurements=swapped), "channels"),
+                        (Strategy(preprocess=ids, measurements=meas), "pair"),
+                        (pair, "channels")):
+        with pytest.raises(ContractError, match="measures with meas"):
+            advantage_ratio(game, meas, strat, kind)
 
 
 def test_compatible_resource_never_beats_denominator():
@@ -202,6 +281,91 @@ def test_pair_template_must_be_filled():
     from qincompat.linalg import ContractError
     with pytest.raises(ContractError):
         success_prob(game, template)
+
+
+def _qutrit_two_outcome():
+    return Povm([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+
+
+def _rejection_cases():
+    rng = np.random.default_rng(61)
+    game = bb84_game().validate()
+    meas = PovmCollection([basis_povm(2), basis_povm(2)])
+    assisted = random_game(2, 2, 2, rng, assisted=True).validate()
+    final = random_povm(4, 2, rng)
+    pair = Strategy(pair_mode=(basis_povm(2), identity_channel(2), final))
+    qutrit = PovmCollection([_qutrit_two_outcome()] * 2)
+    three = PovmCollection([random_povm(2, 3, rng)] * 2)
+    wide = DiscriminationGame(prior=[1.0], ensembles=[[(1.0, np.eye(3) / 3)]], assisted=True)
+    # C^3 -> C^2 channels against a game on C^2 measured on C^3: the kernel
+    # side (C^2 -> C^3) has the same size, 6, as these Choi matrices
+    backwards = [random_channel(3, 2, 2, rng) for _ in range(2)]
+    sp, best = success_prob, best_compatible_success
+    return {
+        "no measurements": (
+            lambda: sp(game, Strategy()),
+            ContractError, "strategy carries no measurements"),
+        "one measurement per setting": (
+            lambda: sp(game, Strategy(measurements=PovmCollection([basis_povm(2)]))),
+            DimensionError, "one measurement per setting required"),
+        "one measurement per setting, best": (
+            lambda: best(game, PovmCollection([basis_povm(2)])),
+            DimensionError, "one measurement per setting required"),
+        "one channel per setting": (
+            lambda: sp(game, Strategy(preprocess=[identity_channel(2)], measurements=meas)),
+            DimensionError, "one preprocessing channel per setting required"),
+        "outcomes differ": (
+            lambda: sp(game, Strategy(measurements=three)),
+            DimensionError, "ensemble size and measurement outcomes differ"),
+        "outcomes differ, best": (
+            lambda: best(game, three),
+            DimensionError, "ensemble size and measurement outcomes differ"),
+        "state and effect dimensions differ": (
+            lambda: sp(game, Strategy(measurements=qutrit)),
+            DimensionError, "state and effect dimensions differ"),
+        "pair template not filled": (
+            lambda: sp(assisted, Strategy(pair_mode=(None, None, final))),
+            ContractError, "pair-mode strategy template is not filled in"),
+        "pair on an unassisted game": (
+            lambda: sp(game, pair),
+            ContractError, "pair games have two ensembles of assisted states"),
+        "pair on an unassisted game, best": (
+            lambda: best(game, PovmCollection([final]), "pair"),
+            ContractError, "pair games have two ensembles of assisted states"),
+        "non-square assisted space": (
+            lambda: best(wide, PovmCollection([Povm([np.eye(3)])])),
+            DimensionError, "assisted games need states on a square space"),
+        "measurement not output x base": (
+            lambda: best(assisted, qutrit),
+            DimensionError, "measurement space must factor as output x base"),
+        "unknown kind": (
+            lambda: best(game, meas, "bogus"),
+            ContractError, "unknown strategy kind 'bogus'"),
+        "channels the wrong way round": (
+            lambda: sp(game, Strategy(preprocess=backwards, measurements=qutrit)),
+            DimensionError, "state and effect dimensions differ: channel 0 maps C^3 to C^2, "
+                            "the game needs C^2 to C^3"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_rejection_cases()))
+def test_scorers_name_each_rejection(case):
+    call, kind, message = _rejection_cases()[case]
+    with pytest.raises(kind, match=re.escape(message)) as err:
+        call()
+    assert type(err.value) is kind
+
+
+@pytest.mark.parametrize("ensembles, match", [
+    # unvalidated, this game "succeeds" with probability 7
+    ([[(1.0, np.diag([2.0, 0.0])), (1.0, np.diag([0.0, 5.0]))]], "conditional distribution"),
+    # the kernels read the game's dimension off its first state
+    ([[]], "every setting needs at least one state"),
+])
+def test_success_prob_rejects_an_invalid_game(ensembles, match):
+    game = DiscriminationGame(prior=[1.0], ensembles=ensembles)
+    with pytest.raises(ContractError, match=match):
+        success_prob(game, Strategy(measurements=PovmCollection([basis_povm(2)])))
 
 
 def test_single_ensemble_game_ratio_one():

@@ -5,10 +5,8 @@ they induce."""
 from .linalg import (
     ContractError,
     DimensionError,
-    eig_hermitian,
     embed_operator,
     hermitian_basis,
-    is_psd,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -43,7 +41,6 @@ from .qobjects import (
     random_channel,
     random_joint_channel,
     random_povm,
-    random_pure_state,
     random_state,
     random_unitary,
     unitary_channel,

@@ -1,24 +1,27 @@
 """Joint devices and compatibility checks for measurement collections,
 channel collections, and measurement-channel pairs.
 
-Each kind of joint device -- parent measurement, joint channel, instrument --
-is described once by a ``JointDevice``, which generates the robustness
-primal, the best-compatible game program and the check below, each by
-extending its member and normalization equations, ``RowFamily`` objects
-whose identity multiple is derived from their lifts.  The check
-maximizes t such that a joint device with the required marginals has every
-block >= t * I; the members are compatible exactly when the optimal margin is
-nonnegative, up to ten times the solve's feasibility tolerance.  The margin
-is shifted by a constant from a particular solution of the marginal
-equations, keeping the program in nonnegative standard form; that solution is
-also the starting point.
+Every kind is a special case of channel incompatibility: a measurement is
+its measure-and-record channel, and a measurement-channel pair is one channel
+with a classical and a quantum output.  So one ``JointDevice``, a channel
+whose outputs, one per member, are each quantum or classical, describes
+every joint device -- parent measurement, joint channel, instrument.  It
+generates the robustness primal, the best-compatible game program and the
+check below, each by extending its member and normalization equations,
+``RowFamily`` objects whose identity multiple is derived from their lifts.
+The check maximizes t such that a joint device with the required marginals
+has every block >= t * I; the members are compatible exactly when the
+optimal margin is nonnegative, up to ten times the solve's feasibility
+tolerance.  The margin is shifted by a constant from a particular solution
+of the marginal equations, keeping the program in nonnegative standard form;
+that solution is also the starting point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable
+from math import prod
 
 import numpy as np
 
@@ -39,39 +42,29 @@ MAX_SETTINGS = 4
 MAX_OUTCOMES = 4
 
 
-def assignments(outcomes: int, settings: int) -> list[tuple[int, ...]]:
-    """Deterministic outcome assignments, lexicographic; the parent outcome order."""
-    if settings > MAX_SETTINGS or outcomes > MAX_OUTCOMES:
+def assignments(counts) -> list[tuple[int, ...]]:
+    """Deterministic outcome assignments, one value below ``counts[x]`` per
+    setting x, lexicographic; the parent outcome order."""
+    return list(itertools.product(*map(range, counts)))
+
+
+# Each kind of input validates to the arguments (d_in, outputs, members) of
+# ``joint_device``: a channel is a quantum output, a measurement a classical one.
+
+def measurement_family(collection: PovmCollection):
+    """Validate a measurement collection; the ``joint_device`` arguments."""
+    collection.validate()
+    counts = [p.outcomes for p in collection.povms]
+    if len(counts) > MAX_SETTINGS or max(counts) > MAX_OUTCOMES:
         raise ContractError(
             f"assignment enumeration supports at most {MAX_SETTINGS} settings "
-            f"and {MAX_OUTCOMES} outcomes, got {settings} and {outcomes}"
+            f"and {MAX_OUTCOMES} outcomes, got {len(counts)} and {max(counts)}"
         )
-    return list(itertools.product(range(outcomes), repeat=settings))
-
-
-def lift_setting(n: int, d_out: int, d_in: int, x: int) -> Lift:
-    """Embedding of an operator on (output_x (x) input) into the joint space."""
-    return Lift((d_out,) * n + (d_in,), (x, n))
-
-
-def lift_input(n: int, d_out: int, d_in: int) -> Lift:
-    """Embedding of an operator on the input factor into the joint space."""
-    return Lift((d_out,) * n + (d_in,), (n,))
-
-
-def padded_effects(collection: PovmCollection):
-    """Effects as a [setting][outcome] grid, short settings padded with zeros."""
-    o, d = collection.outcomes, collection.dim
-    grid = []
-    for p in collection.povms:
-        row = [np.asarray(m, dtype=complex) for m in p.elements]
-        row += [np.zeros((d, d), dtype=complex)] * (o - len(row))
-        grid.append(row)
-    return grid
+    return collection.dim, [(o, True) for o in counts], [p.elements for p in collection.povms]
 
 
 def channel_family(channels):
-    """Validated Choi matrices of a channel collection with n, d_in, d_out."""
+    """Validate a channel collection; the ``joint_device`` arguments."""
     chois = [c.validate() for c in channels]
     n = len(chois)
     if n < 1:
@@ -81,16 +74,17 @@ def channel_family(channels):
     d, dp = chois[0].dim_in, chois[0].dim_out
     if any(c.dim_in != d or c.dim_out != dp for c in chois):
         raise ContractError("all channels must share input and output dimensions")
-    return chois, n, d, dp
+    return d, [(dp, False)] * n, [c.matrix for c in chois]
 
 
-def pair_dims(povm: Povm, channel: ChoiMatrix):
-    """Validate a measurement-channel pair; return d_in, d_out, outcomes."""
+def pair_family(povm: Povm, channel: ChoiMatrix):
+    """Validate a measurement-channel pair; the ``joint_device`` arguments."""
     povm.validate()
     channel.validate()
     if povm.dim != channel.dim_in:
         raise ContractError("measurement and channel act on different input spaces")
-    return channel.dim_in, channel.dim_out, povm.outcomes
+    return (channel.dim_in, [(povm.outcomes, True), (channel.dim_out, False)],
+            [povm.elements, channel.matrix])
 
 
 def unit_marginal(fam: RowFamily) -> float:
@@ -102,110 +96,124 @@ def unit_marginal(fam: RowFamily) -> float:
 
 @dataclass
 class JointDevice:
-    """One kind of joint device, described once for every program on it.
+    """A channel on C^d_in with one output per member, each quantum or
+    classical (``outputs``: (dim, classical) pairs), described once for every
+    program on it by ``joint_device``.
 
-    ``members``: one ``RowFamily`` per member operator, in input order, with
-    the member as rhs.  ``norm``: the input marginal Sigma = t * I / k, rhs
-    I / k.  ``particular`` solves the member equations; joint blocks c * I,
-    c = ``identity_multiple``, make every noise block
-    c * unit_marginal(member) * I - member positive definite.  Member rhs,
-    ``particular`` and c are None without member operators.  ``joint`` and
-    ``noise`` snap solver blocks to the joint device and to the noise."""
+    ``labels``: each block's member values, the outcome of a classical member
+    and 0 of a quantum one.  ``members``: one ``RowFamily`` per member
+    operator, a classical member's value by value, with the operator as rhs
+    (None without member operators).  ``norm``: the input marginal
+    Sigma = t * I / k, rhs I / k; the blocks are effects (k = 1) when every
+    output is classical, Choi matrices (k = d_in) otherwise."""
 
-    name: str
-    blocks: list[int]
+    d_in: int
+    outputs: list
+    labels: list[tuple[int, ...]]
     members: list[RowFamily]
     norm: RowFamily
-    k: int
-    particular: list | None
-    identity_multiple: float | None
-    joint: Callable
-    noise: Callable
+
+    @property
+    def quantum(self) -> list[int]:
+        return [dim for dim, classical in self.outputs if not classical]
+
+    @property
+    def k(self) -> int:
+        return self.d_in if self.quantum else 1
+
+    @property
+    def name(self) -> str:
+        if not self.quantum:
+            return "measurement"
+        return "channel" if len(self.quantum) == len(self.outputs) else "pair"
+
+    @property
+    def blocks(self) -> list[int]:
+        return [self.d_in * prod(self.quantum)] * len(self.labels)
+
+    def _by_member(self, items) -> list[list]:
+        """``items``, one per member family, grouped by member."""
+        it = iter(items)
+        return [[next(it) for _ in range(dim if classical else 1)] for dim, classical in self.outputs]
+
+    @property
+    def particular(self) -> list:
+        """Joint blocks that solve the member equations,
+        g = sum_x member_x / prod_{y != x} dim_y - (n - 1) I / (k prod_y dim_y),
+        with each member as it appears in the blocks."""
+        k, quantum, inp = self.k, self.quantum, self.norm.terms[0][1]
+        total = prod(dim for dim, _ in self.outputs)
+        terms = [[(inp(f.rhs.T / k if quantum else f.rhs) if classical else f.terms[0][1](f.rhs))
+                  / (total // dim) for f in fams]
+                 for (dim, classical), fams in zip(self.outputs, self._by_member(self.members))]
+        side = self.blocks[0]
+        shift = (len(self.outputs) - 1) * np.eye(side) / (k * total)
+        particular = []
+        for l in self.labels:
+            g = np.zeros((side, side), dtype=complex)
+            for x, term in enumerate(terms):
+                g += term[l[x]]
+            particular.append(g - shift)
+        return particular
 
     def robustness_start(self):
-        """Strictly feasible robustness point: joint blocks, noise blocks, t."""
-        c = self.identity_multiple
+        """Strictly feasible robustness point: joint blocks c * I, noise blocks
+        c * unit_marginal(member) * I - member, positive definite, and t."""
+        if self.name == "channel":
+            # not c = 2 / min unit_marginal as for every other device: that c takes
+            # the channel-ladder bench from 91 to 87-88 iterations but its accuracy
+            # from 8.12 to 7.67 digits; a cold start takes 15-31 % more iterations
+            top = max(np.linalg.eigvalsh(fam.rhs)[-1] for fam in self.members)
+            c = (2.0 * self.quantum[0] * self.d_in * top + 1.0) / self.blocks[0]
+        else:
+            c = 2.0 / min(map(unit_marginal, self.members))
         joint = [c * np.eye(n) for n in self.blocks]
         noise = [c * unit_marginal(fam) * np.eye(fam.dim) - fam.rhs for fam in self.members]
         return joint, noise, c * unit_marginal(self.norm) * self.k
 
+    def joint(self, blocks):
+        """Solver blocks snapped to the joint device: a POVM, a joint channel
+        or, with outputs of both kinds, an instrument."""
+        d, quantum = self.d_in, self.quantum
+        if self.name == "measurement":
+            return snap_povm(blocks)
+        if self.name == "channel":
+            return JointChannel(d, len(quantum), quantum[0], snap_choi_matrix(blocks[0], d))
+        return snap_instrument(blocks, d, prod(quantum))
 
-def channel_device(n: int, d_in: int, d_out: int, chois=None) -> JointDevice:
-    """Joint channel on (out_1) (x) ... (x) (out_n) (x) (input); member x is
-    its Choi marginal on (out_x) (x) (input)."""
-    full = d_out**n * d_in
-    ops = [None] * n if chois is None else [c.matrix for c in chois]
-    members = [RowFamily(d_out * d_in, [(0, lift_setting(n, d_out, d_in, x))], ops[x])
-               for x in range(n)]
-    norm = RowFamily(d_in, [(0, lift_input(n, d_out, d_in))], np.eye(d_in) / d_in)
-    particular = multiple = None
-    if chois is not None:
-        g = np.zeros((full, full), dtype=complex)
-        for x, j in enumerate(ops):
-            g += lift_setting(n, d_out, d_in, x)(j) / d_out ** (n - 1)
-        g -= (n - 1) * np.eye(full) / (d_in * d_out**n)
-        particular = [g]
-        # not c = 2 / min unit_marginal as for measurements and pairs: that c takes
-        # the channel-ladder bench from 91 to 87-88 iterations but its accuracy
-        # from 8.12 to 7.67 digits; a cold start takes 15-31 % more iterations
-        tau0 = 2.0 * d_out * d_in * max(np.linalg.eigvalsh(j)[-1] for j in ops) + 1.0
-        multiple = tau0 / full
-    return JointDevice(
-        "channel", [full], members, norm, d_in, particular, multiple,
-        joint=lambda bs: JointChannel(d_in, n, d_out, snap_choi_matrix(bs[0], d_in)),
-        noise=lambda bs: [ChoiMatrix(d_in, d_out, snap_choi_matrix(b, d_in)) for b in bs],
-    )
+    def noise(self, blocks):
+        """Noise blocks snapped to a POVM per classical member and a channel
+        per quantum one; a ``PovmCollection`` when all are classical."""
+        out = [snap_povm(bs) if classical else ChoiMatrix(self.d_in, dim, snap_choi_matrix(bs[0], self.d_in))
+               for (dim, classical), bs in zip(self.outputs, self._by_member(blocks))]
+        return out if self.quantum else PovmCollection(out)
 
 
-def measurement_device(collection: PovmCollection) -> JointDevice:
-    """Parent measurement with one effect per outcome assignment; member
-    (x, i) is the sum of the parent effects that assign outcome i to x."""
-    n, o, d = collection.n, collection.outcomes, collection.dim
-    lam = assignments(o, n)
-    grid = padded_effects(collection)
-    count = o ** (n - 1)  # assignments fixing one setting's outcome
-    same = Lift.identity(d)
-    members = [RowFamily(d, [(k, same) for k, l in enumerate(lam) if l[x] == i], grid[x][i])
-               for x in range(n) for i in range(o)]
-    norm = RowFamily(d, [(k, same) for k in range(len(lam))], np.eye(d))
-    particular = [
-        sum(grid[x][l[x]] for x in range(n)) / count - (n - 1) * np.eye(d) / o**n
-        for l in lam
-    ]
-    return JointDevice(
-        "measurement", [d] * len(lam), members, norm, 1, particular, 2.0 / count,
-        joint=snap_povm,
-        noise=lambda bs: PovmCollection([snap_povm(bs[x * o:(x + 1) * o]) for x in range(n)]),
-    )
+def joint_device(d_in: int, outputs, members=None) -> JointDevice:
+    """The joint device of a channel on C^d_in with one output per member,
+    ``outputs`` its (dim, classical) pairs.  Its blocks act on (the quantum
+    outputs, in member order) (x) (input), one block per tuple of classical
+    values, in ``assignments`` order.
 
-
-def pair_device(o: int, d: int, dp: int, povm: Povm | None = None,
-                channel: ChoiMatrix | None = None) -> JointDevice:
-    """Instrument with o Choi blocks on (output, dimension dp) (x) (input,
-    dimension d); the members are its measurement, effect by effect, then
-    its total channel."""
-    full = dp * d
-    effects = [None] * o if povm is None else povm.elements
-    # the measurement's marginal of block J is d * (Tr_out J)^T
-    measure = Lift((dp, d), (1,), transpose=True, scale=d)
-    members = [RowFamily(d, [(i, measure)], effects[i]) for i in range(o)]
-    members.append(RowFamily(full, [(i, Lift.identity(full)) for i in range(o)],
-                             None if channel is None else channel.matrix))
-    norm = RowFamily(d, [(i, Lift((dp, d), (1,))) for i in range(o)], np.eye(d) / d)
-    particular = multiple = None
-    if povm is not None:
-        particular = [
-            np.kron(np.eye(dp) / dp, m.T / d)
-            + (channel.matrix - np.kron(np.eye(dp) / dp, np.eye(d) / d)) / o
-            for m in effects
-        ]
-        multiple = 2.0 * max(1.0 / (d * dp), 1.0 / o)
-    return JointDevice(
-        "pair", [full] * o, members, norm, d, particular, multiple,
-        joint=lambda bs: snap_instrument(bs, d, dp),
-        noise=lambda bs: (snap_povm(bs[:o]),
-                          ChoiMatrix(d, dp, snap_choi_matrix(bs[o], d))),
-    )
+    Member x is the marginal on (out_x) (x) (input) if quantum; if classical,
+    value i is the sum of the blocks with that value, an effect as it is when
+    every output is classical and d_in (Tr_out J)^T of Choi blocks J
+    otherwise.  ``members`` lists a Choi matrix per quantum member and a list
+    of effects per classical member."""
+    quantum = [dim for dim, classical in outputs if not classical]
+    factors, nq, k = (*quantum, d_in), len(quantum), (d_in if quantum else 1)
+    labels = assignments([dim if classical else 1 for dim, classical in outputs])
+    inp, blank = Lift(factors, (nq,)), [[None] * dim if classical else None for dim, classical in outputs]
+    fams, position = [], itertools.count()  # position: of the next quantum output
+    for x, ((dim, classical), op) in enumerate(zip(outputs, members or blank)):
+        if classical:
+            lift, ops = Lift(factors, (nq,), transpose=bool(quantum), scale=k), op
+        else:
+            lift, ops = Lift(factors, (next(position), nq)), [op]
+        fams += [RowFamily(lift.arg_dim, [(b, lift) for b, l in enumerate(labels) if l[x] == i], v)
+                 for i, v in enumerate(ops)]
+    norm = RowFamily(d_in, [(b, inp) for b in range(len(labels))], np.eye(d_in) / k)
+    return JointDevice(d_in, list(outputs), labels, fams, norm)
 
 
 @dataclass
@@ -225,7 +233,8 @@ def max_margin_check(device: JointDevice,
                      options: SolveOptions | None = None) -> CompatibilityVerdict:
     """The max-margin program of the device's member equations.  Their input
     marginals already fix the normalization, so no row is spent on it."""
-    floor = min(np.linalg.eigvalsh(g)[0] for g in device.particular)
+    particular = device.particular
+    floor = min(np.linalg.eigvalsh(g)[0] for g in particular)
     t0 = -min(0.0, floor) + 1.0
     u0 = max(0.5, t0 + floor - 0.5)
 
@@ -237,7 +246,7 @@ def max_margin_check(device: JointDevice,
                           scalar_terms=[(0, Lift.trace(c))])
                   for fam, c in zip(device.members, map(unit_marginal, device.members))],
     )
-    start = [g - (u0 - t0) * np.eye(g.shape[0]) for g in device.particular]
+    start = [g - (u0 - t0) * np.eye(g.shape[0]) for g in particular]
     sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])
     require_optimal(sol, f"{device.name} compatibility")
     margin = sol.scalar_values[0] - t0
@@ -252,18 +261,15 @@ def max_margin_check(device: JointDevice,
 def check_measurements(collection: PovmCollection,
                        options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether all measurements arise from one parent measurement."""
-    collection.validate()
-    return max_margin_check(measurement_device(collection), options)
+    return max_margin_check(joint_device(*measurement_family(collection)), options)
 
 
 def check_channels(channels, options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether the channels are marginals of one joint channel."""
-    chois, n, d, dp = channel_family(channels)
-    return max_margin_check(channel_device(n, d, dp, chois), options)
+    return max_margin_check(joint_device(*channel_family(channels)), options)
 
 
 def check_pair(povm: Povm, channel: ChoiMatrix,
                options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether one instrument induces both the measurement and the channel."""
-    d, dp, o = pair_dims(povm, channel)
-    return max_margin_check(pair_device(o, d, dp, povm, channel), options)
+    return max_margin_check(joint_device(*pair_family(povm, channel)), options)

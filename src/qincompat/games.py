@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import JointDevice, channel_device, pair_device, unit_marginal
+from .compat import JointDevice, joint_device, unit_marginal
 from .linalg import (
     TOL,
     ContractError,
@@ -180,13 +180,12 @@ def _final_measurements(strat: Strategy) -> tuple[str, PovmCollection]:
 def _score(strat: Strategy, device: JointDevice, coeffs) -> float:
     """sum_m Re Tr[K_m R_m] over the strategy's devices R_m, their dimensions checked
     first: a flattened product would not tell C^3 -> C^2 from C^2 -> C^3."""
-    d = device.k
-    dp = device.members[-1].dim // d
+    d, dp = device.d_in, device.quantum[-1]
     effects, channels = [], strat.preprocess
     if strat.pair_mode is not None:
         povm, channel, _ = strat.pair_mode
         effects, channels = povm.elements, [channel]
-        if povm.outcomes != len(coeffs) - 1:
+        if povm.outcomes != device.outputs[0][0]:
             raise DimensionError("ensemble size and measurement outcomes differ")
         if povm.dim != d:
             raise DimensionError(f"state and effect dimensions differ: the measurement "
@@ -251,11 +250,11 @@ def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str):
 
     if kind == "channels":
         coeffs = [kernel(x, povm) for x, povm in enumerate(meas.povms)]
-        return channel_device(game.n, d, dp), coeffs
+        return joint_device(d, [(dp, False)] * game.n), coeffs
     # the instrument's measurement meets setting 1, its channel setting 2
     first = game.ensembles[0]
     coeffs = [game.prior[0] * p * partial_trace(rho, (d, d), (0,)) for p, rho in first]
-    return pair_device(len(first), d, dp), coeffs + [kernel(1, meas.povms[0])]
+    return joint_device(d, [(len(first), True), (dp, False)]), coeffs + [kernel(1, meas.povms[0])]
 
 
 def best_compatible_program(device: JointDevice, coeffs,

@@ -214,13 +214,6 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np
     return (a + a.conj().T) / 2
 
 
-def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
-
-
 def require_psd(a, what: str, tol: float = TOL) -> np.ndarray:
     """Check Hermiticity (``require_hermitian``) and that the smallest
     eigenvalue is at least -tol; return the symmetrized matrix."""
@@ -229,13 +222,6 @@ def require_psd(a, what: str, tol: float = TOL) -> np.ndarray:
     if w < -tol:
         raise ContractError(f"{what} is not PSD (min eigenvalue {w:.3e})")
     return a
-
-
-def is_psd(a, tol: float = TOL) -> bool:
-    """True iff the smallest eigenvalue of (the symmetrized) ``a`` is >= -tol."""
-    a = hermitize(a)
-    w = np.linalg.eigvalsh(a)
-    return bool(w[0] >= -tol)
 
 
 def op_norm(a, tol: float = TOL) -> float:

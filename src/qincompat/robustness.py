@@ -13,10 +13,11 @@ compatible.  Three conic programs compute it:
   the primal's by strong duality (both cones have strictly feasible points,
   which are also injected as solver starting points).
 
-The primal is generated from the kind's joint-device description in
-``compat``; each dual is coded by hand, taking only its starting point from
-that description.  The two routes are solved separately, so agreement of
-their values is a genuine numerical cross-check, reported as ``gap``.
+The primal is generated from the one joint-device description in
+``compat``, a channel whose outputs may be classical; each dual is coded by
+hand, taking only its starting point from that description.  The two routes
+are solved separately, so agreement of their values is a genuine numerical
+cross-check, reported as ``gap``.
 """
 
 from __future__ import annotations
@@ -28,16 +29,12 @@ import numpy as np
 from .compat import (
     JointDevice,
     assignments,
-    channel_device,
     channel_family,
-    lift_input,
-    lift_setting,
-    measurement_device,
-    padded_effects,
-    pair_device,
-    pair_dims,
+    joint_device,
+    measurement_family,
+    pair_family,
 )
-from .linalg import ContractError, Lift, hermitize
+from .linalg import ContractError, Lift, hermitize, matrix_to_json
 from .qobjects import ChoiMatrix, Povm, PovmCollection, pad_choi, qc_channel
 from .families import RowFamily
 from .sdp import SdpProblem, SolveOptions, require_optimal, solve
@@ -88,8 +85,6 @@ class WitnessSet:
         raise ContractError(f"unknown witness kind {self.kind!r}")
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
         out = {"kind": self.kind, "value": self.value}
         if self.channel_ops is not None:
             out["channel_ops"] = [matrix_to_json(a) for a in self.channel_ops]
@@ -221,29 +216,29 @@ def robustness_primal(kind: str, device: JointDevice, dual,
 
 def robustness_channels_primal(channels, options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a channel collection, with noise and mixture reconstruction."""
-    chois, n, d, dp = channel_family(channels)
-    return robustness_primal("channels", channel_device(n, d, dp, chois),
+    return robustness_primal("channels", joint_device(*channel_family(channels)),
                              lambda: robustness_channels_dual(channels, options), options)
 
 
 def robustness_channels_dual(channels, options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a channel collection."""
-    chois, n, d, dp = channel_family(channels)
-    full = dp**n * d
+    d, outputs, chois = channel_family(channels)
+    n, dp = len(outputs), outputs[0][0]
+    full, factors = dp**n * d, (dp,) * n + (d,)
 
     df = _DualForm()
     z = df.slack(full, np.zeros((full, full)))
     ps = [df.slack(dp * d, np.zeros((dp * d, dp * d))) for _ in range(n)]
     u = df.slack(1, np.array([[float(d)]]), real=True)
     for x in range(n):
-        a = df.param(dp * d, weight=chois[x].matrix)
-        df.couple(a, z, -lift_setting(n, dp, d, x))
+        a = df.param(dp * d, weight=chois[x])
+        df.couple(a, z, -Lift(factors, (x, n)))
         df.couple(a, ps[x], Lift.identity(dp * d))
     yv = df.param(d)
-    df.couple(yv, z, lift_input(n, dp, d))
+    df.couple(yv, z, Lift(factors, (n,)))
     df.couple(yv, u, Lift.trace(-1.0))
 
-    joint, noise, t = channel_device(n, d, dp, chois).robustness_start()
+    joint, noise, t = joint_device(d, outputs, chois).robustness_start()
     sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t / d]])])
     require_optimal(sol, "channel robustness dual")
     ops = [hermitize(sol.dual_blocks[p]) for p in ps]
@@ -254,25 +249,24 @@ def robustness_channels_dual(channels, options: SolveOptions | None = None) -> W
 def robustness_measurements(collection: PovmCollection,
                             options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement collection, primal and dual routes."""
-    collection.validate()
-    return robustness_primal("measurements", measurement_device(collection),
+    return robustness_primal("measurements", joint_device(*measurement_family(collection)),
                              lambda: _measurements_dual(collection, options), options)
 
 
 def _measurements_dual(collection: PovmCollection,
                        options: SolveOptions | None = None) -> WitnessSet:
-    n, o, d = collection.n, collection.outcomes, collection.dim
-    lam = assignments(o, n)
-    grid = padded_effects(collection)
+    d, povms = collection.dim, collection.povms
+    counts = [p.outcomes for p in povms]
+    lam = assignments(counts)
 
     df = _DualForm()
     zs = [df.slack(d, np.zeros((d, d))) for _ in lam]
-    ps = [[df.slack(d, np.zeros((d, d))) for _ in range(o)] for _ in range(n)]
+    ps = [[df.slack(d, np.zeros((d, d))) for _ in range(o)] for o in counts]
     u = df.slack(1, np.array([[1.0]]), real=True)
     same = Lift.identity(d)
-    for x in range(n):
-        for i in range(o):
-            a = df.param(d, weight=grid[x][i])
+    for x, p in enumerate(povms):
+        for i, m in enumerate(p.elements):
+            a = df.param(d, weight=m)
             for k, l in enumerate(lam):
                 if l[x] == i:
                     df.couple(a, zs[k], -same)
@@ -282,32 +276,33 @@ def _measurements_dual(collection: PovmCollection,
         df.couple(yv, zs[k], same)
     df.couple(yv, u, Lift.trace(-1.0))
 
-    joint, noise, t = measurement_device(collection).robustness_start()
+    outputs = [(o, True) for o in counts]
+    joint, noise, t = joint_device(d, outputs, [p.elements for p in povms]).robustness_start()
     sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t]])])
     require_optimal(sol, "measurement robustness dual")
-    ops = [[hermitize(sol.dual_blocks[ps[x][i]]) for i in range(o)] for x in range(n)]
+    ops = [[hermitize(sol.dual_blocks[b]) for b in row] for row in ps]
     return WitnessSet("measurements", sol.dual_value - 1.0, measurement_ops=ops,
                       iterations=sol.iterations)
 
 
 def robustness_measurements_dual(collection: PovmCollection,
                                  options: SolveOptions | None = None) -> WitnessSet:
-    collection.validate()
+    measurement_family(collection)
     return _measurements_dual(collection, options)
 
 
 def robustness_pair_primal(povm: Povm, channel: ChoiMatrix,
                            options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement-channel pair, with reconstruction."""
-    d, dp, o = pair_dims(povm, channel)
-    return robustness_primal("pair", pair_device(o, d, dp, povm, channel),
+    return robustness_primal("pair", joint_device(*pair_family(povm, channel)),
                              lambda: robustness_pair_dual(povm, channel, options), options)
 
 
 def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
                          options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a pair."""
-    d, dp, o = pair_dims(povm, channel)
+    d, outputs, members = pair_family(povm, channel)
+    (o, _), (dp, _) = outputs
     full = dp * d
 
     df = _DualForm()
@@ -328,7 +323,7 @@ def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
         df.couple(yv, zs[i], Lift((dp, d), (1,)))
     df.couple(yv, u, Lift.trace(-1.0))
 
-    joint, noise, t = pair_device(o, d, dp, povm, channel).robustness_start()
+    joint, noise, t = joint_device(d, outputs, members).robustness_start()
     sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t / d]])])
     require_optimal(sol, "pair robustness dual")
     a_ops = [hermitize(sol.dual_blocks[p]) for p in pa]
@@ -342,10 +337,9 @@ def verify_prop1(collection: PovmCollection,
                  options: SolveOptions | None = None) -> dict:
     """Measurement robustness against the channel robustness of the
     measure-and-record channels; the two must agree."""
-    collection.validate()
     rm = robustness_measurements(collection, options)
-    # measurements padded with zero effects to a common outcome count
-    channels = [qc_channel(Povm(row)) for row in padded_effects(collection)]
+    # a channel collection shares one output dimension: pad to the most outcomes
+    channels = [pad_choi(qc_channel(p), collection.outcomes) for p in collection.povms]
     rc = robustness_channels_primal(channels, options)
     return {
         "measurement_robustness": rm.primal_value,

@@ -4,12 +4,11 @@ import pytest
 from qincompat.linalg import ContractError, hermitian_basis, partial_trace
 from qincompat.compat import (
     assignments,
-    channel_device,
     check_channels,
     check_measurements,
     check_pair,
-    measurement_device,
-    pair_device,
+    joint_device,
+    measurement_family,
     unit_marginal,
 )
 from qincompat.qobjects import (
@@ -52,12 +51,14 @@ def noisy(povm, c):
 
 
 def test_assignments():
-    lam = assignments(2, 2)
+    lam = assignments([2, 2])
     assert lam == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert assignments([3, 2]) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    # the enumeration of a measurement collection is capped
     with pytest.raises(ContractError):
-        assignments(2, 5)
+        measurement_family(PovmCollection([basis_povm(2)] * 5))
     with pytest.raises(ContractError):
-        assignments(5, 2)
+        measurement_family(PovmCollection([basis_povm(5)] * 2))
 
 
 def test_identical_measurements_compatible():
@@ -88,7 +89,7 @@ def test_parent_reproduces_marginals():
     assert v.compatible
     parent = v.joint
     parent.validate()
-    lam = assignments(2, 2)
+    lam = assignments([2, 2])
     for x in range(2):
         for i in range(2):
             got = sum(parent.elements[k] for k, l in enumerate(lam) if l[x] == i)
@@ -194,12 +195,19 @@ def _channel_marginals(n, d, dp):
     return marginals
 
 
+def _counts(n, o):
+    """The outcome count of each of n settings: o for all, or o itself."""
+    return (o,) * n if isinstance(o, int) else o
+
+
 def _measurement_marginals(n, o, d):
+    counts = _counts(n, o)
+
     def marginals(blocks):
         # outcome coarse-graining of the parent, outcomes in lexicographic order
-        parent = np.array(blocks).reshape((o,) * n + (d, d))
+        parent = np.array(blocks).reshape(counts + (d, d))
         members = [np.sum(parent, axis=tuple(y for y in range(n) if y != x))[i]
-                   for x in range(n) for i in range(o)]
+                   for x in range(n) for i in range(counts[x])]
         return members, sum(blocks)
 
     return marginals
@@ -217,22 +225,27 @@ def _pair_marginals(o, d, dp):
 def _channel_case(rng):
     n, d, dp = 2, 2, 3
     joint = random_joint_channel(d, n, dp, rng)
-    device = channel_device(n, d, dp, [marginal(joint, x + 1) for x in range(n)])
+    device = joint_device(d, [(dp, False)] * n, [marginal(joint, x + 1).matrix for x in range(n)])
     return device, _channel_marginals(n, d, dp)
 
 
-def _measurement_case(rng):
-    n, o, d = 2, 3, 2
-    marginals = _measurement_marginals(n, o, d)
+def _measurement_case(rng, counts=(3, 3)):
+    n, d = len(counts), 2
+    marginals = _measurement_marginals(n, counts, d)
     gs = []
-    for _ in range(o**n):
+    for _ in range(np.prod(counts)):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         gs.append(g @ g.conj().T)
     w, v = np.linalg.eigh(sum(gs))
     root = v @ np.diag(w**-0.5) @ v.conj().T
     members, _ = marginals([root @ g @ root for g in gs])
-    coll = PovmCollection([Povm(members[x * o:(x + 1) * o]) for x in range(n)])
-    return measurement_device(coll), marginals
+    ends = np.cumsum(counts)
+    effects = [members[e - o:e] for o, e in zip(counts, ends)]
+    return joint_device(d, [(o, True) for o in counts], effects), marginals
+
+
+def _mixed_measurement_case(rng):
+    return _measurement_case(rng, (3, 2))
 
 
 def _pair_case(rng):
@@ -240,11 +253,13 @@ def _pair_case(rng):
     # outcome i of the instrument: the block of a channel into C^o (x) C^dp
     big = random_channel(d, o * dp, 2, rng).matrix.reshape(o, dp * d, o, dp * d)
     ins = Instrument(d, dp, [big[i, :, i, :] for i in range(o)])
-    device = pair_device(o, d, dp, instrument_povm(ins), instrument_total(ins))
+    device = joint_device(d, [(o, True), (dp, False)],
+                          [instrument_povm(ins).elements, instrument_total(ins).matrix])
     return device, _pair_marginals(o, d, dp)
 
 
-@pytest.mark.parametrize("case", [_channel_case, _measurement_case, _pair_case])
+@pytest.mark.parametrize("case", [_channel_case, _measurement_case, _mixed_measurement_case,
+                                  _pair_case])
 def test_member_equations_are_adjoint_to_marginals(case):
     rng = np.random.default_rng(3)
     device, marginals = case(rng)
@@ -270,20 +285,25 @@ def test_member_equations_are_adjoint_to_marginals(case):
 
 
 _DEVICES = {
-    "channel": (channel_device, _channel_marginals),
-    "measurement": (lambda n, o, d: measurement_device(
-        PovmCollection([Povm([np.eye(d) / o] * o) for _ in range(n)])), _measurement_marginals),
-    "pair": (pair_device, _pair_marginals),
+    "channel": (lambda n, d, dp: joint_device(d, [(dp, False)] * n), _channel_marginals),
+    "measurement": (lambda n, o, d: joint_device(d, [(c, True) for c in _counts(n, o)]),
+                    _measurement_marginals),
+    "pair": (lambda o, d, dp: joint_device(d, [(o, True), (dp, False)]), _pair_marginals),
 }
-# more sizes than the one fixed case per device:
-# channel (n, d, dp), measurement (n, o, d), pair (o, d, dp)
+# more sizes than the one fixed case per device: channel (n, d, dp),
+# measurement (n, o, d) with o one count or one per setting, pair (o, d, dp)
 _SIZES = [("channel", (1, 2, 3)), ("channel", (2, 2, 3)), ("channel", (3, 3, 2)),
           ("measurement", (2, 3, 3)), ("measurement", (3, 2, 2)),
+          ("measurement", (2, (3, 2), 2)), ("measurement", (3, (2, 4, 3), 3)),
           ("pair", (2, 2, 3)), ("pair", (3, 3, 2))]
 
 
-@pytest.mark.parametrize("kind, sizes", _SIZES,
-                         ids=[k + "-" + "-".join(map(str, s)) for k, s in _SIZES])
+def _size_id(kind, sizes):
+    return "-".join([kind] + ["x".join(map(str, s)) if isinstance(s, tuple) else str(s)
+                              for s in sizes])
+
+
+@pytest.mark.parametrize("kind, sizes", _SIZES, ids=[_size_id(k, s) for k, s in _SIZES])
 def test_unit_marginal_is_the_marginal_of_identity_blocks(kind, sizes):
     device, marginals = (make(*sizes) for make in _DEVICES[kind])
     members, inp = marginals([np.eye(n) for n in device.blocks])

@@ -5,10 +5,8 @@ from qincompat.linalg import (
     ContractError,
     DimensionError,
     Lift,
-    eig_hermitian,
     embed_operator,
     hermitian_basis,
-    is_psd,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -158,34 +156,11 @@ def test_partial_transpose():
     assert np.abs(full - kron(a, b).T).max() < 1e-12
 
 
-def test_eig_hermitian_descending_and_reconstructs():
-    rng = np.random.default_rng(21)
-    a = random_herm(rng, 5)
-    w, v = eig_hermitian(a)
-    assert np.all(np.diff(w) <= 1e-14)
-    assert np.abs(v @ np.diag(w) @ v.conj().T - a).max() < 1e-10
-    assert np.abs(v.conj().T @ v - np.eye(5)).max() < 1e-10
-
-
-def test_eig_hermitian_rejects_nonhermitian():
-    with pytest.raises(ContractError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_op_norm():
     p = np.diag([3.0, 1.0, 0.0]).astype(complex)
     assert abs(op_norm(p) - 3.0) < 1e-14
     with pytest.raises(ContractError):
         op_norm(SZ)  # negative eigenvalue
-
-
-def test_is_psd():
-    assert is_psd(np.eye(3))
-    assert not is_psd(SZ)
-    assert is_psd(np.zeros((2, 2)))
-    # tolerance window
-    assert is_psd(np.diag([1.0, -1e-10]))
-    assert not is_psd(np.diag([1.0, -1e-6]))
 
 
 def test_hermitian_basis_orthonormal():

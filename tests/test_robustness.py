@@ -60,6 +60,15 @@ def coarse_grained_pair(rng, d=2):
     return PovmCollection([first, second])
 
 
+def qutrit_z_and_coarse_fourier(pad=False) -> PovmCollection:
+    """Qutrit Z and the Fourier basis with its last two outcomes merged, or
+    with a zero third effect added when ``pad``."""
+    w = np.exp(2j * np.pi / 3)
+    f = [np.outer(v, v.conj()) for v in np.array([[w ** (j * m) for m in range(3)]
+                                                  for j in range(3)]) / np.sqrt(3)]
+    return PovmCollection([basis_povm(3), Povm([f[0], f[1] + f[2]] + [np.zeros((3, 3))] * pad)])
+
+
 def random_projective_pair(rng, d=2):
     ms = []
     for _ in range(2):
@@ -176,6 +185,31 @@ def test_measurement_reconstruction():
             assert np.abs(got - want).max() < 1e-5
 
 
+def test_mixed_outcome_counts_are_not_padded():
+    # 3 and 2 outcomes: 6 parent effects, not 9.  Padding the 2-outcome
+    # measurement with a zero effect poses the same robustness program over
+    # more blocks, so it is the oracle for the value and the witness.
+    coll, padded = qutrit_z_and_coarse_fourier(), qutrit_z_and_coarse_fourier(pad=True)
+    rep, oracle = robustness_measurements(coll), robustness_measurements(padded)
+    assert [p.outcomes for p in rep.noise.povms] == [3, 2]
+    assert [len(row) for row in rep.witness.measurement_ops] == [3, 2]
+    assert len(rep.mixture_joint.elements) == 6
+    assert abs(rep.primal_value - oracle.primal_value) < 1e-8
+    assert abs(rep.dual_value - oracle.dual_value) < 1e-8
+    assert abs(rep.primal_value - 0.1715728771) < 1e-8
+    # The margin is not the padded one: the padded blocks that sum to the zero
+    # effect may be t * I < 0, a relaxation, so the padded margin is at least
+    # the true one and at most 0 even on a compatible collection.  The true
+    # margin is the one of the members swapped and their outcomes relabelled.
+    margin = check_measurements(coll).margin
+    assert margin < check_measurements(padded).margin - 1e-3
+    swapped = PovmCollection([Povm(p.elements[::-1]) for p in coll.povms[::-1]])
+    assert abs(check_measurements(swapped).margin - margin) < 1e-8
+    noisy = PovmCollection([Povm([0.3 * m + 0.7 * np.trace(m).real * np.eye(3) / 3
+                                  for m in p.elements]) for p in coll.povms])
+    assert check_measurements(noisy).margin > 1e-2
+
+
 def test_measurement_robustness_zero_iff_compatible():
     rng = np.random.default_rng(31)
     for _ in range(5):
@@ -255,6 +289,8 @@ def test_prop1_agreement():
     assert res["delta"] < 1e-6
     res = verify_prop1(PovmCollection([basis_povm(2), Povm([np.eye(2)])]))
     assert res["measurement_robustness"] < 1e-6
+    assert res["delta"] < 1e-6
+    res = verify_prop1(qutrit_z_and_coarse_fourier())
     assert res["delta"] < 1e-6
     rng = np.random.default_rng(67)
     res = verify_prop1(random_projective_pair(rng))

@@ -10,7 +10,8 @@ generates the robustness primal, the best-compatible game program and the
 check below, each by extending its member and normalization equations,
 ``RowFamily`` objects whose identity multiple is derived from their lifts.
 The check maximizes t such that a joint device with the required marginals
-has every block >= t * I; the members are compatible exactly when the
+has every block >= t * I, leaving out the blocks of classical values whose
+effect is zero; the members are compatible exactly when the
 optimal margin is nonnegative, up to ten times the solve's feasibility
 tolerance.  The margin is shifted by a constant from a particular solution
 of the marginal equations, keeping the program in nonnegative standard form;
@@ -25,7 +26,7 @@ from math import prod
 
 import numpy as np
 
-from .linalg import ContractError, Lift, hermitize
+from .linalg import TOL, ContractError, Lift, hermitize
 from .qobjects import (
     ChoiMatrix,
     JointChannel,
@@ -229,10 +230,23 @@ class CompatibilityVerdict:
         return {"compatible": bool(self.compatible), "margin": float(self.margin), "joint": j}
 
 
-def max_margin_check(device: JointDevice,
+def max_margin_check(d_in: int, outputs, members,
                      options: SolveOptions | None = None) -> CompatibilityVerdict:
-    """The max-margin program of the device's member equations.  Their input
-    marginals already fix the normalization, so no row is spent on it."""
+    """The max-margin program of the member equations of
+    ``joint_device(d_in, outputs, members)``.  Their input marginals already
+    fix the normalization, so no row is spent on it.
+
+    A classical value whose effect is zero to ``TOL`` is left out: the blocks
+    that sum to it would have to be >= t * I, which caps the margin of a
+    compatible collection at 0 and relaxes it on an incompatible one.  The
+    joint has zero blocks at the labels of those values, so it keeps the
+    input's outcome order."""
+    kept = [[i for i, m in enumerate(ms) if np.abs(m).max() > TOL] if classical else [0]
+            for (_, classical), ms in zip(outputs, members)]
+    device = joint_device(d_in, [(len(at), True) if classical else (dim, False)
+                                 for (dim, classical), at in zip(outputs, kept)],
+                          [[ms[i] for i in at] if classical else ms
+                           for (_, classical), ms, at in zip(outputs, members, kept)])
     particular = device.particular
     floor = min(np.linalg.eigvalsh(g)[0] for g in particular)
     t0 = -min(0.0, floor) + 1.0
@@ -253,23 +267,25 @@ def max_margin_check(device: JointDevice,
     compatible = margin >= -10 * (options or SolveOptions()).feas_tol
     joint = None
     if compatible:
-        joint = device.joint([hermitize(b) + margin * np.eye(b.shape[0])
-                              for b in sol.block_values])
+        blocks = dict(zip(itertools.product(*kept), (hermitize(b) + margin * np.eye(b.shape[0])
+                                                     for b in sol.block_values)))
+        zero = np.zeros((device.blocks[0],) * 2, dtype=complex)
+        joint = device.joint([blocks.get(l, zero) for l in joint_device(d_in, outputs).labels])
     return CompatibilityVerdict(compatible, margin, joint)
 
 
 def check_measurements(collection: PovmCollection,
                        options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether all measurements arise from one parent measurement."""
-    return max_margin_check(joint_device(*measurement_family(collection)), options)
+    return max_margin_check(*measurement_family(collection), options)
 
 
 def check_channels(channels, options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether the channels are marginals of one joint channel."""
-    return max_margin_check(joint_device(*channel_family(channels)), options)
+    return max_margin_check(*channel_family(channels), options)
 
 
 def check_pair(povm: Povm, channel: ChoiMatrix,
                options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether one instrument induces both the measurement and the channel."""
-    return max_margin_check(joint_device(*pair_family(povm, channel)), options)
+    return max_margin_check(*pair_family(povm, channel), options)

@@ -3,7 +3,7 @@
 For a collection of channels (or measurements, or a measurement-channel
 pair), the robustness is the least s such that mixing every member with
 weight s/(1+s) of some arbitrary noise collection makes the result
-compatible.  Three conic programs compute it:
+compatible.  Two conic programs compute it:
 
 * the primal searches for a scaled joint object dominating the inputs
   marginal by marginal; its optimal value is 1 + s and its blocks yield the
@@ -14,15 +14,19 @@ compatible.  Three conic programs compute it:
   which are also injected as solver starting points).
 
 The primal is generated from the one joint-device description in
-``compat``, a channel whose outputs may be classical; each dual is coded by
-hand, taking only its starting point from that description.  The two routes
-are solved separately, so agreement of their values is a genuine numerical
-cross-check, reported as ``gap``.
+``compat``, a channel whose outputs may be classical.  The dual is one
+witness program for every kind, over the same arguments (d_in, outputs,
+members), coded apart from that description: it shares only the outcome
+assignments and takes its starting point from it.  The two routes are solved
+separately, so agreement of their values is a genuine numerical cross-check,
+reported as ``gap``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from math import prod
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .compat import (
     measurement_family,
     pair_family,
 )
-from .linalg import ContractError, Lift, hermitize, matrix_to_json
+from .linalg import ContractError, DimensionError, Lift, hermitize, matrix_to_json
 from .qobjects import ChoiMatrix, Povm, PovmCollection, pad_choi, qc_channel
 from .families import RowFamily
 from .sdp import SdpProblem, SolveOptions, require_optimal, solve
@@ -62,27 +66,27 @@ class WitnessSet:
     iterations: int = 0
 
     def evaluate(self, *objects) -> float:
-        """Witness functional on a collection of the matching kind."""
+        """Witness functional on a collection of the matching kind: the sum
+        of Tr[A m] over its member operators m, each against its witness
+        operator A.  Raises ``DimensionError`` unless the collection has the
+        witness's count and shapes of member operators."""
         if self.kind == "channels":
             (chois,) = objects
-            return float(
-                sum(np.trace(a @ c.matrix).real for a, c in zip(self.channel_ops, chois))
-            )
-        if self.kind == "measurements":
+            ops, members = [[a] for a in self.channel_ops], [[c.matrix] for c in chois]
+        elif self.kind == "measurements":
             (collection,) = objects
-            total = 0.0
-            for ops, povm in zip(self.measurement_ops, collection.povms):
-                for a, m in zip(ops, povm.elements):
-                    total += np.trace(a @ m).real
-            return float(total)
-        if self.kind == "pair":
+            ops, members = self.measurement_ops, [p.elements for p in collection.povms]
+        elif self.kind == "pair":
             povm, choi = objects
-            total = sum(
-                np.trace(a @ m).real for a, m in zip(self.pair_measure_ops, povm.elements)
-            )
-            total += np.trace(self.pair_channel_op @ choi.matrix).real
-            return float(total)
-        raise ContractError(f"unknown witness kind {self.kind!r}")
+            ops, members = [self.pair_measure_ops, [self.pair_channel_op]], [povm.elements, [choi.matrix]]
+        else:
+            raise ContractError(f"unknown witness kind {self.kind!r}")
+        shapes, theirs = ([[np.shape(a) for a in row] for row in rows] for rows in (ops, members))
+        if shapes != theirs:
+            raise DimensionError(f"{self.kind} witness has operators of shapes {shapes}, "
+                                 f"the collection {theirs}")
+        return float(sum(np.trace(a @ m).real
+                         for row_a, row_m in zip(ops, members) for a, m in zip(row_a, row_m)))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "value": self.value}
@@ -138,37 +142,6 @@ def identity_pair_closed_form(d: int) -> float:
     return (d - 1) / (d + 1)
 
 
-class _DualForm:
-    """Assemble a standard-form problem whose Lagrange dual is the witness
-    program: maximize sum of weights against Hermitian parameters subject to
-    slack blocks F0 + sum_k y_k F_k >= 0.  Each parameter is a ``RowFamily``
-    with its weight as rhs, holding each ``Lift`` into a slack block negated."""
-
-    def __init__(self):
-        self.blocks: list[int] = []
-        self.objective: list[np.ndarray] = []
-        self.real: set[int] = set()
-        self.params: list[RowFamily] = []
-
-    def slack(self, dim, f0, real=False) -> int:
-        self.blocks.append(dim)
-        self.objective.append(np.asarray(f0, dtype=complex))
-        if real:
-            self.real.add(len(self.blocks) - 1)
-        return len(self.blocks) - 1
-
-    def param(self, dim, weight=None) -> int:
-        self.params.append(RowFamily(dim, [], weight))
-        return len(self.params) - 1
-
-    def couple(self, param, block, lift):
-        self.params[param].terms.append((block, -lift))
-
-    def problem(self) -> SdpProblem:
-        return SdpProblem(blocks=list(self.blocks), objective=list(self.objective),
-                          real_blocks=frozenset(self.real), families=self.params)
-
-
 def robustness_primal(kind: str, device: JointDevice, dual,
                       options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness primal generated from a joint-device description.
@@ -214,6 +187,45 @@ def robustness_primal(kind: str, device: JointDevice, dual,
     )
 
 
+def _witness(d_in: int, outputs, members, options: SolveOptions | None):
+    """The witness program of the joint device ``joint_device(d_in, outputs,
+    members)``, coded apart from its primal: maximize sum_j Tr[A_j m_j] over
+    A_j >= 0, one per member operator m_j (an effect per classical value, a
+    Choi matrix per quantum member), and y on C^d_in with Tr y <= k, such that
+    on every joint block the witnesses that meet it, lifted as the primal's
+    marginals are, sum to at most I (x) y.
+
+    The solver's Lagrange dual states it over PSD slack blocks: one per
+    joint block, in ``assignments`` order, I (x) y minus the lifted
+    witnesses; one per A_j, A_j itself; and the 1 x 1 block k - Tr y.  Each
+    A_j and y is a ``RowFamily`` holding its lifts into those slacks negated,
+    with m_j as rhs.  Returns the value, the A_j in member order and the
+    iteration count."""
+    quantum = [dim for dim, classical in outputs if not classical]
+    factors, nq, k = (*quantum, d_in), len(quantum), (d_in if quantum else 1)
+    labels = assignments([dim if classical else 1 for dim, classical in outputs])
+    ops, position = [], itertools.count()  # (member operator, its lift, the blocks it meets)
+    for x, ((dim, classical), member) in enumerate(zip(outputs, members)):
+        if classical:
+            lift, values = Lift(factors, (nq,), transpose=bool(quantum), scale=k), member
+        else:
+            lift, values = Lift(factors, (next(position), nq)), [member]
+        ops += [(m, lift, [b for b, l in enumerate(labels) if l[x] == i]) for i, m in enumerate(values)]
+    nl, u = len(labels), len(labels) + len(ops)
+    blocks = [d_in * prod(quantum)] * nl + [len(m) for m, _, _ in ops] + [1]
+    families = [RowFamily(len(m), [(b, lift) for b in at] + [(nl + j, -Lift.identity(len(m)))], m)
+                for j, (m, lift, at) in enumerate(ops)]
+    families.append(RowFamily(d_in, [(b, -Lift(factors, (nq,))) for b in range(nl)] + [(u, Lift.trace())]))
+    prob = SdpProblem(blocks=blocks, objective=[np.zeros((n, n), dtype=complex) for n in blocks[:-1]]
+                      + [np.array([[k]], dtype=complex)], real_blocks=frozenset([u]), families=families)
+
+    device = joint_device(d_in, outputs, members)
+    joint, noise, t = device.robustness_start()
+    sol = solve(prob, options, initial_blocks=joint + noise + [np.array([[t / k]])])
+    require_optimal(sol, f"{device.name} robustness dual")
+    return sol.dual_value - 1.0, [hermitize(sol.dual_blocks[b]) for b in range(nl, u)], sol.iterations
+
+
 def robustness_channels_primal(channels, options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a channel collection, with noise and mixture reconstruction."""
     return robustness_primal("channels", joint_device(*channel_family(channels)),
@@ -222,28 +234,8 @@ def robustness_channels_primal(channels, options: SolveOptions | None = None) ->
 
 def robustness_channels_dual(channels, options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a channel collection."""
-    d, outputs, chois = channel_family(channels)
-    n, dp = len(outputs), outputs[0][0]
-    full, factors = dp**n * d, (dp,) * n + (d,)
-
-    df = _DualForm()
-    z = df.slack(full, np.zeros((full, full)))
-    ps = [df.slack(dp * d, np.zeros((dp * d, dp * d))) for _ in range(n)]
-    u = df.slack(1, np.array([[float(d)]]), real=True)
-    for x in range(n):
-        a = df.param(dp * d, weight=chois[x])
-        df.couple(a, z, -Lift(factors, (x, n)))
-        df.couple(a, ps[x], Lift.identity(dp * d))
-    yv = df.param(d)
-    df.couple(yv, z, Lift(factors, (n,)))
-    df.couple(yv, u, Lift.trace(-1.0))
-
-    joint, noise, t = joint_device(d, outputs, chois).robustness_start()
-    sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t / d]])])
-    require_optimal(sol, "channel robustness dual")
-    ops = [hermitize(sol.dual_blocks[p]) for p in ps]
-    return WitnessSet("channels", sol.dual_value - 1.0, channel_ops=ops,
-                      iterations=sol.iterations)
+    value, ops, iterations = _witness(*channel_family(channels), options)
+    return WitnessSet("channels", value, channel_ops=ops, iterations=iterations)
 
 
 def robustness_measurements(collection: PovmCollection,
@@ -255,39 +247,16 @@ def robustness_measurements(collection: PovmCollection,
 
 def _measurements_dual(collection: PovmCollection,
                        options: SolveOptions | None = None) -> WitnessSet:
-    d, povms = collection.dim, collection.povms
-    counts = [p.outcomes for p in povms]
-    lam = assignments(counts)
-
-    df = _DualForm()
-    zs = [df.slack(d, np.zeros((d, d))) for _ in lam]
-    ps = [[df.slack(d, np.zeros((d, d))) for _ in range(o)] for o in counts]
-    u = df.slack(1, np.array([[1.0]]), real=True)
-    same = Lift.identity(d)
-    for x, p in enumerate(povms):
-        for i, m in enumerate(p.elements):
-            a = df.param(d, weight=m)
-            for k, l in enumerate(lam):
-                if l[x] == i:
-                    df.couple(a, zs[k], -same)
-            df.couple(a, ps[x][i], same)
-    yv = df.param(d)
-    for k in range(len(lam)):
-        df.couple(yv, zs[k], same)
-    df.couple(yv, u, Lift.trace(-1.0))
-
-    outputs = [(o, True) for o in counts]
-    joint, noise, t = joint_device(d, outputs, [p.elements for p in povms]).robustness_start()
-    sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t]])])
-    require_optimal(sol, "measurement robustness dual")
-    ops = [[hermitize(sol.dual_blocks[b]) for b in row] for row in ps]
-    return WitnessSet("measurements", sol.dual_value - 1.0, measurement_ops=ops,
-                      iterations=sol.iterations)
+    d, outputs, effects = measurement_family(collection)
+    value, ops, iterations = _witness(d, outputs, effects, options)
+    it = iter(ops)
+    return WitnessSet("measurements", value, measurement_ops=[[next(it) for _ in es] for es in effects],
+                      iterations=iterations)
 
 
 def robustness_measurements_dual(collection: PovmCollection,
                                  options: SolveOptions | None = None) -> WitnessSet:
-    measurement_family(collection)
+    """Witness operators certifying the robustness of a measurement collection."""
     return _measurements_dual(collection, options)
 
 
@@ -301,36 +270,9 @@ def robustness_pair_primal(povm: Povm, channel: ChoiMatrix,
 def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
                          options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a pair."""
-    d, outputs, members = pair_family(povm, channel)
-    (o, _), (dp, _) = outputs
-    full = dp * d
-
-    df = _DualForm()
-    zs = [df.slack(full, np.zeros((full, full))) for _ in range(o)]
-    pa = [df.slack(d, np.zeros((d, d))) for _ in range(o)]
-    pb = df.slack(full, np.zeros((full, full)))
-    u = df.slack(1, np.array([[float(d)]]), real=True)
-    for i in range(o):
-        a = df.param(d, weight=povm.elements[i])
-        df.couple(a, zs[i], Lift((dp, d), (1,), transpose=True, scale=-d))
-        df.couple(a, pa[i], Lift.identity(d))
-    bb = df.param(full, weight=channel.matrix)
-    for i in range(o):
-        df.couple(bb, zs[i], -Lift.identity(full))
-    df.couple(bb, pb, Lift.identity(full))
-    yv = df.param(d)
-    for i in range(o):
-        df.couple(yv, zs[i], Lift((dp, d), (1,)))
-    df.couple(yv, u, Lift.trace(-1.0))
-
-    joint, noise, t = joint_device(d, outputs, members).robustness_start()
-    sol = solve(df.problem(), options, initial_blocks=joint + noise + [np.array([[t / d]])])
-    require_optimal(sol, "pair robustness dual")
-    a_ops = [hermitize(sol.dual_blocks[p]) for p in pa]
-    b_op = hermitize(sol.dual_blocks[pb])
-    return WitnessSet("pair", sol.dual_value - 1.0,
-                      pair_measure_ops=a_ops, pair_channel_op=b_op,
-                      iterations=sol.iterations)
+    value, (*a_ops, b_op), iterations = _witness(*pair_family(povm, channel), options)
+    return WitnessSet("pair", value, pair_measure_ops=a_ops, pair_channel_op=b_op,
+                      iterations=iterations)
 
 
 def verify_prop1(collection: PovmCollection,

@@ -12,6 +12,7 @@ from qincompat.compat import (
     unit_marginal,
 )
 from qincompat.qobjects import (
+    ChoiMatrix,
     Instrument,
     JointChannel,
     PovmCollection,
@@ -159,6 +160,24 @@ def test_pair_measure_and_prepare_compatible():
     sigma = random_state(3, rng)
     v = check_pair(m, constant_channel(2, sigma))
     assert v.compatible
+
+
+def test_pair_zero_effect_leaves_the_margin():
+    # a POVM listing a zero effect has the margin of the POVM without it, and
+    # its instrument keeps a zero element at that outcome
+    rng = np.random.default_rng(13)
+    povm = noisy(random_povm(2, 2, rng), 0.5)
+    padded = Povm([povm.elements[0], np.zeros((2, 2)), povm.elements[1]])
+    # half Lueders, half measure-and-prepare I/2: full-rank instrument blocks
+    channel = ChoiMatrix(2, 2, (instrument_total(lueders_instrument(povm)).matrix
+                                + constant_channel(2, np.eye(2) / 2).matrix) / 2)
+    v, vp = check_pair(povm, channel), check_pair(padded, channel)
+    assert v.compatible and vp.compatible and v.margin > 1e-3
+    assert abs(vp.margin - v.margin) < 1e-8
+    ins = vp.joint.validate()
+    assert np.abs(ins.elements[1]).max() == 0
+    for got, want in zip(instrument_povm(ins).elements, padded.elements):
+        assert np.abs(got - want).max() < 1e-6
 
 
 def test_mixing_with_trivial_preserves_compatibility():

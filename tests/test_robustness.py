@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qincompat.compat import check_channels, check_measurements, check_pair
+from qincompat.linalg import DimensionError
 from qincompat.qobjects import (
     ChoiMatrix,
     Povm,
@@ -114,6 +115,24 @@ def test_channel_witness_scores_its_own_collection():
         assert np.linalg.eigvalsh(a)[0] > -1e-7
 
 
+def test_witness_rejects_a_collection_of_another_shape():
+    # every member operator needs its witness operator, of its shape
+    w = robustness_channels_dual([identity_channel(2), identity_channel(2)])
+    wm = robustness_measurements(mub_pair(1.0)).witness
+    wp = robustness_pair_dual(basis_povm(2), identity_channel(2))
+    for witness, objects in ((w, ([identity_channel(2)],)),
+                             (w, ([identity_channel(2)] * 3,)),
+                             (w, ([identity_channel(3)] * 2,)),
+                             (w, ([random_channel(2, 3, 2, np.random.default_rng(3))] * 2,)),
+                             (wm, (PovmCollection([basis_povm(2)]),)),
+                             (wm, (PovmCollection([basis_povm(2), Povm([np.eye(2)])]),)),
+                             (wm, (PovmCollection([basis_povm(3)] * 2),)),
+                             (wp, (basis_povm(3), identity_channel(3))),
+                             (wp, (Povm([np.eye(2)]), identity_channel(2)))):
+        with pytest.raises(DimensionError):
+            witness.evaluate(*objects)
+
+
 def test_channel_witness_normalization_on_compatible_samples():
     # the defining property: at most 1 on every compatible collection
     w = robustness_channels_dual([identity_channel(2), identity_channel(2)])
@@ -159,6 +178,21 @@ def test_depolarizing_self_pair_robustness():
     assert rep.primal_value > 1e-3
 
 
+@pytest.mark.parametrize("case", ["2->3 pair", "3->2 pair", "three channels", "povm and 2->3"])
+def test_dual_factor_layout_agrees_with_the_primal(case):
+    # joint blocks whose factors differ in size, and three quantum outputs
+    rng = np.random.default_rng(73)
+    if case == "povm and 2->3":
+        # random_povm(2, 3) has a zero effect: mixed with I/3, all three are nonzero
+        povm = Povm([0.8 * m + 0.2 * np.eye(2) / 3 for m in random_povm(2, 3, rng).elements])
+        rep = robustness_pair_primal(povm, random_channel(2, 3, 2, rng))
+    else:
+        d, dp, n = {"2->3 pair": (2, 3, 2), "3->2 pair": (3, 2, 2), "three channels": (2, 2, 3)}[case]
+        rep = robustness_channels_primal([random_channel(d, dp, 2, rng) for _ in range(n)])
+    assert rep.primal_value > 1e-3
+    assert rep.gap < 1e-6 * (1 + rep.primal_value)
+
+
 def test_measurement_robustness_mub_thresholds():
     rep = robustness_measurements(mub_pair(0.70))
     assert rep.primal_value < 1e-7
@@ -197,17 +231,25 @@ def test_mixed_outcome_counts_are_not_padded():
     assert abs(rep.primal_value - oracle.primal_value) < 1e-8
     assert abs(rep.dual_value - oracle.dual_value) < 1e-8
     assert abs(rep.primal_value - 0.1715728771) < 1e-8
-    # The margin is not the padded one: the padded blocks that sum to the zero
-    # effect may be t * I < 0, a relaxation, so the padded margin is at least
-    # the true one and at most 0 even on a compatible collection.  The true
-    # margin is the one of the members swapped and their outcomes relabelled.
+    # The check leaves the zero effect out, so the padded margin is the true
+    # one, that of the members swapped and their outcomes relabelled.  Kept,
+    # its blocks would have to be t * I: a relaxation below 0, a cap at 0.
     margin = check_measurements(coll).margin
-    assert margin < check_measurements(padded).margin - 1e-3
+    assert abs(check_measurements(padded).margin - margin) < 1e-8
     swapped = PovmCollection([Povm(p.elements[::-1]) for p in coll.povms[::-1]])
     assert abs(check_measurements(swapped).margin - margin) < 1e-8
-    noisy = PovmCollection([Povm([0.3 * m + 0.7 * np.trace(m).real * np.eye(3) / 3
-                                  for m in p.elements]) for p in coll.povms])
-    assert check_measurements(noisy).margin > 1e-2
+    noisy, noisy_padded = (PovmCollection([Povm([0.3 * m + 0.7 * np.trace(m).real * np.eye(3) / 3
+                                                 for m in p.elements]) for p in c.povms])
+                           for c in (coll, padded))
+    verdict, padded_verdict = check_measurements(noisy), check_measurements(noisy_padded)
+    assert verdict.margin > 1e-2
+    assert abs(padded_verdict.margin - verdict.margin) < 1e-8
+    # the 9-effect parent: zero effects at the labels of the dropped outcome
+    parent = padded_verdict.joint.validate()
+    assert len(parent.elements) == 9
+    assert all(np.abs(parent.elements[k]).max() == 0 for k in (2, 5, 8))
+    assert np.abs(parent.elements[0] + parent.elements[3] + parent.elements[6]
+                  - noisy.povms[1].elements[0]).max() < 1e-6
 
 
 def test_measurement_robustness_zero_iff_compatible():

@@ -71,6 +71,7 @@ from .games import (
     advantage_ratio,
     best_compatible_success,
     game_from_channel_witness,
+    game_from_measurement_witness,
     game_from_pair_witness,
     random_game,
     success_prob,

@@ -2,20 +2,21 @@
 
 A referee announces a setting x and hands over a state drawn from the
 ensemble for x; the player processes it and guesses which state it was.
-Processing with an incompatible collection (or a measurement-channel pair)
-beats every compatible strategy on the game built from the collection's own
-witness operators, and the best achievable advantage ratio equals one plus
-the robustness.  The denominators maximize over the compatible cone by
-semidefinite programming.
+Processing with an incompatible collection of channels or measurements, or
+a measurement-channel pair, beats every compatible strategy on the game that
+``_witness_game`` builds from its own witness operators, and the best
+achievable advantage ratio equals one plus the robustness.  The denominators
+maximize over the compatible cone by semidefinite programming.
 
 The success probability is linear in the processing devices, and every score
-reads that one functional: ``_kernels`` turns a game and its final
-measurements into one kernel K_m per member R_m of a processing resource,
-which then scores sum_m Re Tr[K_m R_m].  A channel of Choi matrix J, met by
-rho on (input d) x (reference) before the effect M on (output) x (reference),
-scores Tr[J K] with K[(b,j),(a,i)] = d sum_rs rho[(i,r),(j,s)] M[(b,s),(a,r)];
-an unassisted game has a one-dimensional reference.  A strategy, measuring
-directly as the identity channel, and the compatible optimum both read it.
+reads that one functional: ``_kernels`` maps a kind to the outputs of its
+joint device (a channel's quantum, a measurement's classical) and turns a
+game into one kernel K_m per member R_m, which scores sum_m Re Tr[K_m R_m].
+A classical value's kernel is prior * p * rho; a channel of Choi matrix J,
+met by rho on (input d) x (reference) before the effect M on (output) x
+(reference), has K[(b,j),(a,i)] = d sum_rs rho[(i,r),(j,s)] M[(b,s),(a,r)];
+an unassisted game has a one-dimensional reference, and a classical kernel
+traces it out.  A strategy and the compatible optimum both read the kernels.
 """
 
 from __future__ import annotations
@@ -165,48 +166,53 @@ class Strategy:
         return Strategy(pair_mode=(povm, channel, self.pair_mode[2]))
 
 
-def _final_measurements(strat: Strategy) -> tuple[str, PovmCollection]:
-    """A strategy's kind, "channels" or "pair", and its final measurements."""
+def _final_measurements(strat: Strategy) -> tuple[tuple[str, ...], PovmCollection]:
+    """The kinds a strategy reads as, the first by default, and its final measurements;
+    measuring directly reads as the identity channels or as measurements."""
     if strat.pair_mode is not None:
         povm, channel, final = strat.pair_mode
         if povm is None or channel is None:
             raise ContractError("pair-mode strategy template is not filled in")
-        return "pair", PovmCollection([final])
+        return ("pair",), PovmCollection([final])
     if strat.measurements is None:
         raise ContractError("strategy carries no measurements")
-    return "channels", strat.measurements
+    return ("channels",) + ("measurements",) * (strat.preprocess is None), strat.measurements
 
 
 def _score(strat: Strategy, device: JointDevice, coeffs) -> float:
-    """sum_m Re Tr[K_m R_m] over the strategy's devices R_m, their dimensions checked
-    first: a flattened product would not tell C^3 -> C^2 from C^2 -> C^3."""
-    d, dp = device.d_in, device.quantum[-1]
-    effects, channels = [], strat.preprocess
+    """sum_m Re Tr[K_m R_m] over the strategy's devices R_m, each checked against
+    its output first: a flattened product would not tell C^3 -> C^2 from C^2 -> C^3."""
+    d, outputs = device.d_in, device.outputs
     if strat.pair_mode is not None:
-        povm, channel, _ = strat.pair_mode
-        effects, channels = povm.elements, [channel]
-        if povm.outcomes != device.outputs[0][0]:
-            raise DimensionError("ensemble size and measurement outcomes differ")
-        if povm.dim != d:
-            raise DimensionError(f"state and effect dimensions differ: the measurement "
-                                 f"acts on C^{povm.dim}, the game on C^{d}")
-    elif channels is None:
+        resource = strat.pair_mode[:2]
+    elif not device.quantum:
+        resource = strat.measurements.povms
+    elif strat.preprocess is None:
         omega = np.eye(d).ravel() / np.sqrt(d)  # identity_channel needs d >= 2
-        channels = [ChoiMatrix(d, d, np.outer(omega, omega))] * len(coeffs)
-    elif len(channels) != len(coeffs):
-        raise DimensionError("one preprocessing channel per setting required")
-    for x, c in enumerate(channels):
-        if (c.dim_in, c.dim_out) != (d, dp):
+        resource = [ChoiMatrix(d, d, np.outer(omega, omega))] * len(outputs)
+    else:
+        resource = strat.preprocess
+    if len(resource) != len(outputs):
+        raise DimensionError(f"one {'preprocessing channel' if device.quantum else 'measurement'} "
+                             f"per setting required")
+    members = []
+    for x, (r, (dim, classical)) in enumerate(zip(resource, outputs)):
+        if classical and (r.outcomes, r.dim) != (dim, d):
+            raise DimensionError(f"state and effect dimensions differ: measurement {x} has {r.outcomes} "
+                                 f"outcomes on C^{r.dim}, the game needs {dim} on C^{d}")
+        if not classical and (r.dim_in, r.dim_out) != (d, dim):
             raise DimensionError(f"state and effect dimensions differ: channel {x} maps "
-                                 f"C^{c.dim_in} to C^{c.dim_out}, the game needs C^{d} to C^{dp}")
-    members = [*effects, *(c.matrix for c in channels)]
+                                 f"C^{r.dim_in} to C^{r.dim_out}, the game needs C^{d} to C^{dim}")
+        members += r.elements if classical else [r.matrix]
     return float(sum(np.einsum("ij,ji->", k, r).real for k, r in zip(coeffs, members)))
 
 
 def success_prob(game: DiscriminationGame, strat: Strategy) -> float:
-    """Average probability of guessing the drawn state's label."""
-    kind, meas = _final_measurements(strat)
-    return _score(strat, *_kernels(game, meas, kind))
+    """Average probability of guessing the drawn state's label.  A strategy
+    that measures directly scores as the identity channels, which on an
+    unassisted game is its score as a measurement resource."""
+    kinds, meas = _final_measurements(strat)
+    return _score(strat, *_kernels(game, meas, kinds[0]))
 
 
 def _kernel(rho, m, d: int, dp: int, db: int) -> np.ndarray:
@@ -218,18 +224,10 @@ def _kernel(rho, m, d: int, dp: int, db: int) -> np.ndarray:
 
 def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str):
     """The joint device of the compatible resources of ``kind`` (see
-    ``best_compatible_success``) and one kernel per member of the device."""
+    ``best_compatible_success``) and one kernel per member of the device:
+    prior * p * rho, traced over the reference, per value of a classical
+    member, and per channel that of its final measurement, the next in ``meas``."""
     game.validate()
-    if kind == "channels":
-        if meas.n != game.n:
-            raise DimensionError("one measurement per setting required")
-    elif kind == "pair":
-        if meas.n != 1:
-            raise DimensionError("pair games use a single final measurement")
-        if game.n != 2 or not game.assisted:
-            raise ContractError("pair games have two ensembles of assisted states")
-    else:
-        raise ContractError(f"unknown strategy kind {kind!r}")
     d, dp, db = game.state_dim, meas.dim, 1
     if game.assisted:  # states on base x base, measurements on output x base
         d = db = int(round(np.sqrt(game.state_dim)))
@@ -238,23 +236,27 @@ def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str):
         if meas.dim % d:
             raise DimensionError("measurement space must factor as output x base")
         dp = meas.dim // d
-
-    def kernel(x, povm):
-        if len(game.ensembles[x]) != povm.outcomes:
+    if kind == "pair" and (game.n != 2 or not game.assisted):
+        raise ContractError("pair games have two ensembles of assisted states")
+    sizes = [len(ens) for ens in game.ensembles]  # a pair's measurement meets setting 1
+    outputs = {"channels": [(dp, False)] * game.n, "pair": [(sizes[0], True), (dp, False)],
+               "measurements": [(o, True) for o in sizes]}.get(kind)
+    if outputs is None:
+        raise ContractError(f"unknown strategy kind {kind!r}")
+    channels = sum(not classical for _, classical in outputs)
+    if channels and meas.n != channels:  # with no channel, meas is the measured collection
+        raise DimensionError("one final measurement per channel required")
+    coeffs, finals = [], iter(meas.povms)
+    for prior, (_, classical), ens in zip(game.prior, outputs, game.ensembles):
+        if classical:
+            coeffs += [prior * p * partial_trace(rho, (d, db), (0,)) for p, rho in ens]
+            continue
+        povm = next(finals)
+        if len(ens) != povm.outcomes:
             raise DimensionError("ensemble size and measurement outcomes differ")
-        kx = np.zeros((dp * d, dp * d), dtype=complex)
-        for (p, rho), m in zip(game.ensembles[x], povm.elements):
-            if p != 0.0:
-                kx += p * _kernel(rho, m, d, dp, db)
-        return game.prior[x] * kx
-
-    if kind == "channels":
-        coeffs = [kernel(x, povm) for x, povm in enumerate(meas.povms)]
-        return joint_device(d, [(dp, False)] * game.n), coeffs
-    # the instrument's measurement meets setting 1, its channel setting 2
-    first = game.ensembles[0]
-    coeffs = [game.prior[0] * p * partial_trace(rho, (d, d), (0,)) for p, rho in first]
-    return joint_device(d, [(len(first), True), (dp, False)]), coeffs + [kernel(1, meas.povms[0])]
+        coeffs.append(prior * sum(p * _kernel(rho, m, d, dp, db)  # some p > 0: the game is valid
+                                  for (p, rho), m in zip(ens, povm.elements) if p != 0.0))
+    return joint_device(d, outputs), coeffs
 
 
 def best_compatible_program(device: JointDevice, coeffs,
@@ -282,41 +284,61 @@ def best_compatible_success(game: DiscriminationGame, meas: PovmCollection,
     channel collection before measuring with ``meas``.  ``kind="pair"``: the
     player uses an arbitrary instrument; its measurement answers setting 1
     and its total channel feeds the single POVM in ``meas`` for setting 2.
+    ``kind="measurements"``: the player measures directly with the marginals of
+    an arbitrary parent measurement; ``meas`` is the collection they compete with.
     """
     device, coeffs = _kernels(game, meas, kind)
     return best_compatible_program(device, coeffs, options, f"compatible-best ({kind})")
 
 
-def _witness_measurement(a, norm: float, dim: int) -> list:
-    """Effects of the two-outcome witness measurement [a / |a|, I - a / |a|],
-    or [I, 0] when the witness operator is numerically zero."""
-    eye = np.eye(dim)
-    if norm < WITNESS_DROP_TOL:
-        return [eye, np.zeros_like(eye)]
-    return [a / norm, eye - a / norm]
+def _witness_game(ops, outputs, d: int):
+    """The game on which the witness operators ``ops`` of ``joint_device(d,
+    outputs)``, grouped by member, score as the witness functional, and its
+    channels' final measurements.  A member weighs |B| (channel) or sum_i Tr A_i
+    (measurement), its prior its share of the total; a weight or trace below
+    WITNESS_DROP_TOL counts as 0.  A channel presents a maximally entangled
+    state, answered by [B / |B|, I - B / |B|], a measurement the states
+    A_i / Tr A_i, times I / d on the reference when the device has a channel."""
+    assisted = not all(classical for _, classical in outputs)
+    shapes = [[np.shape(a) for a in row] for row in ops]
+    sides = [[(d, d) if classical else (d * dim, d * dim)] * len(row)
+             for (dim, classical), row in zip(outputs, ops)]
+    if shapes != sides:
+        raise DimensionError(f"witness operators of shapes {shapes}, the game needs {sides}")
+    ops = [[hermitize(np.asarray(a, dtype=complex)) for a in row] for row in ops]
+    traces = [[np.trace(a).real for a in row] for row in ops]
+    weights = [sum(t for t in ts if t >= WITNESS_DROP_TOL) if classical else op_norm(row[0])
+               for (_, classical), row, ts in zip(outputs, ops, traces)]
+    total = sum(w for w in weights if w >= WITNESS_DROP_TOL)
+    if total < WITNESS_DROP_TOL:
+        raise DegenerateWitnessError("all witness operators are numerically zero")
+    side = d * d if assisted else d
+    junk = np.eye(side) / side
+    ensembles, finals = [], []
+    for (dim, classical), row, ts, w in zip(outputs, ops, traces, weights):
+        if not classical:
+            ensembles.append([(1.0, max_entangled_state(d)), (0.0, junk)])
+            eye = np.eye(dim * d)
+            finals.append(Povm([eye, 0 * eye] if w < WITNESS_DROP_TOL else [row[0] / w, eye - row[0] / w]))
+        elif w < WITNESS_DROP_TOL:  # prior 0: any valid ensemble will do
+            ensembles.append([(1.0 / len(row), junk)] * len(row))
+        else:
+            ensembles.append([(0.0, junk) if t < WITNESS_DROP_TOL else
+                              (t / w, np.kron(a / t, np.eye(d) / d) if assisted else a / t)
+                              for a, t in zip(row, ts)])
+    game = DiscriminationGame(prior=[0.0 if w < WITNESS_DROP_TOL else w / total for w in weights],
+                              ensembles=ensembles, assisted=assisted)
+    return game.validate(), finals
 
 
 def game_from_channel_witness(witness: WitnessSet, d: int, dp: int):
-    """Game and measurements realizing the witness functional, from the
-    optimal-discrimination construction: per setting a two-outcome
-    measurement normalized by the witness operator's norm, played on a
-    maximally entangled state."""
+    """Game and final measurements realizing a channel witness: per setting a
+    maximally entangled state and a two-outcome measurement normalized by
+    the witness operator's norm."""
     if witness.kind != "channels":
         raise ContractError("need a channel-kind witness")
-    ops = [hermitize(np.asarray(a, dtype=complex)) for a in witness.channel_ops]
-    norms = [op_norm(a) for a in ops]
-    total = sum(norms)
-    if total < WITNESS_DROP_TOL:
-        raise DegenerateWitnessError("all witness operators are numerically zero")
-    psi = max_entangled_state(d)
-    junk = np.eye(d * d) / (d * d)
-    game = DiscriminationGame(
-        prior=[0.0 if na < WITNESS_DROP_TOL else na / total for na in norms],
-        ensembles=[[(1.0, psi), (0.0, junk)]] * len(ops),
-        assisted=True,
-    )
-    return game.validate(), PovmCollection(
-        [Povm(_witness_measurement(a, na, dp * d)) for a, na in zip(ops, norms)])
+    game, finals = _witness_game(witness.by_member, [(dp, False)] * len(witness.channel_ops), d)
+    return game, PovmCollection(finals)
 
 
 def game_from_pair_witness(witness: WitnessSet, d: int, dp: int):
@@ -326,37 +348,18 @@ def game_from_pair_witness(witness: WitnessSet, d: int, dp: int):
     normalized channel-witness two-outcome measurement."""
     if witness.kind != "pair":
         raise ContractError("need a pair-kind witness")
-    a_ops = [hermitize(np.asarray(a, dtype=complex)) for a in witness.pair_measure_ops]
-    b_op = hermitize(np.asarray(witness.pair_channel_op, dtype=complex))
-    traces = [max(np.trace(a).real, 0.0) for a in a_ops]
-    total1 = sum(traces)
-    bnorm = op_norm(b_op)
-    denom = total1 + bnorm
-    if denom < WITNESS_DROP_TOL:
-        raise DegenerateWitnessError("witness is numerically zero")
-    o = max(len(a_ops), 2)
-    junk = np.eye(d * d) / (d * d)
-    mixed = np.eye(d) / d
+    game, (final,) = _witness_game(witness.by_member, [(len(witness.pair_measure_ops), True), (dp, False)], d)
+    return game, Strategy(pair_mode=(None, None, final))
 
-    first = []
-    for a, t in zip(a_ops, traces):
-        if total1 < WITNESS_DROP_TOL:
-            first.append((1.0 / len(a_ops), junk))
-        elif t < WITNESS_DROP_TOL:
-            first.append((0.0, junk))
-        else:
-            first.append((t / total1, np.kron(a / t, mixed)))
-    second = [(1.0, max_entangled_state(d))] + [(0.0, junk)] * (o - 1)
 
-    unused = [np.zeros((dp * d, dp * d))] * (o - 2)
-    final = Povm(_witness_measurement(b_op, bnorm, dp * d) + unused)
-
-    game = DiscriminationGame(
-        prior=[total1 / denom, bnorm / denom],
-        ensembles=[first, second],
-        assisted=True,
-    )
-    return game.validate(), Strategy(pair_mode=(None, None, final))
+def game_from_measurement_witness(witness: WitnessSet, d: int) -> DiscriminationGame:
+    """Unassisted game realizing a measurement witness on C^d: setting x
+    presents the normalized witness operators A_{x,i} / Tr A_{x,i}, and the
+    collection answers it directly, ``Strategy(measurements=collection)``."""
+    if witness.kind != "measurements":
+        raise ContractError("need a measurement-kind witness")
+    ops = witness.by_member
+    return _witness_game(ops, [(len(row), True) for row in ops], d)[0]
 
 
 def advantage_ratio(game: DiscriminationGame, meas: PovmCollection,
@@ -364,9 +367,9 @@ def advantage_ratio(game: DiscriminationGame, meas: PovmCollection,
                     options: SolveOptions | None = None) -> float:
     """Success of the given strategy over the best compatible one, both
     followed by ``meas``: the strategy must be of ``kind`` and measure with
-    ``meas``."""
-    own_kind, own = _final_measurements(resource_strategy)
-    if own_kind != kind or own.n != meas.n or not all(
+    ``meas``; for "measurements" it measures with ``meas`` directly."""
+    own_kinds, own = _final_measurements(resource_strategy)
+    if kind not in own_kinds or own.n != meas.n or not all(
             np.array_equal(p.elements, q.elements) for p, q in zip(own.povms, meas.povms)):
         raise ContractError(f"the strategy is not a {kind} strategy that measures with meas")
     device, coeffs = _kernels(game, meas, kind)
@@ -425,12 +428,6 @@ def unassisted_bound_check(d: int, trials: int, rng_seed: int = 0,
             raise ContractError("sampled ratio exceeded the unassisted bound")
         max_ratio = max(max_ratio, ratio)
     assisted_value = 2 * d / (d + 1)
-    return {
-        "dim": d,
-        "trials": trials,
-        "seed": rng_seed,
-        "max_ratio": float(max_ratio),
-        "bound": float(bound),
-        "assisted_value": float(assisted_value),
-        "gap": float(assisted_value - bound),
-    }
+    return {"dim": d, "trials": trials, "seed": rng_seed, "max_ratio": float(max_ratio),
+            "bound": float(bound), "assisted_value": float(assisted_value),
+            "gap": float(assisted_value - bound)}

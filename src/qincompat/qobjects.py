@@ -478,14 +478,16 @@ def random_unitary(d: int, rng) -> np.ndarray:
 
 
 def random_povm(d: int, outcomes: int, rng) -> Povm:
-    """Projective effects from a random eigenbasis, grouped round-robin."""
+    """Projective effects from a random eigenbasis, grouped round-robin; past d
+    outcomes, the rank-one V^H|i><i|V of a random isometry V: C^d -> C^outcomes."""
+    if outcomes > d:
+        v, _ = np.linalg.qr(rng.standard_normal((outcomes, d)) + 1j * rng.standard_normal((outcomes, d)))
+        return Povm([np.outer(row.conj(), row) for row in v])
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (g + g.conj().T) / 2
     _, v = np.linalg.eigh(h)
-    els = [np.zeros((d, d), dtype=complex) for _ in range(outcomes)]
-    for k in range(d):
-        els[k % outcomes] += np.outer(v[:, k], v[:, k].conj())
-    return Povm(els)
+    return Povm([sum(np.outer(v[:, k], v[:, k].conj()) for k in range(i, d, outcomes))
+                 for i in range(outcomes)])
 
 
 def random_channel(d_in: int, d_out: int, kraus_rank: int, rng) -> ChoiMatrix:

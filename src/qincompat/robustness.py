@@ -65,22 +65,28 @@ class WitnessSet:
     pair_channel_op: np.ndarray | None = None
     iterations: int = 0
 
+    @property
+    def by_member(self) -> list[list]:
+        """The witness operators grouped by member, in member order: one per
+        channel, one per effect of a measurement."""
+        if self.kind == "channels":
+            return [[a] for a in self.channel_ops]
+        if self.kind == "measurements":
+            return self.measurement_ops
+        if self.kind == "pair":
+            return [self.pair_measure_ops, [self.pair_channel_op]]
+        raise ContractError(f"unknown witness kind {self.kind!r}")
+
     def evaluate(self, *objects) -> float:
         """Witness functional on a collection of the matching kind: the sum
         of Tr[A m] over its member operators m, each against its witness
         operator A.  Raises ``DimensionError`` unless the collection has the
         witness's count and shapes of member operators."""
-        if self.kind == "channels":
-            (chois,) = objects
-            ops, members = [[a] for a in self.channel_ops], [[c.matrix] for c in chois]
-        elif self.kind == "measurements":
-            (collection,) = objects
-            ops, members = self.measurement_ops, [p.elements for p in collection.povms]
-        elif self.kind == "pair":
-            povm, choi = objects
-            ops, members = [self.pair_measure_ops, [self.pair_channel_op]], [povm.elements, [choi.matrix]]
-        else:
-            raise ContractError(f"unknown witness kind {self.kind!r}")
+        ops = self.by_member
+        # a pair is its two devices, any other collection one object
+        (devices,) = (objects,) if self.kind == "pair" else objects
+        members = [[m.matrix] if isinstance(m, ChoiMatrix) else m.elements
+                   for m in getattr(devices, "povms", devices)]
         shapes, theirs = ([[np.shape(a) for a in row] for row in rows] for rows in (ops, members))
         if shapes != theirs:
             raise DimensionError(f"{self.kind} witness has operators of shapes {shapes}, "
@@ -89,17 +95,13 @@ class WitnessSet:
                          for row_a, row_m in zip(ops, members) for a, m in zip(row_a, row_m)))
 
     def to_json(self) -> dict:
+        def encode(ops):  # a matrix, or a list of them, or of lists of them
+            return [encode(a) for a in ops] if isinstance(ops, (list, tuple)) else matrix_to_json(ops)
+
         out = {"kind": self.kind, "value": self.value}
-        if self.channel_ops is not None:
-            out["channel_ops"] = [matrix_to_json(a) for a in self.channel_ops]
-        if self.measurement_ops is not None:
-            out["measurement_ops"] = [
-                [matrix_to_json(a) for a in row] for row in self.measurement_ops
-            ]
-        if self.pair_measure_ops is not None:
-            out["pair_measure_ops"] = [matrix_to_json(a) for a in self.pair_measure_ops]
-        if self.pair_channel_op is not None:
-            out["pair_channel_op"] = matrix_to_json(self.pair_channel_op)
+        for name in ("channel_ops", "measurement_ops", "pair_measure_ops", "pair_channel_op"):
+            if getattr(self, name) is not None:
+                out[name] = encode(getattr(self, name))
         return out
 
 
@@ -247,6 +249,7 @@ def robustness_measurements(collection: PovmCollection,
 
 def _measurements_dual(collection: PovmCollection,
                        options: SolveOptions | None = None) -> WitnessSet:
+    """Witness operators certifying the robustness of a measurement collection."""
     d, outputs, effects = measurement_family(collection)
     value, ops, iterations = _witness(d, outputs, effects, options)
     it = iter(ops)
@@ -254,10 +257,7 @@ def _measurements_dual(collection: PovmCollection,
                       iterations=iterations)
 
 
-def robustness_measurements_dual(collection: PovmCollection,
-                                 options: SolveOptions | None = None) -> WitnessSet:
-    """Witness operators certifying the robustness of a measurement collection."""
-    return _measurements_dual(collection, options)
+robustness_measurements_dual = _measurements_dual
 
 
 def robustness_pair_primal(povm: Povm, channel: ChoiMatrix,

@@ -15,6 +15,7 @@ from qincompat.games import (
     advantage_ratio,
     best_compatible_success,
     game_from_channel_witness,
+    game_from_measurement_witness,
     game_from_pair_witness,
     random_game,
     success_prob,
@@ -28,7 +29,9 @@ from qincompat.qobjects import (
     basis_povm,
     identity_channel,
     marginal,
+    pad_choi,
     projective_from_hermitian,
+    qc_channel,
     random_channel,
     random_joint_channel,
     random_povm,
@@ -40,6 +43,8 @@ from qincompat.robustness import (
     WitnessSet,
     robustness_channels_dual,
     robustness_channels_primal,
+    robustness_measurements,
+    robustness_pair_dual,
     robustness_pair_primal,
 )
 
@@ -251,6 +256,20 @@ def test_symmetric_witness_gives_uniform_prior():
     assert np.abs(game.prior - 0.5).max() < 1e-12
 
 
+def test_a_dropped_witness_member_leaves_a_valid_prior():
+    # a member below WITNESS_DROP_TOL gets prior 0; the others used to keep
+    # their share of a total that counted it, and the prior failed validation
+    p = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    w = WitnessSet("channels", 0.0, channel_ops=[5e-11 * p, p])
+    game, _ = game_from_channel_witness(w, 2, 2)
+    assert game.prior.tolist() == [0.0, 1.0]
+    # and so, within a measurement, did the distribution of its states when the
+    # witness of one effect has a trace below it
+    wp = WitnessSet("pair", 0.0, pair_measure_ops=[p[:2, :2], 5e-11 * p[:2, :2]], pair_channel_op=p)
+    game, _ = game_from_pair_witness(wp, 2, 2)
+    assert [q for q, _ in game.ensembles[0]] == [1.0, 0.0]
+
+
 def test_zero_witness_raises():
     z = np.zeros((4, 4))
     w = WitnessSet("channels", 0.0, channel_ops=[z, z])
@@ -260,6 +279,9 @@ def test_zero_witness_raises():
                     pair_channel_op=z)
     with pytest.raises(DegenerateWitnessError):
         game_from_pair_witness(wp, 2, 2)
+    wm = WitnessSet("measurements", 0.0, measurement_ops=[[np.zeros((2, 2))] * 2] * 2)
+    with pytest.raises(DegenerateWitnessError):
+        game_from_measurement_witness(wm, 2)
 
 
 def test_pair_witness_game_ratio():
@@ -272,6 +294,112 @@ def test_pair_witness_game_ratio():
     final = template.pair_mode[2]
     ratio = advantage_ratio(game, PovmCollection([final]), strat, "pair")
     assert abs(ratio - (1 + rep.primal_value)) < 1e-5
+
+
+def test_pair_witness_game_with_three_outcomes():
+    # the witness game has 2 outcomes on setting 2 whatever the POVM's count
+    rng = np.random.default_rng(83)
+    for _ in range(2):
+        povm, chan = random_povm(2, 3, rng), random_channel(2, 3, 2, rng)
+        rep = robustness_pair_primal(povm, chan)
+        game, template = game_from_pair_witness(rep.witness, 2, 3)
+        assert [len(ens) for ens in game.ensembles] == [3, 2]
+        ratio = advantage_ratio(game, PovmCollection([template.pair_mode[2]]),
+                                template.with_pair(povm, chan), "pair")
+        assert rep.primal_value > 1e-3
+        assert abs(ratio - (1 + rep.primal_value)) < 1e-5
+
+
+@pytest.mark.parametrize("d, dp", [(3, 3), (2, 3)])
+@pytest.mark.parametrize("kind", ["channels", "pair"])
+def test_witness_game_checks_the_operator_sides(kind, d, dp):
+    # qubit witnesses against a game on other sides used to leak numpy's
+    # broadcasting ValueError
+    if kind == "channels":
+        w, build = robustness_channels_dual([identity_channel(2)] * 2), game_from_channel_witness
+    else:
+        w, build = robustness_pair_dual(basis_povm(2), identity_channel(2)), game_from_pair_witness
+    with pytest.raises(DimensionError, match=r"witness operators of shapes .*\(4, 4\).*"
+                                             rf"the game needs .*\({d * dp}, {d * dp}\)"):
+        build(w, d, dp)
+
+
+def _qutrit_mubs(k):
+    """The computational basis and k - 1 further mutually unbiased qutrit bases."""
+    w = np.exp(2j * np.pi / 3)
+    bases = [np.eye(3)] + [np.array([[w ** (j * m + a * m * m) for j in range(3)] for m in range(3)])
+                           / np.sqrt(3) for a in range(k - 1)]
+    return PovmCollection([Povm([np.outer(b[:, i], b[:, i].conj()) for i in range(3)]) for b in bases])
+
+
+def _measurement_cases():
+    rng = np.random.default_rng(89)
+    w = np.exp(2j * np.pi / 3)
+    f = [np.outer(v, v.conj()) for v in np.array([[w ** (j * m) for m in range(3)]
+                                                  for j in range(3)]) / np.sqrt(3)]
+    sy = np.array([[0, -1j], [1j, 0]])
+    return {
+        "Z/X": PovmCollection([basis_povm(2), projective_from_hermitian(SX)]),
+        "XYZ": PovmCollection([basis_povm(2), projective_from_hermitian(SX),
+                               projective_from_hermitian(sy)]),
+        "two qutrit MUBs": _qutrit_mubs(2),
+        "three qutrit MUBs": _qutrit_mubs(3),
+        "qutrit Z and coarse Fourier": PovmCollection([basis_povm(3), Povm([f[0], f[1] + f[2]])]),
+        "random 3-outcome qubit": PovmCollection([random_povm(2, 3, rng) for _ in range(2)]),
+        "random qutrit": PovmCollection([random_povm(3, 3, rng), random_povm(3, 2, rng)]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_measurement_cases()))
+def test_measurement_witness_game_ratio_equals_one_plus_robustness(case):
+    coll = _measurement_cases()[case]
+    rep = robustness_measurements(coll)
+    game = game_from_measurement_witness(rep.witness, coll.dim)
+    assert not game.assisted
+    strat = Strategy(measurements=coll)
+    ratio = advantage_ratio(game, coll, strat, "measurements")
+    assert rep.primal_value > 1e-3
+    assert abs(ratio - (1 + rep.primal_value)) < 1e-5
+    # the game scores the witness functional over the total witness weight
+    total = sum(np.trace(a).real for row in rep.witness.measurement_ops for a in row)
+    assert abs(success_prob(game, strat) - rep.witness.evaluate(coll) / total) < 1e-12
+    if case == "three qutrit MUBs":
+        assert abs(rep.primal_value - 0.4037333) < 1e-6
+    # oracle: the witness game of the measure-and-record channels, padded to
+    # one output dimension
+    chans = [pad_choi(qc_channel(p), coll.outcomes) for p in coll.povms]
+    cgame, cmeas = game_from_channel_witness(robustness_channels_primal(chans).witness,
+                                             coll.dim, coll.outcomes)
+    oracle = advantage_ratio(cgame, cmeas, Strategy(preprocess=chans, measurements=cmeas))
+    # each route meets 1 + R only to the solves' tolerance, 1e-8: on the random
+    # 3-outcome qubit collection they sit 1.2e-8 and 1.1e-8 from it, on either side
+    assert abs(ratio - oracle) < (3e-8 if case.startswith("random") else 1e-8)
+
+
+@pytest.mark.parametrize("visibility", [0.65, 0.7])
+def test_compatible_measurements_do_not_beat_the_witness_game(visibility):
+    # Z/X stays compatible up to visibility 1/sqrt(2)
+    zx = _measurement_cases()["Z/X"]
+    game = game_from_measurement_witness(robustness_measurements(zx).witness, 2)
+    noisy = PovmCollection([Povm([visibility * e + (1 - visibility) * np.eye(2) / 2
+                                  for e in p.elements]) for p in zx.povms])
+    assert advantage_ratio(game, noisy, Strategy(measurements=noisy), "measurements") <= 1 + 1e-7
+
+
+def test_measurement_game_refuses_other_strategies_and_witnesses():
+    zx = _measurement_cases()["Z/X"]
+    w = robustness_measurements(zx).witness
+    game = game_from_measurement_witness(w, 2)
+    with pytest.raises(ContractError, match="measures with meas"):
+        advantage_ratio(game, zx, Strategy(preprocess=[identity_channel(2)] * 2, measurements=zx),
+                        "measurements")
+    with pytest.raises(DimensionError, match="one measurement per setting required"):
+        one = PovmCollection(zx.povms[:1])
+        advantage_ratio(game, one, Strategy(measurements=one), "measurements")
+    with pytest.raises(ContractError, match="need a measurement-kind witness"):
+        game_from_measurement_witness(robustness_channels_dual([identity_channel(2)] * 2), 2)
+    with pytest.raises(DimensionError, match="the game needs"):
+        game_from_measurement_witness(w, 3)
 
 
 def test_pair_template_must_be_filled():
@@ -307,10 +435,10 @@ def _rejection_cases():
             ContractError, "strategy carries no measurements"),
         "one measurement per setting": (
             lambda: sp(game, Strategy(measurements=PovmCollection([basis_povm(2)]))),
-            DimensionError, "one measurement per setting required"),
+            DimensionError, "one final measurement per channel required"),
         "one measurement per setting, best": (
             lambda: best(game, PovmCollection([basis_povm(2)])),
-            DimensionError, "one measurement per setting required"),
+            DimensionError, "one final measurement per channel required"),
         "one channel per setting": (
             lambda: sp(game, Strategy(preprocess=[identity_channel(2)], measurements=meas)),
             DimensionError, "one preprocessing channel per setting required"),

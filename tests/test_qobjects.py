@@ -269,6 +269,16 @@ def test_samplers_produce_valid_objects():
         assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
 
 
+@pytest.mark.parametrize("outcomes", [3, 4])
+def test_random_povm_with_more_outcomes_than_dimension_has_no_zero_effect(outcomes):
+    # grouping a qubit's two projectors round-robin left outcomes - 2 zero effects
+    povm = random_povm(2, outcomes, np.random.default_rng(19)).validate()
+    assert povm.outcomes == outcomes
+    assert min(np.trace(e).real for e in povm.elements) > 1e-3
+    for e in povm.elements:
+        assert np.linalg.matrix_rank(e, tol=1e-9) == 1
+
+
 def _random_hermitian(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2

@@ -19,3 +19,5 @@ def test_readme_quick_start_runs():
     assert abs(ns["rep"].primal_value - 1 / 3) < 1e-6
     assert abs(q.advantage_ratio(ns["game"], ns["meas"], ns["strat"], "channels") - 4 / 3) < 1e-5
     assert abs(q.robustness_measurements(ns["zx"]).primal_value - (3 - 2 * np.sqrt(2))) < 1e-6
+    ratio = q.advantage_ratio(ns["mgame"], ns["zx"], q.Strategy(measurements=ns["zx"]), "measurements")
+    assert abs(ratio - (4 - 2 * np.sqrt(2))) < 1e-5

@@ -183,7 +183,7 @@ def test_dual_factor_layout_agrees_with_the_primal(case):
     # joint blocks whose factors differ in size, and three quantum outputs
     rng = np.random.default_rng(73)
     if case == "povm and 2->3":
-        # random_povm(2, 3) has a zero effect: mixed with I/3, all three are nonzero
+        # random_povm(2, 3) has rank-one effects: mixed with I/3, all three are full rank
         povm = Povm([0.8 * m + 0.2 * np.eye(2) / 3 for m in random_povm(2, 3, rng).elements])
         rep = robustness_pair_primal(povm, random_channel(2, 3, 2, rng))
     else:

@@ -35,7 +35,6 @@ from .qobjects import (
     marginal,
     max_entangled_state,
     object_from_json,
-    pad_choi,
     projective_from_hermitian,
     qc_channel,
     random_channel,

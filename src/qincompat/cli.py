@@ -215,7 +215,7 @@ def _suite_theorem2(dim, seed, trials, opts, checks):
     """Pair game built from the witness realizes 1 + robustness."""
     cases = [(basis_povm(2), identity_channel(2))]
     rng = np.random.default_rng(seed)
-    while len(cases) < trials:
+    while len(cases) < trials + 1:
         # smeared projectives against noisy unitaries give a spread of
         # robustness values; exact projective-unitary pairs all coincide
         proj = projective_from_hermitian(random_state(2, rng))
@@ -307,7 +307,7 @@ def _suite_duality(dim, seed, trials, opts, checks):
 
 _SUITES = {
     "theorem1": (_suite_theorem1, {"seed": 7, "trials": 5}),
-    "theorem2": (_suite_theorem2, {"seed": 11, "trials": 3}),
+    "theorem2": (_suite_theorem2, {"seed": 11, "trials": 2}),
     "prop1": (_suite_prop1, {"seed": 7, "trials": 20}),
     "prop2": (_suite_prop2, {"seed": 13, "trials": 10}),
     "appendixC": (_suite_appendix_c, {"seed": 0, "trials": 200}),

@@ -4,14 +4,15 @@ multi-output joint channels, plus canonical constructions and samplers.
 Choi matrices are normalized to unit trace and ordered output-first: the
 matrix of a channel from an input space of dimension ``dim_in`` to an output
 space of dimension ``dim_out`` acts on (output) (x) (input).  A joint channel
-with n outputs acts on (out_1) (x) ... (x) (out_n) (x) (input).  Classical
-outcomes are embedded as the first computational basis states of a genuine
-output space.
+with n outputs acts on (out_1) (x) ... (x) (out_n) (x) (input), each output
+of its own dimension.  A measure-and-record channel writes outcome i into
+the basis state |i> of an output space with one dimension per outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -225,10 +226,6 @@ class PovmCollection:
     def dim(self) -> int:
         return self.povms[0].dim
 
-    @property
-    def outcomes(self) -> int:
-        return max(p.outcomes for p in self.povms)
-
     def validate(self) -> "PovmCollection":
         for p in self.povms:
             p.validate()
@@ -335,48 +332,55 @@ def lueders_instrument(povm: Povm) -> Instrument:
 
 @dataclass(eq=False)
 class JointChannel:
-    """One channel with n outputs of a common dimension, stored as a Choi matrix."""
+    """One channel with one output per member, of dimensions ``dims_out``,
+    stored as a Choi matrix."""
 
     dim_in: int
-    n_outputs: int
-    dim_out: int
+    dims_out: tuple
     choi: np.ndarray
 
     def __post_init__(self):
-        _check_sizes(self, "dim_in", "n_outputs", "dim_out")
+        _check_sizes(self, "dim_in")
+        dims = self.dims_out
+        if not (isinstance(dims, (tuple, list)) and dims and all(is_integer(v) and v >= 1 for v in dims)):
+            raise DimensionError(f"JointChannel field 'dims_out' must be a nonempty list of integers >= 1, "
+                                 f"got {dims!r}")
+        self.dims_out = tuple(dims)
         self.choi = np.asarray(self.choi, dtype=complex)
-        d = self.dim_out**self.n_outputs * self.dim_in
+        d = prod(self.dims_out) * self.dim_in
         if self.choi.shape != (d, d):
             raise DimensionError(f"joint Choi shape {self.choi.shape} does not match dims")
 
     @property
     def shape(self):
-        return (self.dim_out,) * self.n_outputs + (self.dim_in,)
+        return self.dims_out + (self.dim_in,)
 
     def validate(self) -> "JointChannel":
         # one channel into the product of its outputs
-        ChoiMatrix(self.dim_in, self.dim_out**self.n_outputs, self.choi).validate()
+        ChoiMatrix(self.dim_in, prod(self.dims_out), self.choi).validate()
         return self
 
     def to_json(self) -> dict:
-        return {"kind": "joint_channel", "dim_in": self.dim_in,
-                "n_outputs": self.n_outputs, "dim_out": self.dim_out,
+        return {"kind": "joint_channel", "dim_in": self.dim_in, "dims_out": list(self.dims_out),
                 "choi": matrix_to_json(self.choi)}
 
     @staticmethod
     def from_json(obj) -> "JointChannel":
         obj = json_object(obj, "joint channel")
-        return JointChannel(json_int(obj, "dim_in", "joint channel"),
-                            json_int(obj, "n_outputs", "joint channel"),
-                            json_int(obj, "dim_out", "joint channel"), matrix_from_json(obj["choi"])).validate()
+        dims = json_list(obj["dims_out"], "joint channel field 'dims_out'")
+        if not all(map(is_integer, dims)):
+            raise ContractError(f"joint channel field 'dims_out' must list integers, got {dims!r}")
+        return JointChannel(json_int(obj, "dim_in", "joint channel"), dims,
+                            matrix_from_json(obj["choi"])).validate()
 
 
 def marginal(joint: JointChannel, x: int) -> ChoiMatrix:
     """Choi matrix of the x-th output (1-based), the others traced out."""
-    if not (is_integer(x) and 1 <= x <= joint.n_outputs):
-        raise DimensionError(f"output index {x!r}: not an integer in 1..{joint.n_outputs}")
-    m = partial_trace(joint.choi, joint.shape, (x - 1, joint.n_outputs))
-    return ChoiMatrix(joint.dim_in, joint.dim_out, m)
+    n = len(joint.dims_out)
+    if not (is_integer(x) and 1 <= x <= n):
+        raise DimensionError(f"output index {x!r}: not an integer in 1..{n}")
+    m = partial_trace(joint.choi, joint.shape, (x - 1, n))
+    return ChoiMatrix(joint.dim_in, joint.dims_out[x - 1], m)
 
 
 def symmetric_projector(d: int) -> np.ndarray:
@@ -393,19 +397,7 @@ def cloning_channel(d: int) -> JointChannel:
         e[k, 0] = 1.0
         kraus.append(scale * (s @ kron(np.eye(d), e)))
     c = choi_from_kraus(kraus)
-    return JointChannel(d, 2, d, c.matrix)
-
-
-def pad_choi(choi: ChoiMatrix, dim_out: int) -> ChoiMatrix:
-    """Isometrically enlarge the output space to ``dim_out``."""
-    if dim_out < choi.dim_out:
-        raise DimensionError("padding cannot shrink the output space")
-    if dim_out == choi.dim_out:
-        return choi
-    v = np.zeros((dim_out, choi.dim_out), dtype=complex)
-    v[: choi.dim_out] = np.eye(choi.dim_out)
-    iso = kron(v, np.eye(choi.dim_in))
-    return ChoiMatrix(choi.dim_in, dim_out, iso @ choi.matrix @ iso.conj().T)
+    return JointChannel(d, (d, d), c.matrix)
 
 
 # -- polish helpers for solver output ---------------------------------------
@@ -505,7 +497,7 @@ def random_channel(d_in: int, d_out: int, kraus_rank: int, rng) -> ChoiMatrix:
 def random_joint_channel(d_in: int, n_outputs: int, d_out: int, rng,
                          kraus_rank: int = 2) -> JointChannel:
     big = random_channel(d_in, d_out**n_outputs, kraus_rank, rng)
-    return JointChannel(d_in, n_outputs, d_out, big.matrix)
+    return JointChannel(d_in, (d_out,) * n_outputs, big.matrix)
 
 
 def object_from_json(obj):

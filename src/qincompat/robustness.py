@@ -39,7 +39,7 @@ from .compat import (
     pair_family,
 )
 from .linalg import ContractError, DimensionError, Lift, hermitize, matrix_to_json
-from .qobjects import ChoiMatrix, Povm, PovmCollection, pad_choi, qc_channel
+from .qobjects import ChoiMatrix, Povm, PovmCollection, qc_channel
 from .families import RowFamily
 from .sdp import SdpProblem, SolveOptions, require_optimal, solve
 
@@ -278,11 +278,10 @@ def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
 def verify_prop1(collection: PovmCollection,
                  options: SolveOptions | None = None) -> dict:
     """Measurement robustness against the channel robustness of the
-    measure-and-record channels; the two must agree."""
+    measure-and-record channels, the same outputs declared quantum rather
+    than classical; the two must agree."""
     rm = robustness_measurements(collection, options)
-    # a channel collection shares one output dimension: pad to the most outcomes
-    channels = [pad_choi(qc_channel(p), collection.outcomes) for p in collection.povms]
-    rc = robustness_channels_primal(channels, options)
+    rc = robustness_channels_primal([qc_channel(p) for p in collection.povms], options)
     return {
         "measurement_robustness": rm.primal_value,
         "channel_robustness": rc.primal_value,
@@ -293,11 +292,10 @@ def verify_prop1(collection: PovmCollection,
 def verify_prop2(povm: Povm, channel: ChoiMatrix,
                  options: SolveOptions | None = None) -> dict:
     """Pair robustness against the channel-pair robustness of the
-    measure-and-record channel together with the channel itself."""
+    measure-and-record channel together with the channel itself, the
+    measurement's output declared quantum rather than classical."""
     rp = robustness_pair_primal(povm, channel, options)
-    gamma = qc_channel(povm)
-    dim = max(gamma.dim_out, channel.dim_out)
-    rc = robustness_channels_primal([pad_choi(gamma, dim), pad_choi(channel, dim)], options)
+    rc = robustness_channels_primal([qc_channel(povm), channel], options)
     return {
         "pair_robustness": rp.primal_value,
         "channel_robustness": rc.primal_value,

@@ -4,6 +4,7 @@ import pytest
 from qincompat.linalg import ContractError, hermitian_basis, partial_trace
 from qincompat.compat import (
     assignments,
+    channel_family,
     check_channels,
     check_measurements,
     check_pair,
@@ -27,6 +28,7 @@ from qincompat.qobjects import (
     lueders_instrument,
     marginal,
     projective_from_hermitian,
+    qc_channel,
     random_channel,
     random_joint_channel,
     random_povm,
@@ -120,16 +122,29 @@ LOOSE = SolveOptions(feas_tol=1e-6, gap_tol=1e-6)
 
 
 def test_joint_channel_reproduces_marginals():
-    for kraus_rank, options in ((3, None), (1, LOOSE)):
+    # channels share their input dimension only: the last pair is C^2 -> C^2
+    # next to C^2 -> C^3
+    for dims, kraus_rank, options in (((2, 2), 3, None), ((2, 2), 1, LOOSE), ((2, 3), 2, None)):
         rng = np.random.default_rng(5)
-        joint = random_joint_channel(2, 2, 2, rng, kraus_rank=kraus_rank)
+        joint = JointChannel(2, dims, random_channel(2, np.prod(dims), kraus_rank, rng).matrix)
         pair = [marginal(joint, 1), marginal(joint, 2)]
         v = check_channels(pair, options)
         assert v.compatible
-        v.joint.validate()
+        assert v.joint.validate().dims_out == dims
         for x in (1, 2):
             got = marginal(v.joint, x)
             assert np.abs(got.matrix - pair[x - 1].matrix).max() < 1e-6
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["2x5", "5x2"])
+def test_channel_start_is_strictly_feasible_for_mixed_output_dimensions(order):
+    # the measure-and-record channels of X and a 5-outcome qubit measurement;
+    # a start scaled by the first output dimension alone left a noise block
+    # singular in the order (2, 5).  Measured: 0.6 in both orders.
+    five = Povm([np.diag([1.0, 0.0])] + [np.diag([0.0, 0.25])] * 4)
+    chans = [qc_channel(p) for p in (x_povm(), five)]
+    _, noise, _ = joint_device(*channel_family([chans[i] for i in order])).robustness_start()
+    assert min(np.linalg.eigvalsh(b)[0] for b in noise) > 0.5
 
 
 def test_pair_lueders_compatible():
@@ -207,7 +222,7 @@ def test_margin_tolerance_band():
 
 def _channel_marginals(n, d, dp):
     def marginals(blocks):
-        joint = JointChannel(d, n, dp, blocks[0])
+        joint = JointChannel(d, _counts(n, dp), blocks[0])
         return ([marginal(joint, x + 1).matrix for x in range(n)],
                 partial_trace(blocks[0], joint.shape, (n,)))
 
@@ -215,7 +230,8 @@ def _channel_marginals(n, d, dp):
 
 
 def _counts(n, o):
-    """The outcome count of each of n settings: o for all, or o itself."""
+    """The outcome count (or output dimension) of each of n members: o for
+    all, or o itself."""
     return (o,) * n if isinstance(o, int) else o
 
 
@@ -248,6 +264,13 @@ def _channel_case(rng):
     return device, _channel_marginals(n, d, dp)
 
 
+def _mixed_channel_case(rng):
+    d, dims = 2, (2, 3)
+    joint = JointChannel(d, dims, random_channel(d, 6, 2, rng).matrix)
+    device = joint_device(d, [(dp, False) for dp in dims], [marginal(joint, x + 1).matrix for x in (0, 1)])
+    return device, _channel_marginals(2, d, dims)
+
+
 def _measurement_case(rng, counts=(3, 3)):
     n, d = len(counts), 2
     marginals = _measurement_marginals(n, counts, d)
@@ -277,8 +300,8 @@ def _pair_case(rng):
     return device, _pair_marginals(o, d, dp)
 
 
-@pytest.mark.parametrize("case", [_channel_case, _measurement_case, _mixed_measurement_case,
-                                  _pair_case])
+@pytest.mark.parametrize("case", [_channel_case, _mixed_channel_case, _measurement_case,
+                                  _mixed_measurement_case, _pair_case])
 def test_member_equations_are_adjoint_to_marginals(case):
     rng = np.random.default_rng(3)
     device, marginals = case(rng)
@@ -304,14 +327,16 @@ def test_member_equations_are_adjoint_to_marginals(case):
 
 
 _DEVICES = {
-    "channel": (lambda n, d, dp: joint_device(d, [(dp, False)] * n), _channel_marginals),
+    "channel": (lambda n, d, dp: joint_device(d, [(c, False) for c in _counts(n, dp)]), _channel_marginals),
     "measurement": (lambda n, o, d: joint_device(d, [(c, True) for c in _counts(n, o)]),
                     _measurement_marginals),
     "pair": (lambda o, d, dp: joint_device(d, [(o, True), (dp, False)]), _pair_marginals),
 }
-# more sizes than the one fixed case per device: channel (n, d, dp),
-# measurement (n, o, d) with o one count or one per setting, pair (o, d, dp)
+# more sizes than the one fixed case per device: channel (n, d, dp) with dp
+# one dimension or one per member, measurement (n, o, d) with o one count or
+# one per setting, pair (o, d, dp)
 _SIZES = [("channel", (1, 2, 3)), ("channel", (2, 2, 3)), ("channel", (3, 3, 2)),
+          ("channel", (2, 2, (3, 2))), ("channel", (3, 2, (2, 3, 1))),
           ("measurement", (2, 3, 3)), ("measurement", (3, 2, 2)),
           ("measurement", (2, (3, 2), 2)), ("measurement", (3, (2, 4, 3), 3)),
           ("pair", (2, 2, 3)), ("pair", (3, 3, 2))]

@@ -23,13 +23,13 @@ from qincompat.games import (
 )
 from qincompat.linalg import ContractError, DimensionError, kron, matrix_to_json
 from qincompat.qobjects import (
+    ChoiMatrix,
     Povm,
     apply_channel,
     apply_channel_extended,
     basis_povm,
     identity_channel,
     marginal,
-    pad_choi,
     projective_from_hermitian,
     qc_channel,
     random_channel,
@@ -49,6 +49,46 @@ from qincompat.robustness import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def pad_choi(choi: ChoiMatrix, dim_out: int) -> ChoiMatrix:
+    """Isometrically enlarge the output space to ``dim_out``.  The oracles
+    below pad because a game's final measurements share one space."""
+    if dim_out < choi.dim_out:
+        raise DimensionError("padding cannot shrink the output space")
+    if dim_out == choi.dim_out:
+        return choi
+    v = np.zeros((dim_out, choi.dim_out), dtype=complex)
+    v[: choi.dim_out] = np.eye(choi.dim_out)
+    iso = kron(v, np.eye(choi.dim_in))
+    return ChoiMatrix(choi.dim_in, dim_out, iso @ choi.matrix @ iso.conj().T)
+
+
+def test_pad_choi():
+    rng = np.random.default_rng(11)
+    ch = random_channel(2, 2, 2, rng)
+    padded = pad_choi(ch, 4).validate()
+    rho = random_state(2, rng)
+    out = apply_channel(padded, rho)
+    assert np.abs(out[:2, :2] - apply_channel(ch, rho)).max() < 1e-12
+    assert np.abs(out[2:, :]).max() < 1e-12
+    with pytest.raises(DimensionError):
+        pad_choi(ch, 1)
+
+
+def test_mixed_output_dimensions_match_the_padded_channels():
+    # X and a 5-outcome qubit measurement, which MAX_OUTCOMES keeps from the
+    # measurement route: measure-and-record channels into C^2 and C^5
+    five = Povm([np.diag([1.0, 0.0])] + [np.diag([0.0, 0.25])] * 4)
+    chans = [qc_channel(p) for p in (projective_from_hermitian(SX), five)]
+    rep = robustness_channels_primal(chans)
+    oracle = robustness_channels_primal([pad_choi(c, 5) for c in chans])
+    assert rep.mixture_joint.dims_out == (2, 5)
+    assert abs(rep.primal_value - oracle.primal_value) < 1e-6
+    assert rep.gap <= 1e-6 * (1 + rep.primal_value)
+    # the channel game's final measurements share one space: no game here
+    with pytest.raises(DimensionError, match="witness operators of shapes"):
+        game_from_channel_witness(rep.witness, 2, 5)
 
 
 def bb84_game():
@@ -367,9 +407,9 @@ def test_measurement_witness_game_ratio_equals_one_plus_robustness(case):
         assert abs(rep.primal_value - 0.4037333) < 1e-6
     # oracle: the witness game of the measure-and-record channels, padded to
     # one output dimension
-    chans = [pad_choi(qc_channel(p), coll.outcomes) for p in coll.povms]
-    cgame, cmeas = game_from_channel_witness(robustness_channels_primal(chans).witness,
-                                             coll.dim, coll.outcomes)
+    o = max(p.outcomes for p in coll.povms)
+    chans = [pad_choi(qc_channel(p), o) for p in coll.povms]
+    cgame, cmeas = game_from_channel_witness(robustness_channels_primal(chans).witness, coll.dim, o)
     oracle = advantage_ratio(cgame, cmeas, Strategy(preprocess=chans, measurements=cmeas))
     # each route meets 1 + R only to the solves' tolerance, 1e-8: on the random
     # 3-outcome qubit collection they sit 1.2e-8 and 1.1e-8 from it, on either side

@@ -22,7 +22,6 @@ from qincompat.qobjects import (
     marginal,
     max_entangled_state,
     object_from_json,
-    pad_choi,
     projective_from_hermitian,
     qc_channel,
     random_channel,
@@ -245,18 +244,6 @@ def test_cloning_channel_marginals_are_depolarizing():
             assert np.abs(got.matrix - want.matrix).max() < 1e-12
 
 
-def test_pad_choi():
-    rng = np.random.default_rng(11)
-    ch = random_channel(2, 2, 2, rng)
-    padded = pad_choi(ch, 4).validate()
-    rho = random_state(2, rng)
-    out = apply_channel(padded, rho)
-    assert np.abs(out[:2, :2] - apply_channel(ch, rho)).max() < 1e-12
-    assert np.abs(out[2:, :]).max() < 1e-12
-    with pytest.raises(DimensionError):
-        pad_choi(ch, 1)
-
-
 def test_samplers_produce_valid_objects():
     rng = np.random.default_rng(12)
     for d in (2, 3):
@@ -360,6 +347,12 @@ def test_json_roundtrips():
     joint = random_joint_channel(2, 2, 2, rng)
     back = JointChannel.from_json(joint.to_json())
     assert np.abs(back.choi - joint.choi).max() < 1e-15
+    # one output dimension per member
+    joint = JointChannel(2, (2, 3), random_channel(2, 6, 2, rng).matrix)
+    assert joint.to_json()["dims_out"] == [2, 3]
+    back = JointChannel.from_json(joint.to_json())
+    assert back.dims_out == (2, 3)
+    assert np.abs(back.choi - joint.choi).max() < 1e-15
     # dispatch by kind
     assert isinstance(object_from_json(ch.to_json()), ChoiMatrix)
     with pytest.raises(ContractError):
@@ -372,12 +365,25 @@ def test_json_sizes_must_be_integers(field, value):
     objs = [random_channel(2, 2, 2, rng).to_json(), lueders_instrument(basis_povm(2)).to_json(),
             random_joint_channel(2, 2, 2, rng).to_json()]
     for obj in objs:
+        if field not in obj:  # a joint channel has dims_out, tested below
+            continue
         obj[field] = value
         with pytest.raises(ContractError, match=f"'{field}' must be an integer"):
             object_from_json(obj)
-    obj = random_joint_channel(2, 2, 2, rng).to_json()
-    obj["n_outputs"] = 2.0
-    with pytest.raises(ContractError, match="'n_outputs' must be an integer"):
+
+
+@pytest.mark.parametrize("dims, error, match", [
+    (2, ContractError, "joint channel field 'dims_out' must be a list, got int"),
+    ([2, 2.0], ContractError, r"joint channel field 'dims_out' must list integers, got \[2, 2.0\]"),
+    ([2, True], ContractError, "joint channel field 'dims_out' must list integers"),
+    ([4, 0], DimensionError, "JointChannel field 'dims_out' must be a nonempty list of integers >= 1"),
+    ([], DimensionError, "JointChannel field 'dims_out' must be a nonempty list of integers >= 1"),
+], ids=["not-list", "float", "bool", "zero", "empty"])
+def test_json_dims_out_must_list_positive_integers(dims, error, match):
+    # each product is 4 = 4 * 1 * 1, so only the entries are wrong
+    obj = random_joint_channel(2, 2, 2, np.random.default_rng(16)).to_json()
+    obj["dims_out"] = dims
+    with pytest.raises(error, match=match):
         object_from_json(obj)
 
 
@@ -395,7 +401,7 @@ def test_json_sizes_must_be_integers(field, value):
     (object_from_json, "x", "object must be a JSON object, got str"),
     (object_from_json, {"kind": ["choi"]}, "unknown object kind"),
     (ChoiMatrix.from_json, {"dim_in": 2, "dim_out": 2}, "channel has no field 'matrix'"),
-    (JointChannel.from_json, {"dim_in": 2, "dim_out": 2}, "joint channel has no field 'n_outputs'"),
+    (JointChannel.from_json, {"dim_in": 2, "dim_out": 2}, "joint channel has no field 'dims_out'"),
     (object_from_json, {"dim": 2}, "object has no field 'kind'"),
 ], ids=["channel", "povm", "povm-elements", "collection-povms", "collection-entry", "instrument",
         "instrument-elements", "joint-channel", "object", "unhashable-kind", "channel-missing",
@@ -408,20 +414,23 @@ def test_json_decoders_name_a_non_object_or_non_list(decode, obj, match):
 
 
 @pytest.mark.parametrize("make, field", [
-    (lambda: JointChannel(2, -1, 2, np.eye(1)), "n_outputs"),  # 2**-1 * 2 == 1
-    (lambda: JointChannel(1, 2, True, np.eye(1)), "dim_out"),
+    (lambda: JointChannel(2, (-1, -1), np.eye(2)), "dims_out"),  # (-1) * (-1) * 2 == 2
+    (lambda: JointChannel(1, (True, 1), np.eye(1)), "dims_out"),
+    (lambda: JointChannel(1, (1, 0), np.zeros((0, 0))), "dims_out"),
+    (lambda: JointChannel(2, 2, np.eye(4)), "dims_out"),
     (lambda: ChoiMatrix(0, 2, np.zeros((0, 0))).validate(), "dim_in"),
     (lambda: ChoiMatrix(2.0, 2, np.eye(4) / 4).validate(), "dim_in"),
     (lambda: ChoiMatrix(True, True, np.eye(1)).validate(), "dim_in"),
     (lambda: ChoiMatrix(1, np.int64(-1), -np.eye(1)), "dim_out"),
     (lambda: Instrument(2, 1.0, [np.eye(4) / 4]).validate(), "dim_out"),
     (lambda: Instrument(-2, -2, [np.eye(4) / 4]).validate(), "dim_in"),
-], ids=["joint-negative", "joint-bool", "choi-zero", "choi-float", "choi-bool", "choi-numpy-negative",
+], ids=["joint-negative", "joint-bool", "joint-zero", "joint-not-list", "choi-zero", "choi-float", "choi-bool", "choi-numpy-negative",
         "instrument-float", "instrument-negative"])
 def test_sizes_must_be_positive_integers(make, field):
     # each of these used to construct because the matrix shape matched, and
     # then validated or failed later with another error
-    with pytest.raises(DimensionError, match=f"'{field}' must be an integer >= 1"):
+    rule = "a nonempty list of integers >= 1" if field == "dims_out" else "an integer >= 1"
+    with pytest.raises(DimensionError, match=f"'{field}' must be {rule}"):
         make()
 
 

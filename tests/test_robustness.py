@@ -355,6 +355,21 @@ def test_qc_channel_robustness_matches_measurement_value():
     assert abs(rm - rc) < 1e-6
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["3x2", "2x3"])
+def test_mixed_output_dimensions_are_not_padded(order):
+    # the measure-and-record channels of qutrit Z and the coarse Fourier
+    # measurement output C^3 and C^2: one joint block on C^3 (x) C^2 (x) C^3
+    coll = qutrit_z_and_coarse_fourier()
+    coll = PovmCollection([coll.povms[i] for i in order])
+    dims = tuple(p.outcomes for p in coll.povms)
+    rm = robustness_measurements(coll).primal_value
+    rep = robustness_channels_primal([qc_channel(p) for p in coll.povms])
+    assert rep.mixture_joint.validate().dims_out == dims
+    assert tuple(c.validate().dim_out for c in rep.noise) == dims
+    assert abs(rep.primal_value - rm) < 1e-6
+    assert rep.gap <= 1e-6 * (1 + rep.primal_value)
+
+
 def test_reports_are_deterministic():
     a = robustness_channels_primal([identity_channel(2), identity_channel(2)])
     b = robustness_channels_primal([identity_channel(2), identity_channel(2)])

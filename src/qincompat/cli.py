@@ -9,8 +9,10 @@ Four subcommands, all emitting one JSON report:
   feasibility check and returns the verdict with margin and joint object.
 * ``verify {theorem1|theorem2|prop1|prop2|appendixC|duality}`` replays one
   of the self-check suites on seeded instances and reports every assertion
-  with its value and tolerance.
+  with its value and tolerance, and the inputs the suite read.
 * ``demo {identity-pair|bb84|cloning}`` runs a small worked example.
+
+A suite or demo reads the flags its ``_RUNS`` entry names; any other exits 1.
 
 Reports go to stdout unless ``--out FILE`` is given; the file is written
 only after the computation finished, so a failing run leaves no partial
@@ -79,39 +81,38 @@ def _parser() -> argparse.ArgumentParser:
         description="robustness of quantum incompatibility and its discrimination games",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, input_file=False, dim=False, sampled=False):
-        # each subcommand takes only the flags it reads
-        if input_file:
+    for command, positional, help in (
+            ("robustness", "target", "compute incompatibility robustness with witness"),
+            ("compat", "target", "feasibility check for compatibility"),
+            ("verify", "suite", "run a seeded self-check suite"),
+            ("demo", "name", "run a worked example")):
+        sp = sub.add_parser(command, help=help)
+        runs = _RUNS.get(command, {})
+        sp.add_argument(positional, choices=list(runs) or ["channels", "measurements", "pair"])
+        # robustness and compat read an input file; a verify suite or a demo
+        # reads the inputs its _RUNS entry names, and a flag for another exits 1
+        if not runs:
             sp.add_argument("--input", required=True, help="path to a JSON input file")
-        if dim:
-            sp.add_argument("--dim", type=int, default=2, help="Hilbert space dimension")
-        if sampled:
-            sp.add_argument("--seed", type=int, default=None, help="RNG seed for sampled instances")
-            sp.add_argument("--trials", type=int, default=None, help="number of sampled instances")
-        sp.add_argument("--tol-gap", type=float, default=DEFAULT_GAP_TOL,
+        for flag, (_, what) in _INPUTS.items():
+            readers = [name for name, (_, inputs) in runs.items() if flag in inputs]
+            if readers:
+                sp.add_argument(f"--{flag}", type=int, help=f"{what}, read by {', '.join(readers)}")
+        sp.add_argument("--tol-gap", type=_tolerance("gap_tol"), default=DEFAULT_GAP_TOL,
                         help="solver duality gap tolerance")
-        sp.add_argument("--tol-feas", type=float, default=DEFAULT_FEAS_TOL,
+        sp.add_argument("--tol-feas", type=_tolerance("feas_tol"), default=DEFAULT_FEAS_TOL,
                         help="solver feasibility tolerance")
         sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-
-    rb = sub.add_parser("robustness", help="compute incompatibility robustness with witness")
-    rb.add_argument("target", choices=["channels", "measurements", "pair"])
-    common(rb, input_file=True)
-
-    cp = sub.add_parser("compat", help="feasibility check for compatibility")
-    cp.add_argument("target", choices=["channels", "measurements", "pair"])
-    common(cp, input_file=True)
-
-    vf = sub.add_parser("verify", help="run a seeded self-check suite")
-    vf.add_argument("suite", choices=["theorem1", "theorem2", "prop1", "prop2",
-                                      "appendixC", "duality"])
-    common(vf, dim=True, sampled=True)
-
-    dm = sub.add_parser("demo", help="run a worked example")
-    dm.add_argument("name", choices=["identity-pair", "bb84", "cloning"])
-    common(dm, dim=True)
     return p
+
+
+def _tolerance(field: str):
+    """An argparse type for the flag of the ``SolveOptions`` field: the value
+    if the options accept it, else argparse names the flag and the value."""
+    def parse(text):
+        return getattr(SolveOptions(**{field: float(text)}), field)
+
+    parse.__name__ = field
+    return parse
 
 
 # ---------------------------------------------------------------- inputs
@@ -196,7 +197,7 @@ def _channel_game(channels, dim, opts):
     return rep.primal_value, ratio
 
 
-def _suite_theorem1(dim, seed, trials, opts, checks):
+def _suite_theorem1(opts, checks, dim, seed, trials):
     """Channel game built from the witness realizes 1 + robustness."""
     r, ratio = _channel_game([identity_channel(dim), identity_channel(dim)], dim, opts)
     _record(checks, "identity_pair_closed_form", r, identity_pair_closed_form(dim), 1e-6)
@@ -211,7 +212,7 @@ def _suite_theorem1(dim, seed, trials, opts, checks):
         _record(checks, f"random_pair_{k}_game_ratio", ratio, 1 + r, 1e-5)
 
 
-def _suite_theorem2(dim, seed, trials, opts, checks):
+def _suite_theorem2(opts, checks, seed, trials):
     """Pair game built from the witness realizes 1 + robustness."""
     cases = [(basis_povm(2), identity_channel(2))]
     rng = np.random.default_rng(seed)
@@ -245,7 +246,7 @@ def _deltas(checks, label, verify, cases, opts):
     _record(checks, "max_delta", worst, 0.0, 1e-6)
 
 
-def _suite_prop1(dim, seed, trials, opts, checks):
+def _suite_prop1(opts, checks, seed, trials):
     """Measurement robustness equals the measure-and-record channel robustness."""
     sz = np.diag([1.0, -1.0]).astype(complex)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -256,7 +257,7 @@ def _suite_prop1(dim, seed, trials, opts, checks):
     _deltas(checks, "collection", verify_prop1, [(c,) for c in cases], opts)
 
 
-def _suite_prop2(dim, seed, trials, opts, checks):
+def _suite_prop2(opts, checks, seed, trials):
     """Pair robustness equals the two-channel robustness of its embedding."""
     cases = [(basis_povm(2), identity_channel(2))]
     rng = np.random.default_rng(seed)
@@ -276,7 +277,7 @@ def _cloning_marginals(dim):
     return margs, c, max(np.abs(m.matrix - dep.matrix).max() for m in margs)
 
 
-def _suite_appendix_c(dim, seed, trials, opts, checks):
+def _suite_appendix_c(opts, checks, dim, seed, trials):
     """Cloning marginals are depolarizing and unassisted games obey the bound."""
     _, _, dev = _cloning_marginals(dim)
     _record(checks, "cloning_marginal_deviation", dev, 0.0, 1e-9)
@@ -287,7 +288,7 @@ def _suite_appendix_c(dim, seed, trials, opts, checks):
     return out
 
 
-def _suite_duality(dim, seed, trials, opts, checks):
+def _suite_duality(opts, checks, seed, trials):
     """Primal and dual robustness values agree to relative tolerance."""
     def gap_check(name, rep):
         rel = abs(rep.primal_value - rep.dual_value) / (1 + rep.primal_value)
@@ -305,41 +306,7 @@ def _suite_duality(dim, seed, trials, opts, checks):
         gap_check(f"random_pair_{k}", robustness_channels_primal(pair, opts))
 
 
-_SUITES = {
-    "theorem1": (_suite_theorem1, {"seed": 7, "trials": 5}),
-    "theorem2": (_suite_theorem2, {"seed": 11, "trials": 2}),
-    "prop1": (_suite_prop1, {"seed": 7, "trials": 20}),
-    "prop2": (_suite_prop2, {"seed": 13, "trials": 10}),
-    "appendixC": (_suite_appendix_c, {"seed": 0, "trials": 200}),
-    "duality": (_suite_duality, {"seed": 3, "trials": 10}),
-}
-
-
-def _cmd_verify(args, opts):
-    fn, defaults = _SUITES[args.suite]
-    seed = defaults["seed"] if args.seed is None else args.seed
-    trials = defaults["trials"] if args.trials is None else args.trials
-    if trials < 0:
-        raise ContractError(f"--trials must be at least 0, got {trials}")
-    if seed < 0:
-        raise ContractError(f"--seed must be at least 0, got {seed}")
-    checks = []
-    extra = fn(args.dim, seed, trials, opts, checks)
-    passed = all(c["pass"] for c in checks)
-    payload = {
-        "suite": args.suite,
-        "dim": args.dim,
-        "seed": seed,
-        "trials": trials,
-        "checks": checks,
-        "passed": passed,
-    }
-    if extra is not None:
-        payload["detail"] = extra
-    return payload, 0 if passed else 3
-
-
-def _demo_identity_pair(dim, opts):
+def _demo_identity_pair(opts, dim):
     r, ratio = _channel_game([identity_channel(dim), identity_channel(dim)], dim, opts)
     return {
         "dim": dim,
@@ -350,7 +317,7 @@ def _demo_identity_pair(dim, opts):
     }
 
 
-def _demo_bb84(dim, opts):
+def _demo_bb84(opts):
     # two conjugate bases; reading out the flagged basis identifies the state
     z0 = np.diag([1.0, 0.0]).astype(complex)
     z1 = np.diag([0.0, 1.0]).astype(complex)
@@ -373,7 +340,7 @@ def _demo_bb84(dim, opts):
     }
 
 
-def _demo_cloning(dim, opts):
+def _demo_cloning(opts, dim):
     margs, c, dev = _cloning_marginals(dim)
     verdict = check_channels(margs, opts)
     return {
@@ -385,35 +352,65 @@ def _demo_cloning(dim, opts):
     }
 
 
+# every verify suite and demo: its function and the inputs it reads, each
+# with its default
+_RUNS = {
+    "verify": {
+        "theorem1": (_suite_theorem1, {"dim": 2, "seed": 7, "trials": 5}),
+        "theorem2": (_suite_theorem2, {"seed": 11, "trials": 2}),
+        "prop1": (_suite_prop1, {"seed": 7, "trials": 20}),
+        "prop2": (_suite_prop2, {"seed": 13, "trials": 10}),
+        "appendixC": (_suite_appendix_c, {"dim": 2, "seed": 0, "trials": 200}),
+        "duality": (_suite_duality, {"seed": 3, "trials": 10}),
+    },
+    "demo": {
+        "identity-pair": (_demo_identity_pair, {"dim": 2}),
+        "bb84": (_demo_bb84, {}),
+        "cloning": (_demo_cloning, {"dim": 2}),
+    },
+}
+# each input's least value (a dimension below 2 is a trivial space) and help
+_INPUTS = {"dim": (2, "Hilbert space dimension"), "seed": (0, "RNG seed"),
+           "trials": (0, "number of sampled instances")}
+
+
+def _resolve(command: str, name: str, args):
+    """The function of a suite or demo and its inputs: each flag as given or
+    its default.  A flag it does not read, or a value below the least,
+    raises ``ContractError`` naming the flag."""
+    fn, defaults = _RUNS[command][name]
+    for key in _INPUTS:
+        if key not in defaults and getattr(args, key, None) is not None:
+            raise ContractError(f"{command} {name} does not read --{key}")
+    inputs = {key: default if getattr(args, key) is None else getattr(args, key)
+              for key, default in defaults.items()}
+    for key, value in inputs.items():
+        if value < _INPUTS[key][0]:
+            raise ContractError(f"--{key} must be at least {_INPUTS[key][0]}, got {value}")
+    return fn, inputs
+
+
+def _cmd_verify(args, opts):
+    fn, inputs = _resolve("verify", args.suite, args)
+    checks = []
+    extra = fn(opts, checks, **inputs)
+    passed = all(c["pass"] for c in checks)
+    payload = {"suite": args.suite, **inputs, "checks": checks, "passed": passed}
+    if extra is not None:
+        payload["detail"] = extra
+    return payload, 0 if passed else 3
+
+
 def _cmd_demo(args, opts):
-    fns = {"identity-pair": _demo_identity_pair, "bb84": _demo_bb84,
-           "cloning": _demo_cloning}
-    payload = fns[args.name](args.dim, opts)
+    fn, inputs = _resolve("demo", args.name, args)
+    payload = fn(opts, **inputs)
     payload["name"] = args.name
     return payload, 0
 
 
 # ----------------------------------------------------------------- main
 
-def _json_default(o):
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    raise TypeError(f"cannot serialize {type(o).__name__}")
-
-
 def _run(args) -> tuple[dict, int]:
-    for flag, tol in (("--tol-gap", args.tol_gap), ("--tol-feas", args.tol_feas)):
-        # every stopping test compares against the tolerance, so NaN or a
-        # nonpositive value would only run the solver to max_iter
-        if not (np.isfinite(tol) and tol > 0):
-            raise ContractError(f"{flag} must be a finite number > 0, got {tol}")
-    if "dim" in args and args.dim < 2:
-        # every demo and suite needs a nontrivial Hilbert space
-        raise ContractError(f"--dim must be at least 2, got {args.dim}")
     opts = SolveOptions(feas_tol=args.tol_feas, gap_tol=args.tol_gap)
     dispatch = {"robustness": _cmd_target, "compat": _cmd_target,
                 "verify": _cmd_verify, "demo": _cmd_demo}
@@ -441,7 +438,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         try:
             Path(args.out).write_text(text + "\n")

@@ -181,7 +181,7 @@ class JointDevice:
             return snap_povm(blocks)
         if self.name == "channel":
             return JointChannel(d, quantum, snap_choi_matrix(blocks[0], d))
-        return snap_instrument(blocks, d, prod(quantum))
+        return snap_instrument(blocks, d)
 
     def noise(self, blocks):
         """Noise blocks snapped to a POVM per classical member and a channel
@@ -225,10 +225,8 @@ class CompatibilityVerdict:
     joint: object | None
 
     def to_json(self) -> dict:
-        j = None
-        if self.joint is not None:
-            j = self.joint.to_json()
-        return {"compatible": bool(self.compatible), "margin": float(self.margin), "joint": j}
+        joint = self.joint.to_json() if self.joint is not None else None
+        return {"compatible": self.compatible, "margin": float(self.margin), "joint": joint}
 
 
 def max_margin_check(d_in: int, outputs, members,
@@ -265,7 +263,7 @@ def max_margin_check(d_in: int, outputs, members,
     sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])
     require_optimal(sol, f"{device.name} compatibility")
     margin = sol.scalar_values[0] - t0
-    compatible = margin >= -10 * (options or SolveOptions()).feas_tol
+    compatible = bool(margin >= -10 * (options or SolveOptions()).feas_tol)
     joint = None
     if compatible:
         blocks = dict(zip(itertools.product(*kept), (hermitize(b) + margin * np.eye(b.shape[0])

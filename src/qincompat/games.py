@@ -180,8 +180,8 @@ def _final_measurements(strat: Strategy) -> tuple[tuple[str, ...], PovmCollectio
 
 
 def _score(strat: Strategy, device: JointDevice, coeffs) -> float:
-    """sum_m Re Tr[K_m R_m] over the strategy's devices R_m, each checked against
-    its output first: a flattened product would not tell C^3 -> C^2 from C^2 -> C^3."""
+    """sum_m Re Tr[K_m R_m] over the strategy's devices R_m, each checked against its
+    output (C^3 -> C^2 flattens as C^2 -> C^3 does) and validated, then scored."""
     d, outputs = device.d_in, device.outputs
     if strat.pair_mode is not None:
         resource = strat.pair_mode[:2]
@@ -203,6 +203,7 @@ def _score(strat: Strategy, device: JointDevice, coeffs) -> float:
         if not classical and (r.dim_in, r.dim_out) != (d, dim):
             raise DimensionError(f"state and effect dimensions differ: channel {x} maps "
                                  f"C^{r.dim_in} to C^{r.dim_out}, the game needs C^{d} to C^{dim}")
+        r.validate()
         members += r.elements if classical else [r.matrix]
     return float(sum(np.einsum("ij,ji->", k, r).real for k, r in zip(coeffs, members)))
 
@@ -228,6 +229,7 @@ def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str):
     prior * p * rho, traced over the reference, per value of a classical
     member, and per channel that of its final measurement, the next in ``meas``."""
     game.validate()
+    meas.validate()
     d, dp, db = game.state_dim, meas.dim, 1
     if game.assisted:  # states on base x base, measurements on output x base
         d = db = int(round(np.sqrt(game.state_dim)))

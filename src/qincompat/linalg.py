@@ -214,19 +214,19 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np
     return (a + a.conj().T) / 2
 
 
-def require_psd(a, what: str, tol: float = TOL) -> np.ndarray:
+def require_psd(a, what: str) -> np.ndarray:
     """Check Hermiticity (``require_hermitian``) and that the smallest
-    eigenvalue is at least -tol; return the symmetrized matrix."""
+    eigenvalue is at least -TOL; return the symmetrized matrix."""
     a = require_hermitian(a, what=what)
     w = np.linalg.eigvalsh(a)[0]
-    if w < -tol:
+    if w < -TOL:
         raise ContractError(f"{what} is not PSD (min eigenvalue {w:.3e})")
     return a
 
 
-def op_norm(a, tol: float = TOL) -> float:
+def op_norm(a) -> float:
     """Largest eigenvalue of a Hermitian PSD matrix."""
-    return float(max(np.linalg.eigvalsh(require_psd(a, "op_norm input", tol))[-1], 0.0))
+    return float(max(np.linalg.eigvalsh(require_psd(a, "op_norm input"))[-1], 0.0))
 
 
 def hermitian_entries(d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -100,14 +100,12 @@ class ChoiMatrix:
                           matrix_from_json(obj["matrix"])).validate()
 
 
-def choi_from_kraus(kraus, dim_in: int | None = None) -> ChoiMatrix:
+def choi_from_kraus(kraus) -> ChoiMatrix:
     """Choi matrix of the channel with the given Kraus operators."""
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
         raise ContractError("need at least one Kraus operator")
     dout, din = ops[0].shape
-    if dim_in is not None and din != dim_in:
-        raise DimensionError(f"Kraus input dimension {din} != declared {dim_in}")
     tp = sum(k.conj().T @ k for k in ops)
     if np.abs(tp - np.eye(din)).max() > TOL:
         raise ContractError("Kraus operators are not trace preserving")
@@ -443,9 +441,9 @@ def snap_choi_matrix(matrix, dim_in: int) -> np.ndarray:
     return _normalize([matrix], dim_in, dim_in)[0]
 
 
-def snap_instrument(elements, dim_in: int, dim_out: int) -> Instrument:
-    """A valid instrument, by the same rule on all its elements at once."""
-    return Instrument(dim_in, dim_out, list(_normalize(elements, dim_in, dim_in)))
+def snap_instrument(elements, dim_in: int) -> Instrument:
+    """A valid instrument on C^dim_in, by the same rule on all its elements at once."""
+    return Instrument(dim_in, len(elements[0]) // dim_in, list(_normalize(elements, dim_in, dim_in)))
 
 
 # -- samplers ----------------------------------------------------------------

@@ -80,11 +80,14 @@ class WitnessSet:
     def evaluate(self, *objects) -> float:
         """Witness functional on a collection of the matching kind: the sum
         of Tr[A m] over its member operators m, each against its witness
-        operator A.  Raises ``DimensionError`` unless the collection has the
-        witness's count and shapes of member operators."""
-        ops = self.by_member
-        # a pair is its two devices, any other collection one object
-        (devices,) = (objects,) if self.kind == "pair" else objects
+        operator A.  Raises ``ContractError`` unless given one collection, or
+        a pair's measurement and channel, and ``DimensionError`` unless the
+        collection has the witness's count and shapes of member operators."""
+        ops, pair = self.by_member, self.kind == "pair"
+        if len(objects) != 1 + pair:  # a pair is its two devices, any other collection one object
+            takes = "a measurement and a channel" if pair else "one collection"
+            raise ContractError(f"a {self.kind} witness takes {takes}, got {len(objects)} arguments")
+        devices = objects if pair else objects[0]
         members = [[m.matrix] if isinstance(m, ChoiMatrix) else m.elements
                    for m in getattr(devices, "povms", devices)]
         shapes, theirs = ([[np.shape(a) for a in row] for row in rows] for rows in (ops, members))
@@ -107,7 +110,6 @@ class WitnessSet:
 
 @dataclass
 class RobustnessReport:
-    kind: str
     primal_value: float
     dual_value: float
     gap: float
@@ -115,6 +117,10 @@ class RobustnessReport:
     noise: object | None
     mixture_joint: object
     solver: dict
+
+    @property
+    def kind(self) -> str:
+        return self.witness.kind
 
     def to_json(self) -> dict:
         noise = None
@@ -144,8 +150,7 @@ def identity_pair_closed_form(d: int) -> float:
     return (d - 1) / (d + 1)
 
 
-def robustness_primal(kind: str, device: JointDevice, dual,
-                      options: SolveOptions | None = None) -> RobustnessReport:
+def robustness_primal(device: JointDevice, dual, options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness primal generated from a joint-device description.
 
     Minimize t over joint blocks G >= 0 and noise blocks N_m >= 0 with
@@ -177,7 +182,6 @@ def robustness_primal(kind: str, device: JointDevice, dual,
         noise = device.noise([b / r for b in sol.block_values[nj:]])
     opts = options or SolveOptions()
     return RobustnessReport(
-        kind=kind,
         primal_value=r,
         dual_value=witness.value,
         gap=abs(r - witness.value),
@@ -201,17 +205,18 @@ def _witness(d_in: int, outputs, members, options: SolveOptions | None):
     joint block, in ``assignments`` order, I (x) y minus the lifted
     witnesses; one per A_j, A_j itself; and the 1 x 1 block k - Tr y.  Each
     A_j and y is a ``RowFamily`` holding its lifts into those slacks negated,
-    with m_j as rhs.  Returns the value, the A_j in member order and the
-    iteration count."""
+    with m_j as rhs.  Returns the value, the A_j laid out as ``members`` and
+    the iteration count."""
     quantum = [dim for dim, classical in outputs if not classical]
     factors, nq, k = (*quantum, d_in), len(quantum), (d_in if quantum else 1)
     labels = assignments([dim if classical else 1 for dim, classical in outputs])
-    ops, position = [], itertools.count()  # (member operator, its lift, the blocks it meets)
+    ops, layout, position = [], [], itertools.count()  # ops: (member operator, its lift, the blocks it meets)
     for x, ((dim, classical), member) in enumerate(zip(outputs, members)):
         if classical:
             lift, values = Lift(factors, (nq,), transpose=bool(quantum), scale=k), member
         else:
             lift, values = Lift(factors, (next(position), nq)), [member]
+        layout.append(slice(len(ops), len(ops) + len(values)) if classical else len(ops))
         ops += [(m, lift, [b for b, l in enumerate(labels) if l[x] == i]) for i, m in enumerate(values)]
     nl, u = len(labels), len(labels) + len(ops)
     blocks = [d_in * prod(quantum)] * nl + [len(m) for m, _, _ in ops] + [1]
@@ -225,12 +230,13 @@ def _witness(d_in: int, outputs, members, options: SolveOptions | None):
     joint, noise, t = device.robustness_start()
     sol = solve(prob, options, initial_blocks=joint + noise + [np.array([[t / k]])])
     require_optimal(sol, f"{device.name} robustness dual")
-    return sol.dual_value - 1.0, [hermitize(sol.dual_blocks[b]) for b in range(nl, u)], sol.iterations
+    witness = [hermitize(sol.dual_blocks[b]) for b in range(nl, u)]
+    return sol.dual_value - 1.0, [witness[at] for at in layout], sol.iterations
 
 
 def robustness_channels_primal(channels, options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a channel collection, with noise and mixture reconstruction."""
-    return robustness_primal("channels", joint_device(*channel_family(channels)),
+    return robustness_primal(joint_device(*channel_family(channels)),
                              lambda: robustness_channels_dual(channels, options), options)
 
 
@@ -243,18 +249,15 @@ def robustness_channels_dual(channels, options: SolveOptions | None = None) -> W
 def robustness_measurements(collection: PovmCollection,
                             options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement collection, primal and dual routes."""
-    return robustness_primal("measurements", joint_device(*measurement_family(collection)),
+    return robustness_primal(joint_device(*measurement_family(collection)),
                              lambda: _measurements_dual(collection, options), options)
 
 
 def _measurements_dual(collection: PovmCollection,
                        options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a measurement collection."""
-    d, outputs, effects = measurement_family(collection)
-    value, ops, iterations = _witness(d, outputs, effects, options)
-    it = iter(ops)
-    return WitnessSet("measurements", value, measurement_ops=[[next(it) for _ in es] for es in effects],
-                      iterations=iterations)
+    value, ops, iterations = _witness(*measurement_family(collection), options)
+    return WitnessSet("measurements", value, measurement_ops=ops, iterations=iterations)
 
 
 robustness_measurements_dual = _measurements_dual
@@ -263,14 +266,14 @@ robustness_measurements_dual = _measurements_dual
 def robustness_pair_primal(povm: Povm, channel: ChoiMatrix,
                            options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement-channel pair, with reconstruction."""
-    return robustness_primal("pair", joint_device(*pair_family(povm, channel)),
+    return robustness_primal(joint_device(*pair_family(povm, channel)),
                              lambda: robustness_pair_dual(povm, channel, options), options)
 
 
 def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
                          options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a pair."""
-    value, (*a_ops, b_op), iterations = _witness(*pair_family(povm, channel), options)
+    value, (a_ops, b_op), iterations = _witness(*pair_family(povm, channel), options)
     return WitnessSet("pair", value, pair_measure_ops=a_ops, pair_channel_op=b_op,
                       iterations=iterations)
 

@@ -130,6 +130,15 @@ class SolveOptions:
     gap_tol: float = DEFAULT_GAP_TOL
     max_iter: int = DEFAULT_MAX_ITER
 
+    def __post_init__(self):
+        for name, tol in (("feas_tol", self.feas_tol), ("gap_tol", self.gap_tol)):
+            # every stopping test compares against the tolerance, so NaN or a
+            # nonpositive value could only end the solve as stalled or max_iter
+            if not (np.isfinite(tol) and tol > 0):
+                raise ContractError(f"{name} must be a finite number > 0, got {tol}")
+        if not (is_integer(self.max_iter) and self.max_iter >= 0):
+            raise ContractError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+
 
 @dataclass
 class LinearConstraint:
@@ -725,14 +734,6 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
     """
     opts = options or SolveOptions()
     problem.validate()
-    for name, tol in (("feas_tol", opts.feas_tol), ("gap_tol", opts.gap_tol)):
-        # every stopping test compares against the tolerance, so NaN or a
-        # nonpositive value could only end the solve as stalled or max_iter
-        if not (np.isfinite(tol) and tol > 0):
-            raise ContractError(f"{name} must be a finite number > 0, got {tol}")
-    mi = opts.max_iter
-    if not (is_integer(mi) and mi >= 0):
-        raise ContractError(f"max_iter must be an integer >= 0, got {mi!r}")
 
     nblocks = len(problem.blocks)
     nscalars = len(problem.scalar_costs)

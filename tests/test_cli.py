@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import qincompat.cli as cli
+from qincompat.compat import assignments
+from qincompat.linalg import matrix_from_json
 from qincompat.qobjects import (
     Povm,
     PovmCollection,
@@ -87,6 +89,26 @@ def test_robustness_pair_from_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert abs(rep["robustness"] - (3 - 2 * np.sqrt(2))) < 1e-6
+
+
+def test_compat_measurements_reports_a_parent_with_the_input_marginals(tmp_path, capsys):
+    # Z and X at visibility 0.65 < 1/sqrt(2) are compatible; the reported parent,
+    # in assignments order (value of Z, value of X), sums to each input effect
+    v = 0.65
+    coll = PovmCollection([Povm([v * e + (1 - v) * np.eye(2) / 2 for e in p.elements])
+                           for p in (basis_povm(2), projective_from_hermitian(SX))])
+    f = tmp_path / "zx065.json"
+    f.write_text(json.dumps(coll.to_json()))
+    code, out, _ = run_cli(["compat", "measurements", "--input", str(f)], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["compatible"] is True
+    parent = [matrix_from_json(m) for m in rep["joint"]["elements"]]
+    assert len(parent) == 4
+    for x, povm in enumerate(coll.povms):
+        for i, effect in enumerate(povm.elements):
+            got = sum(g for label, g in zip(assignments([2, 2]), parent) if label[x] == i)
+            assert np.abs(got - effect).max() < 1e-7
 
 
 def test_robustness_compatible_input_reports_zero(tmp_path, capsys):
@@ -311,16 +333,31 @@ def test_bad_dim_exits_one(capsys, command, dim):
 
 @pytest.mark.parametrize("command,flag", [
     (cmd, flag) for cmd in ("robustness", "compat") for flag in ("--dim", "--seed", "--trials")
-] + [("demo", "--seed"), ("demo", "--trials")])
+] + [("demo", "--seed"), ("demo", "--trials"), ("demo", "--dim")] + [
+    (f"verify {suite}", "--dim") for suite in ("theorem2", "prop1", "prop2", "duality")])
 def test_flag_the_subcommand_does_not_read_exits_one(tmp_path, capsys, command, flag):
-    # robustness and compat read only their input file; a demo is not sampled
+    # robustness and compat read only their input file; a demo is not sampled;
+    # bb84 and four of the suites have no dimension to set
     argv = {"robustness": ["robustness", "channels", "--input", write_idpair(tmp_path)],
             "compat": ["compat", "channels", "--input", write_idpair(tmp_path)],
-            "demo": ["demo", "bb84"]}[command]
+            "demo": ["demo", "bb84"]}.get(command, command.split())
     code, out, err = run_cli(argv + [flag, "3"], capsys)
     assert code == 1
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("suite, trials, inputs", [
+    ("theorem1", 0, {"dim", "seed", "trials"}), ("theorem2", 0, {"seed", "trials"}),
+    ("prop1", 0, {"seed", "trials"}), ("prop2", 0, {"seed", "trials"}),
+    ("appendixC", 1, {"dim", "seed", "trials"}), ("duality", 0, {"seed", "trials"}),
+])
+def test_verify_report_lists_the_inputs_its_suite_read(capsys, suite, trials, inputs):
+    code, out, _ = run_cli(["verify", suite, "--trials", str(trials)], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert set(rep) - {"suite", "checks", "passed", "detail", "command", "solver_options",
+                       "timestamp"} == inputs
 
 
 @pytest.mark.parametrize("suite, trials, names, tolerances", [

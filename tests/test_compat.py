@@ -354,3 +354,16 @@ def test_unit_marginal_is_the_marginal_of_identity_blocks(kind, sizes):
     assert len(members) == len(device.members)
     for eq, marg in zip(device.members + [device.norm], members + [inp]):
         assert np.abs(marg - unit_marginal(eq) * np.eye(eq.dim)).max() < 1e-12
+
+
+@pytest.mark.parametrize("family, inputs, message", [
+    (channel_family, [], "need at least one channel"),
+    (channel_family, [identity_channel(2)] * 5, "at most 4 channels supported, got 5"),
+    (measurement_family, PovmCollection([basis_povm(2)] * 5),
+     "at most 4 settings and 4 outcomes, got 5 and 2"),
+    (measurement_family, PovmCollection([Povm([np.eye(2) / 5] * 5)]),
+     "at most 4 settings and 4 outcomes, got 1 and 5"),
+], ids=["no-channel", "five-channels", "five-settings", "five-outcomes"])
+def test_families_refuse_past_their_caps_naming_them(family, inputs, message):
+    with pytest.raises(ContractError, match=message):
+        family(inputs)

@@ -308,6 +308,11 @@ def test_a_dropped_witness_member_leaves_a_valid_prior():
     wp = WitnessSet("pair", 0.0, pair_measure_ops=[p[:2, :2], 5e-11 * p[:2, :2]], pair_channel_op=p)
     game, _ = game_from_pair_witness(wp, 2, 2)
     assert [q for q, _ in game.ensembles[0]] == [1.0, 0.0]
+    # a measurement whose witness is zero gets prior 0 and some valid ensemble
+    wm = WitnessSet("measurements", 0.0, measurement_ops=[[p[:2, :2], np.eye(2) - p[:2, :2]],
+                                                       [0 * p[:2, :2]] * 2])
+    game = game_from_measurement_witness(wm, 2).validate()
+    assert game.prior.tolist() == [1.0, 0.0]
 
 
 def test_zero_witness_raises():
@@ -468,6 +473,13 @@ def _rejection_cases():
     # C^3 -> C^2 channels against a game on C^2 measured on C^3: the kernel
     # side (C^2 -> C^3) has the same size, 6, as these Choi matrices
     backwards = [random_channel(3, 2, 2, rng) for _ in range(2)]
+    # unvalidated, a "POVM" with a negative effect scored 1.5 on two settings of
+    # the Z eigenstates, and three times the identity's Choi matrix scored 3
+    zz = DiscriminationGame(prior=[0.5, 0.5], ensembles=[[(0.5, np.diag([1.0, 0.0])),
+                                                          (0.5, np.diag([0.0, 1.0]))]] * 2)
+    negative = PovmCollection([Povm([np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])])] * 2)
+    tripled = Strategy(preprocess=[ChoiMatrix(2, 2, 3 * identity_channel(2).matrix)] * 2,
+                       measurements=meas)
     sp, best = success_prob, best_compatible_success
     return {
         "no measurements": (
@@ -513,6 +525,15 @@ def _rejection_cases():
             lambda: sp(game, Strategy(preprocess=backwards, measurements=qutrit)),
             DimensionError, "state and effect dimensions differ: channel 0 maps C^3 to C^2, "
                             "the game needs C^2 to C^3"),
+        "a measurement that is not a POVM": (
+            lambda: sp(zz, Strategy(measurements=negative)),
+            ContractError, "effect 1 is not PSD"),
+        "a channel that is not trace preserving": (
+            lambda: sp(zz, tripled),
+            ContractError, "Choi matrix trace is"),
+        "a channel that is not trace preserving, ratio": (
+            lambda: advantage_ratio(zz, meas, tripled, "channels"),
+            ContractError, "Choi matrix trace is"),
     }
 
 

@@ -306,7 +306,7 @@ def test_snaps_are_valid_on_boundary_inputs():
             snapped = snap_choi_matrix(choi + eps * _random_hermitian(rng, d * d), d)
             ChoiMatrix(d, d, snapped).validate()
             assert np.linalg.eigvalsh(snapped)[0] >= -1e-12
-            ins = snap_instrument([m + eps * _random_hermitian(rng, d * d) for m in lueders.elements], d, d)
+            ins = snap_instrument([m + eps * _random_hermitian(rng, d * d) for m in lueders.elements], d)
             ins.validate()
             assert min(np.linalg.eigvalsh(m)[0] for m in ins.elements) >= -1e-12
 
@@ -326,7 +326,7 @@ def test_snap_choi_matrix():
 def test_snap_instrument():
     ins = lueders_instrument(basis_povm(2))
     dirty = [m + 1e-8 * np.eye(4) for m in ins.elements]
-    snapped = snap_instrument(dirty, 2, 2)
+    snapped = snap_instrument(dirty, 2)
     snapped.validate()
 
 

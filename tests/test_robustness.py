@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qincompat.compat import check_channels, check_measurements, check_pair
-from qincompat.linalg import DimensionError
+from qincompat.linalg import ContractError, DimensionError
 from qincompat.qobjects import (
     ChoiMatrix,
     Povm,
@@ -130,6 +130,14 @@ def test_witness_rejects_a_collection_of_another_shape():
                              (wp, (basis_povm(3), identity_channel(3))),
                              (wp, (Povm([np.eye(2)]), identity_channel(2)))):
         with pytest.raises(DimensionError):
+            witness.evaluate(*objects)
+    # and each takes one collection, or a pair's measurement and channel
+    zx = mub_pair(1.0)
+    for witness, objects, takes in ((wm, (zx, zx), "one collection, got 2"),
+                                    (wm, (), "one collection, got 0"),
+                                    (wp, (basis_povm(2), identity_channel(2), 3),
+                                     "a measurement and a channel, got 3")):
+        with pytest.raises(ContractError, match=takes):
             witness.evaluate(*objects)
 
 

@@ -5,16 +5,18 @@ Every kind is a special case of channel incompatibility: a measurement is
 its measure-and-record channel, and a measurement-channel pair is one channel
 with a classical and a quantum output.  So one ``JointDevice``, a channel
 whose outputs, one per member, are each quantum or classical, describes
-every joint device -- parent measurement, joint channel, instrument.  It
+every joint device -- parent measurement, joint channel, instrument -- and
+one validator, ``device_family``, reads every input, a list of measurements
+and channels on one input space, into its arguments.  The description
 generates the robustness primal, the best-compatible game program and the
 check below, each by extending its member and normalization equations,
 ``RowFamily`` objects whose identity multiple is derived from their lifts.
 The check maximizes t such that a joint device with the required marginals
 has every block >= t * I, leaving out the blocks of classical values whose
-effect is zero; the members are compatible exactly when the
-optimal margin is nonnegative, up to ten times the solve's feasibility
-tolerance.  The margin is shifted by a constant from a particular solution
-of the marginal equations, keeping the program in nonnegative standard form;
+effect is zero; the members are compatible exactly when the optimal margin
+is nonnegative, up to ten times the solve's feasibility tolerance.  The
+margin is shifted by a constant from a particular solution of the marginal
+equations, keeping the program in nonnegative standard form;
 that solution is also the starting point.
 """
 
@@ -49,43 +51,27 @@ def assignments(counts) -> list[tuple[int, ...]]:
     return list(itertools.product(*map(range, counts)))
 
 
-# Each kind of input validates to the arguments (d_in, outputs, members) of
-# ``joint_device``: a channel is a quantum output, a measurement a classical one.
-
-def measurement_family(collection: PovmCollection):
-    """Validate a measurement collection; the ``joint_device`` arguments."""
-    collection.validate()
-    counts = [p.outcomes for p in collection.povms]
-    if len(counts) > MAX_SETTINGS or max(counts) > MAX_OUTCOMES:
-        raise ContractError(
-            f"assignment enumeration supports at most {MAX_SETTINGS} settings "
-            f"and {MAX_OUTCOMES} outcomes, got {len(counts)} and {max(counts)}"
-        )
-    return collection.dim, [(o, True) for o in counts], [p.elements for p in collection.povms]
-
-
-def channel_family(channels):
-    """Validate a channel collection; the ``joint_device`` arguments."""
-    chois = [c.validate() for c in channels]
-    n = len(chois)
-    if n < 1:
-        raise ContractError("need at least one channel")
-    if n > MAX_SETTINGS:
-        raise ContractError(f"at most {MAX_SETTINGS} channels supported, got {n}")
-    d = chois[0].dim_in
-    if any(c.dim_in != d for c in chois):
-        raise ContractError("all channels must share one input dimension")
-    return d, [(c.dim_out, False) for c in chois], [c.matrix for c in chois]
-
-
-def pair_family(povm: Povm, channel: ChoiMatrix):
-    """Validate a measurement-channel pair; the ``joint_device`` arguments."""
-    povm.validate()
-    channel.validate()
-    if povm.dim != channel.dim_in:
-        raise ContractError("measurement and channel act on different input spaces")
-    return (channel.dim_in, [(povm.outcomes, True), (channel.dim_out, False)],
-            [povm.elements, channel.matrix])
+def device_family(members):
+    """The ``joint_device`` arguments (d_in, outputs, members) of a list of
+    valid devices on one input space, each a ``Povm`` (a classical output) or
+    a ``ChoiMatrix`` (a quantum output): at most ``MAX_SETTINGS`` of them, of
+    at most ``MAX_OUTCOMES`` outcomes each when none is a channel."""
+    members = list(members)
+    for x, m in enumerate(members):
+        if not isinstance(m, (Povm, ChoiMatrix)):
+            raise ContractError(f"member {x} of type {type(m).__name__} is neither a Povm nor a ChoiMatrix")
+        m.validate()
+    dims = sorted({m.dim if isinstance(m, Povm) else m.dim_in for m in members})
+    if len(dims) != 1:
+        raise ContractError(f"need one or more members on one input dimension, got input dimensions {dims}")
+    outputs = [(m.outcomes, True) if isinstance(m, Povm) else (m.dim_out, False) for m in members]
+    if len(members) > MAX_SETTINGS:
+        raise ContractError(f"at most {MAX_SETTINGS} members supported, got {len(members)}")
+    most = max(dim for dim, _ in outputs)
+    if all(classical for _, classical in outputs) and most > MAX_OUTCOMES:
+        raise ContractError(f"at most {MAX_OUTCOMES} outcomes per measurement supported "
+                            f"without a channel, got {most}")
+    return dims[0], outputs, [m.elements if isinstance(m, Povm) else m.matrix for m in members]
 
 
 def unit_marginal(fam: RowFamily) -> float:
@@ -276,15 +262,15 @@ def max_margin_check(d_in: int, outputs, members,
 def check_measurements(collection: PovmCollection,
                        options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether all measurements arise from one parent measurement."""
-    return max_margin_check(*measurement_family(collection), options)
+    return max_margin_check(*device_family(collection.povms), options)
 
 
 def check_channels(channels, options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether the channels are marginals of one joint channel."""
-    return max_margin_check(*channel_family(channels), options)
+    return max_margin_check(*device_family(channels), options)
 
 
 def check_pair(povm: Povm, channel: ChoiMatrix,
                options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether one instrument induces both the measurement and the channel."""
-    return max_margin_check(*pair_family(povm, channel), options)
+    return max_margin_check(*device_family([povm, channel]), options)

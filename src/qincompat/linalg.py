@@ -194,8 +194,9 @@ class Lift:
 
 
 def hermitize(a) -> np.ndarray:
-    a = as_matrix(a)
-    return (a + a.conj().T) / 2
+    """(A + A^H) / 2 over the last two axes, in A's dtype: a matrix, a stack or a real group."""
+    a = np.asarray(a)
+    return (a + np.swapaxes(a, -1, -2).conj()) / 2
 
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
@@ -211,7 +212,7 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np
         raise ContractError(f"{what} has non-finite entries")
     if dev > tol:
         raise ContractError(f"{what} is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
-    return (a + a.conj().T) / 2
+    return hermitize(a)
 
 
 def require_psd(a, what: str) -> np.ndarray:

@@ -424,7 +424,7 @@ def _normalize(blocks, dim_in: int, k: int) -> np.ndarray:
     """The blocks, stacked, snapped onto the PSD blocks whose input marginals
     sum to I / k; ``ContractError`` if that sum is singular after clipping."""
     b = np.asarray(blocks, dtype=complex)
-    b = _spectral((b + np.swapaxes(b, -1, -2).conj()) / 2, lambda w: np.clip(w, 0.0, None))
+    b = _spectral(hermitize(b), lambda w: np.clip(w, 0.0, None))
     dim_out = b.shape[-1] // dim_in
     s = k * np.trace(b.sum(axis=0).reshape(dim_out, dim_in, dim_out, dim_in), axis1=0, axis2=2)
     x = kron(np.eye(dim_out), _spectral(hermitize(s), _inv_sqrt))
@@ -474,8 +474,7 @@ def random_povm(d: int, outcomes: int, rng) -> Povm:
         v, _ = np.linalg.qr(rng.standard_normal((outcomes, d)) + 1j * rng.standard_normal((outcomes, d)))
         return Povm([np.outer(row.conj(), row) for row in v])
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = (g + g.conj().T) / 2
-    _, v = np.linalg.eigh(h)
+    _, v = np.linalg.eigh(hermitize(g))
     return Povm([sum(np.outer(v[:, k], v[:, k].conj()) for k in range(i, d, outcomes))
                  for i in range(outcomes)])
 

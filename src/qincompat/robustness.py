@@ -14,8 +14,9 @@ compatible.  Two conic programs compute it:
   which are also injected as solver starting points).
 
 The primal is generated from the one joint-device description in
-``compat``, a channel whose outputs may be classical.  The dual is one
-witness program for every kind, over the same arguments (d_in, outputs,
+``compat``, a channel whose outputs may be classical; every entry point,
+the witness functional too, reads its devices through ``device_family``.
+The dual is one witness program for every kind, over the same arguments (d_in, outputs,
 members), coded apart from that description: it shares only the outcome
 assignments and takes its starting point from it.  The two routes are solved
 separately, so agreement of their values is a genuine numerical cross-check,
@@ -30,14 +31,7 @@ from math import prod
 
 import numpy as np
 
-from .compat import (
-    JointDevice,
-    assignments,
-    channel_family,
-    joint_device,
-    measurement_family,
-    pair_family,
-)
+from .compat import JointDevice, assignments, device_family, joint_device
 from .linalg import ContractError, DimensionError, Lift, hermitize, matrix_to_json
 from .qobjects import ChoiMatrix, Povm, PovmCollection, qc_channel
 from .families import RowFamily
@@ -81,15 +75,16 @@ class WitnessSet:
         """Witness functional on a collection of the matching kind: the sum
         of Tr[A m] over its member operators m, each against its witness
         operator A.  Raises ``ContractError`` unless given one collection, or
-        a pair's measurement and channel, and ``DimensionError`` unless the
-        collection has the witness's count and shapes of member operators."""
+        a pair's measurement and channel, of valid devices (``device_family``),
+        and ``DimensionError`` unless the collection has the witness's count
+        and shapes of member operators."""
         ops, pair = self.by_member, self.kind == "pair"
         if len(objects) != 1 + pair:  # a pair is its two devices, any other collection one object
             takes = "a measurement and a channel" if pair else "one collection"
             raise ContractError(f"a {self.kind} witness takes {takes}, got {len(objects)} arguments")
         devices = objects if pair else objects[0]
-        members = [[m.matrix] if isinstance(m, ChoiMatrix) else m.elements
-                   for m in getattr(devices, "povms", devices)]
+        _, outputs, ms = device_family(devices.povms if isinstance(devices, PovmCollection) else devices)
+        members = [m if classical else [m] for (_, classical), m in zip(outputs, ms)]
         shapes, theirs = ([[np.shape(a) for a in row] for row in rows] for rows in (ops, members))
         if shapes != theirs:
             raise DimensionError(f"{self.kind} witness has operators of shapes {shapes}, "
@@ -236,27 +231,27 @@ def _witness(d_in: int, outputs, members, options: SolveOptions | None):
 
 def robustness_channels_primal(channels, options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a channel collection, with noise and mixture reconstruction."""
-    return robustness_primal(joint_device(*channel_family(channels)),
+    return robustness_primal(joint_device(*device_family(channels)),
                              lambda: robustness_channels_dual(channels, options), options)
 
 
 def robustness_channels_dual(channels, options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a channel collection."""
-    value, ops, iterations = _witness(*channel_family(channels), options)
+    value, ops, iterations = _witness(*device_family(channels), options)
     return WitnessSet("channels", value, channel_ops=ops, iterations=iterations)
 
 
 def robustness_measurements(collection: PovmCollection,
                             options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement collection, primal and dual routes."""
-    return robustness_primal(joint_device(*measurement_family(collection)),
+    return robustness_primal(joint_device(*device_family(collection.povms)),
                              lambda: _measurements_dual(collection, options), options)
 
 
 def _measurements_dual(collection: PovmCollection,
                        options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a measurement collection."""
-    value, ops, iterations = _witness(*measurement_family(collection), options)
+    value, ops, iterations = _witness(*device_family(collection.povms), options)
     return WitnessSet("measurements", value, measurement_ops=ops, iterations=iterations)
 
 
@@ -266,41 +261,34 @@ robustness_measurements_dual = _measurements_dual
 def robustness_pair_primal(povm: Povm, channel: ChoiMatrix,
                            options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement-channel pair, with reconstruction."""
-    return robustness_primal(joint_device(*pair_family(povm, channel)),
+    return robustness_primal(joint_device(*device_family([povm, channel])),
                              lambda: robustness_pair_dual(povm, channel, options), options)
 
 
 def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
                          options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a pair."""
-    value, (a_ops, b_op), iterations = _witness(*pair_family(povm, channel), options)
+    value, (a_ops, b_op), iterations = _witness(*device_family([povm, channel]), options)
     return WitnessSet("pair", value, pair_measure_ops=a_ops, pair_channel_op=b_op,
                       iterations=iterations)
 
 
-def verify_prop1(collection: PovmCollection,
-                 options: SolveOptions | None = None) -> dict:
-    """Measurement robustness against the channel robustness of the
-    measure-and-record channels, the same outputs declared quantum rather
-    than classical; the two must agree."""
-    rm = robustness_measurements(collection, options)
-    rc = robustness_channels_primal([qc_channel(p) for p in collection.povms], options)
-    return {
-        "measurement_robustness": rm.primal_value,
-        "channel_robustness": rc.primal_value,
-        "delta": abs(rm.primal_value - rc.primal_value),
-    }
+def _declared_quantum(name: str, report: RobustnessReport, members, options) -> dict:
+    """The robustness ``report`` of ``members`` against the channel robustness
+    of the same members with every classical output declared quantum (its
+    measure-and-record channel); the two must agree."""
+    rc = robustness_channels_primal([qc_channel(m) if isinstance(m, Povm) else m for m in members], options)
+    return {name: report.primal_value, "channel_robustness": rc.primal_value,
+            "delta": abs(report.primal_value - rc.primal_value)}
 
 
-def verify_prop2(povm: Povm, channel: ChoiMatrix,
-                 options: SolveOptions | None = None) -> dict:
-    """Pair robustness against the channel-pair robustness of the
-    measure-and-record channel together with the channel itself, the
-    measurement's output declared quantum rather than classical."""
-    rp = robustness_pair_primal(povm, channel, options)
-    rc = robustness_channels_primal([qc_channel(povm), channel], options)
-    return {
-        "pair_robustness": rp.primal_value,
-        "channel_robustness": rc.primal_value,
-        "delta": abs(rp.primal_value - rc.primal_value),
-    }
+def verify_prop1(collection: PovmCollection, options: SolveOptions | None = None) -> dict:
+    """Measurement robustness against that of the measure-and-record channels."""
+    return _declared_quantum("measurement_robustness", robustness_measurements(collection, options),
+                             collection.povms, options)
+
+
+def verify_prop2(povm: Povm, channel: ChoiMatrix, options: SolveOptions | None = None) -> dict:
+    """Pair robustness against that of the measure-and-record channel and the channel."""
+    return _declared_quantum("pair_robustness", robustness_pair_primal(povm, channel, options),
+                             [povm, channel], options)

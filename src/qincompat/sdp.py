@@ -97,7 +97,8 @@ from math import sqrt
 import numpy as np
 
 from .families import CooRows, LiftSchur, RowFamily, check_families, family_rows
-from .linalg import ContractError, DimensionError, hermitian_basis, is_integer, require_hermitian, require_index
+from .linalg import (ContractError, DimensionError, hermitian_basis, hermitize, is_integer, require_hermitian,
+                     require_index)
 
 DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_GAP_TOL = 1e-8
@@ -246,7 +247,7 @@ def hermitian_equality(dim, terms, rhs=None, scalar_terms=()) -> list[LinearCons
     return rows
 
 
-def _embed_herm(m: np.ndarray) -> np.ndarray:
+def _embed_complex(m: np.ndarray) -> np.ndarray:
     x, y = m.real, m.imag
     return np.block([[x, -y], [y, x]])
 
@@ -271,12 +272,12 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
             objective.append(c.real.copy())
         else:
             blocks.append(2 * n)
-            objective.append(_embed_herm(c) / 2)
+            objective.append(_embed_complex(c) / 2)
     constraints = []
     for con in problem.constraints:
         coeffs = {}
         for b, a in con.coeffs.items():
-            coeffs[b] = a.real.copy() if b in problem.real_blocks else _embed_herm(a) / 2
+            coeffs[b] = a.real.copy() if b in problem.real_blocks else _embed_complex(a) / 2
         constraints.append(LinearConstraint(coeffs, con.rhs, dict(con.scalar_coeffs)))
     return SdpProblem(
         blocks=blocks,
@@ -292,10 +293,6 @@ def _ct(a):
     return np.swapaxes(a, -1, -2).conj()
 
 
-def _herm(a):
-    return (a + _ct(a)) / 2
-
-
 def _diag(v):
     """The stack of diagonal matrices with the rows of ``v`` on the diagonal."""
     return v[:, :, None] * np.eye(v.shape[1])
@@ -307,7 +304,7 @@ def _lyap(lam, t):
     ``lam`` is an (nb, n) array of positive eigenvalues and ``t`` an (nb, n, n)
     Hermitian stack; D is returned Hermitian.
     """
-    return _herm(2 * t / (lam[:, :, None] + lam[:, None, :]))
+    return hermitize(2 * t / (lam[:, :, None] + lam[:, None, :]))
 
 
 def _inner(xs, ss):
@@ -587,7 +584,7 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
 
     # corrector: T = sigma mu I - Lambda^2 - (dX^ dS^ + dS^ dX^)/2 of the
     # predictor, the last term herm(dX^ dS^) as dX^ and dS^ are Hermitian
-    dhats = [_lyap(lam, _diag(sigma * mu - lam**2) - _herm(dxh @ dsh))
+    dhats = [_lyap(lam, _diag(sigma * mu - lam**2) - hermitize(dxh @ dsh))
              for lam, dxh, dsh in zip(lams, dxha, dsha)]
     dxhs, dy, dss, dshs = direction(dhats)
     # smallest eigenvalues of the scaled dX^ and dS^, one call per group
@@ -595,7 +592,7 @@ def _step(groups, amat, schur, xs, ss, rp, rds, mu, n_tot):
              for dxh, dsh, root in zip(dxhs, dshs, roots)]
     ap = min(1.0, STEP_FRACTION * _largest_step(min(w[0] for w in wmins)))
     ad = min(1.0, STEP_FRACTION * _largest_step(min(w[1] for w in wmins)))
-    return [_herm(r @ dxh @ rh) for r, dxh, rh in zip(rs, dxhs, rsh)], dy, dss, ap, ad
+    return [hermitize(r @ dxh @ rh) for r, dxh, rh in zip(rs, dxhs, rsh)], dy, dss, ap, ad
 
 
 def _ipm(groups, cs, amat, b, opts, schur, x0=None):
@@ -665,8 +662,8 @@ def _ipm(groups, cs, amat, b, opts, schur, x0=None):
         if stall >= 3:
             status = "stalled"
             break
-        xs = [_herm(x + ap * dx) for x, dx in zip(xs, dxs)]
-        ss = [_herm(s + ad * ds) for s, ds in zip(ss, dss)]
+        xs = [hermitize(x + ap * dx) for x, dx in zip(xs, dxs)]
+        ss = [hermitize(s + ad * ds) for s, ds in zip(ss, dss)]
         y = y + ad * dy
     if status in ("stalled", "max_iter"):
         current = best
@@ -713,7 +710,7 @@ def _grouped_form(problem):
         terms += [(nblocks + j, scalar(a)) for j, a in con.scalar_coeffs.items()]
         for v, a in terms:
             gi, j = slots[v]
-            groups[gi].unpack(row)[j] = _herm(_block_stack([a], groups[gi].cplx)[0])
+            groups[gi].unpack(row)[j] = hermitize(_block_stack([a], groups[gi].cplx)[0])
     rows, cols = np.nonzero(plain)
     fam, bfam = family_rows(problem, slots, groups)
     amat = CooRows(np.concatenate([rows, len(plain) + fam.rows]), np.concatenate([cols, fam.cols]),
@@ -755,7 +752,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None,
             raise DimensionError("initial_scalars must match the scalar list")
         if not np.isfinite(scal).all():
             raise ContractError("initial_scalars has non-finite entries")
-        start = [(v + v.conj().T) / 2 for v in mats] + [np.array([[v]]) for v in scal]
+        start = [hermitize(v) for v in mats] + [np.array([[v]]) for v in scal]
 
     groups, slots, cs, amat, b = _grouped_form(problem)
     mfull = len(b)

@@ -4,12 +4,11 @@ import pytest
 from qincompat.linalg import ContractError, hermitian_basis, partial_trace
 from qincompat.compat import (
     assignments,
-    channel_family,
     check_channels,
     check_measurements,
     check_pair,
+    device_family,
     joint_device,
-    measurement_family,
     unit_marginal,
 )
 from qincompat.qobjects import (
@@ -59,9 +58,9 @@ def test_assignments():
     assert assignments([3, 2]) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
     # the enumeration of a measurement collection is capped
     with pytest.raises(ContractError):
-        measurement_family(PovmCollection([basis_povm(2)] * 5))
+        device_family(PovmCollection([basis_povm(2)] * 5).povms)
     with pytest.raises(ContractError):
-        measurement_family(PovmCollection([basis_povm(5)] * 2))
+        device_family(PovmCollection([basis_povm(5)] * 2).povms)
 
 
 def test_identical_measurements_compatible():
@@ -143,7 +142,7 @@ def test_channel_start_is_strictly_feasible_for_mixed_output_dimensions(order):
     # singular in the order (2, 5).  Measured: 0.6 in both orders.
     five = Povm([np.diag([1.0, 0.0])] + [np.diag([0.0, 0.25])] * 4)
     chans = [qc_channel(p) for p in (x_povm(), five)]
-    _, noise, _ = joint_device(*channel_family([chans[i] for i in order])).robustness_start()
+    _, noise, _ = joint_device(*device_family([chans[i] for i in order])).robustness_start()
     assert min(np.linalg.eigvalsh(b)[0] for b in noise) > 0.5
 
 
@@ -357,12 +356,12 @@ def test_unit_marginal_is_the_marginal_of_identity_blocks(kind, sizes):
 
 
 @pytest.mark.parametrize("family, inputs, message", [
-    (channel_family, [], "need at least one channel"),
-    (channel_family, [identity_channel(2)] * 5, "at most 4 channels supported, got 5"),
-    (measurement_family, PovmCollection([basis_povm(2)] * 5),
-     "at most 4 settings and 4 outcomes, got 5 and 2"),
-    (measurement_family, PovmCollection([Povm([np.eye(2) / 5] * 5)]),
-     "at most 4 settings and 4 outcomes, got 1 and 5"),
+    (device_family, [], "need one or more members on one input dimension"),
+    (device_family, [identity_channel(2)] * 5, "at most 4 members supported, got 5"),
+    (device_family, PovmCollection([basis_povm(2)] * 5).povms,
+     "at most 4 members supported, got 5"),
+    (device_family, PovmCollection([Povm([np.eye(2) / 5] * 5)]).povms,
+     "at most 4 outcomes per measurement supported without a channel, got 5"),
 ], ids=["no-channel", "five-channels", "five-settings", "five-outcomes"])
 def test_families_refuse_past_their_caps_naming_them(family, inputs, message):
     with pytest.raises(ContractError, match=message):

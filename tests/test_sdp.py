@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qincompat import families, sdp
-from qincompat.linalg import hermitian_basis
+from qincompat.linalg import hermitian_basis, hermitize
 from qincompat.sdp import (
     LinearConstraint,
     SdpProblem,
@@ -614,7 +614,7 @@ def boundary(dhats, roots):
     # from one spectrum per group and direction
     a = np.inf
     for dh, root in zip(dhats, roots):
-        wmin = np.linalg.eigvalsh(sdp._herm(dh) / root)[:, 0].min()
+        wmin = np.linalg.eigvalsh(hermitize(dh) / root)[:, 0].min()
         if wmin < -1e-14:
             a = min(a, -1.0 / wmin)
     return a

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -446,7 +447,14 @@ def main(argv=None) -> int:
             print(f"error: cannot write --out file: {e}", file=sys.stderr)
             return 1
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader has gone; stdout points at devnull so that the flush
+            # at exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: stdout was closed before the report was written", file=sys.stderr)
+            return 1
     return code
 
 

@@ -497,3 +497,19 @@ def test_import_loads_no_scipy():
                          check=True, timeout=60).stdout.split("\n")
     assert Path(out[0]).resolve().parents[1] == Path(src)
     assert out[1] == "[]"
+
+
+@pytest.mark.parametrize("command", [["demo", "bb84"], ["verify", "theorem1"]])
+def test_stdout_closed_by_its_reader_exits_one_without_a_traceback(command):
+    # a pipe whose reader closed before the run: one error line, exit 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        out = subprocess.run([sys.executable, "-W", "error", "-m", "qincompat.cli", *command], env=env,
+                             stdout=w, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == ["error: stdout was closed before the report was written"]

@@ -431,6 +431,27 @@ def test_compatible_measurements_do_not_beat_the_witness_game(visibility):
     assert advantage_ratio(game, noisy, Strategy(measurements=noisy), "measurements") <= 1 + 1e-7
 
 
+def test_complete_qutrit_mub_set():
+    # the computational basis and the three bases sum_m w^(jm + km^2) |m> / sqrt(3)
+    values = []
+    for k in (2, 3, 4):
+        coll = _qutrit_mubs(k)
+        rep = robustness_measurements(coll)
+        r = rep.primal_value
+        assert abs(r - rep.dual_value) <= 1e-6 * r
+        game = game_from_measurement_witness(rep.witness, 3)
+        assert abs(advantage_ratio(game, coll, Strategy(measurements=coll), "measurements") - (1 + r)) < 1e-5
+        values.append(r)
+    # each added basis makes the collection more incompatible
+    assert values[0] < values[1] < values[2]
+    # two bases: (sqrt(d) - 1) / (sqrt(d) + 1), the form of the qubit pair's
+    # 3 - 2 sqrt(2), at d = 3
+    assert abs(values[0] - (2 - np.sqrt(3))) < 1e-7
+    # all four: a measured regression value, not derived here; it matches
+    # 5 - 2 sqrt(5), that is 1 / (1 + R) = (3 + sqrt(5)) / 8, to 1.2e-8
+    assert abs(values[2] - (5 - 2 * np.sqrt(5))) < 1e-7
+
+
 def test_measurement_game_refuses_other_strategies_and_witnesses():
     zx = _measurement_cases()["Z/X"]
     w = robustness_measurements(zx).witness

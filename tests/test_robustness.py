@@ -139,6 +139,12 @@ def test_witness_rejects_a_collection_of_another_shape():
                                      "a measurement and a channel, got 3")):
         with pytest.raises(ContractError, match=takes):
             witness.evaluate(*objects)
+    # of valid devices: a member that is not one, or a "POVM" with a negative effect
+    negative = Povm([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])])
+    for witness, objects, message in ((wp, (basis_povm(2), 3), "member 1 of type int"),
+                                      (wm, (PovmCollection([negative, basis_povm(2)]),), "effect 1 is not PSD")):
+        with pytest.raises(ContractError, match=message):
+            witness.evaluate(*objects)
 
 
 def test_channel_witness_normalization_on_compatible_samples():

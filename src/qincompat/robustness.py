@@ -16,11 +16,11 @@ compatible.  Two conic programs compute it:
 The primal is generated from the one joint-device description in
 ``compat``, a channel whose outputs may be classical; every entry point,
 the witness functional too, reads its devices through ``device_family``.
-The dual is one witness program for every kind, over the same arguments (d_in, outputs,
-members), coded apart from that description: it shares only the outcome
-assignments and takes its starting point from it.  The two routes are solved
-separately, so agreement of their values is a genuine numerical cross-check,
-reported as ``gap``.
+The dual is one witness program for every kind, over the same arguments
+(d_in, outputs, members), coded apart from that description: it shares only
+the outcome assignments and takes its starting point from it.  The two
+routes are solved separately, so agreement of their values is a genuine
+numerical cross-check, reported as ``gap``.
 """
 
 from __future__ import annotations

@@ -444,8 +444,8 @@ def test_complete_qutrit_mub_set():
         values.append(r)
     # each added basis makes the collection more incompatible
     assert values[0] < values[1] < values[2]
-    # two bases: (sqrt(d) - 1) / (sqrt(d) + 1), the form of the qubit pair's
-    # 3 - 2 sqrt(2), at d = 3
+    # two bases: 2 - sqrt(3) = (sqrt(3) - 1) / (sqrt(3) + 1), of the same form
+    # in d as the qubit pair's 3 - 2 sqrt(2)
     assert abs(values[0] - (2 - np.sqrt(3))) < 1e-7
     # all four: a measured regression value, not derived here; it matches
     # 5 - 2 sqrt(5), that is 1 / (1 + R) = (3 + sqrt(5)) / 8, to 1.2e-8

@@ -7,17 +7,18 @@ with a classical and a quantum output.  So one ``JointDevice``, a channel
 whose outputs, one per member, are each quantum or classical, describes
 every joint device -- parent measurement, joint channel, instrument -- and
 one validator, ``device_family``, reads every input, a list of measurements
-and channels on one input space, into its arguments.  The description
-generates the robustness primal, the best-compatible game program and the
-check below, each by extending its member and normalization equations,
-``RowFamily`` objects whose identity multiple is derived from their lifts.
-The check maximizes t such that a joint device with the required marginals
-has every block >= t * I, leaving out the blocks of classical values whose
-effect is zero; the members are compatible exactly when the optimal margin
-is nonnegative, up to ten times the solve's feasibility tolerance.  The
-margin is shifted by a constant from a particular solution of the marginal
-equations, keeping the program in nonnegative standard form;
-that solution is also the starting point.
+and channels on one input space of the kind its caller names, into its
+arguments: a list per member of its effects or of its one Choi matrix.
+The description generates the robustness primal, the best-compatible game
+program and the check below, each by extending its member and normalization
+equations, ``RowFamily`` objects whose identity multiple is derived from
+their lifts.  The check maximizes t such that a joint device with the
+required marginals has every block >= t * I, leaving out the blocks of
+classical values whose effect is zero; the members are compatible exactly
+when the optimal margin is nonnegative, up to ten times the solve's
+feasibility tolerance.  The margin is shifted by a constant from a
+particular solution of the marginal equations, keeping the program in
+nonnegative standard form; that solution is also the starting point.
 """
 
 from __future__ import annotations
@@ -51,11 +52,20 @@ def assignments(counts) -> list[tuple[int, ...]]:
     return list(itertools.product(*map(range, counts)))
 
 
-def device_family(members):
+def device_kind(outputs) -> str:
+    """The kind of a device's members, read off its (dim, classical) outputs;
+    a pair is exactly a measurement and then a channel, any other mix "mixed"."""
+    classical = [c for _, c in outputs]
+    if all(classical) or not any(classical):
+        return "measurements" if all(classical) else "channels"
+    return "pair" if classical == [True, False] else "mixed"
+
+
+def device_family(members, kind: str):
     """The ``joint_device`` arguments (d_in, outputs, members) of a list of
-    valid devices on one input space, each a ``Povm`` (a classical output) or
-    a ``ChoiMatrix`` (a quantum output): at most ``MAX_SETTINGS`` of them, of
-    at most ``MAX_OUTCOMES`` outcomes each when none is a channel."""
+    valid devices of ``kind`` on one input space, each a ``Povm`` (a classical
+    output, its effects) or a ``ChoiMatrix`` (a quantum output, [its matrix]):
+    at most ``MAX_SETTINGS`` of them, of at most ``MAX_OUTCOMES`` outcomes each when none is a channel."""
     members = list(members)
     for x, m in enumerate(members):
         if not isinstance(m, (Povm, ChoiMatrix)):
@@ -65,13 +75,16 @@ def device_family(members):
     if len(dims) != 1:
         raise ContractError(f"need one or more members on one input dimension, got input dimensions {dims}")
     outputs = [(m.outcomes, True) if isinstance(m, Povm) else (m.dim_out, False) for m in members]
+    if device_kind(outputs) != kind:
+        raise ContractError(f"need {kind}, got {device_kind(outputs)}: members of types "
+                            f"{', '.join(type(m).__name__ for m in members)}")
     if len(members) > MAX_SETTINGS:
         raise ContractError(f"at most {MAX_SETTINGS} members supported, got {len(members)}")
     most = max(dim for dim, _ in outputs)
-    if all(classical for _, classical in outputs) and most > MAX_OUTCOMES:
+    if kind == "measurements" and most > MAX_OUTCOMES:
         raise ContractError(f"at most {MAX_OUTCOMES} outcomes per measurement supported "
                             f"without a channel, got {most}")
-    return dims[0], outputs, [m.elements if isinstance(m, Povm) else m.matrix for m in members]
+    return dims[0], outputs, [m.elements if isinstance(m, Povm) else [m.matrix] for m in members]
 
 
 def unit_marginal(fam: RowFamily) -> float:
@@ -109,10 +122,8 @@ class JointDevice:
         return self.d_in if self.quantum else 1
 
     @property
-    def name(self) -> str:
-        if not self.quantum:
-            return "measurement"
-        return "channel" if len(self.quantum) == len(self.outputs) else "pair"
+    def kind(self) -> str:
+        return device_kind(self.outputs)
 
     @property
     def blocks(self) -> list[int]:
@@ -146,7 +157,7 @@ class JointDevice:
     def robustness_start(self):
         """Strictly feasible robustness point: joint blocks c * I, noise blocks
         c * unit_marginal(member) * I - member, positive definite, and t."""
-        if self.name == "channel":
+        if self.kind == "channels":
             # not c = 2 / min unit_marginal as for every other device: that c takes
             # the channel-ladder bench from 91 to 87-88 iterations but its accuracy
             # from 8.12 to 7.67 digits; a cold start takes 15-31 % more iterations.
@@ -163,9 +174,9 @@ class JointDevice:
         """Solver blocks snapped to the joint device: a POVM, a joint channel
         or, with outputs of both kinds, an instrument."""
         d, quantum = self.d_in, self.quantum
-        if self.name == "measurement":
+        if self.kind == "measurements":
             return snap_povm(blocks)
-        if self.name == "channel":
+        if self.kind == "channels":
             return JointChannel(d, quantum, snap_choi_matrix(blocks[0], d))
         return snap_instrument(blocks, d)
 
@@ -186,18 +197,16 @@ def joint_device(d_in: int, outputs, members=None) -> JointDevice:
     Member x is the marginal on (out_x) (x) (input) if quantum; if classical,
     value i is the sum of the blocks with that value, an effect as it is when
     every output is classical and d_in (Tr_out J)^T of Choi blocks J
-    otherwise.  ``members`` lists a Choi matrix per quantum member and a list
-    of effects per classical member."""
+    otherwise.  ``members`` lists each member's operators: its effects if
+    classical, its one Choi matrix if quantum."""
     quantum = [dim for dim, classical in outputs if not classical]
     factors, nq, k = (*quantum, d_in), len(quantum), (d_in if quantum else 1)
     labels = assignments([dim if classical else 1 for dim, classical in outputs])
-    inp, blank = Lift(factors, (nq,)), [[None] * dim if classical else None for dim, classical in outputs]
+    inp, blank = Lift(factors, (nq,)), [[None] * (dim if classical else 1) for dim, classical in outputs]
     fams, position = [], itertools.count()  # position: of the next quantum output
-    for x, ((dim, classical), op) in enumerate(zip(outputs, members or blank)):
-        if classical:
-            lift, ops = Lift(factors, (nq,), transpose=bool(quantum), scale=k), op
-        else:
-            lift, ops = Lift(factors, (next(position), nq)), [op]
+    for x, ((_, classical), ops) in enumerate(zip(outputs, members or blank)):
+        lift = (Lift(factors, (nq,), transpose=bool(quantum), scale=k) if classical
+                else Lift(factors, (next(position), nq)))
         fams += [RowFamily(lift.arg_dim, [(b, lift) for b, l in enumerate(labels) if l[x] == i], v)
                  for i, v in enumerate(ops)]
     norm = RowFamily(d_in, [(b, inp) for b in range(len(labels))], np.eye(d_in) / k)
@@ -226,12 +235,10 @@ def max_margin_check(d_in: int, outputs, members,
     compatible collection at 0 and relaxes it on an incompatible one.  The
     joint has zero blocks at the labels of those values, so it keeps the
     input's outcome order."""
-    kept = [[i for i, m in enumerate(ms) if np.abs(m).max() > TOL] if classical else [0]
-            for (_, classical), ms in zip(outputs, members)]
-    device = joint_device(d_in, [(len(at), True) if classical else (dim, False)
+    kept = [[i for i, m in enumerate(ms) if np.abs(m).max() > TOL] for ms in members]
+    device = joint_device(d_in, [(len(at) if classical else dim, classical)
                                  for (dim, classical), at in zip(outputs, kept)],
-                          [[ms[i] for i in at] if classical else ms
-                           for (_, classical), ms, at in zip(outputs, members, kept)])
+                          [[ms[i] for i in at] for ms, at in zip(members, kept)])
     particular = device.particular
     floor = min(np.linalg.eigvalsh(g)[0] for g in particular)
     t0 = -min(0.0, floor) + 1.0
@@ -247,7 +254,7 @@ def max_margin_check(d_in: int, outputs, members,
     )
     start = [g - (u0 - t0) * np.eye(g.shape[0]) for g in particular]
     sol = solve(prob, options, initial_blocks=start, initial_scalars=[u0])
-    require_optimal(sol, f"{device.name} compatibility")
+    require_optimal(sol, f"{device.kind} compatibility")
     margin = sol.scalar_values[0] - t0
     compatible = bool(margin >= -10 * (options or SolveOptions()).feas_tol)
     joint = None
@@ -262,15 +269,15 @@ def max_margin_check(d_in: int, outputs, members,
 def check_measurements(collection: PovmCollection,
                        options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether all measurements arise from one parent measurement."""
-    return max_margin_check(*device_family(collection.povms), options)
+    return max_margin_check(*device_family(collection.povms, "measurements"), options)
 
 
 def check_channels(channels, options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether the channels are marginals of one joint channel."""
-    return max_margin_check(*device_family(channels), options)
+    return max_margin_check(*device_family(channels, "channels"), options)
 
 
 def check_pair(povm: Povm, channel: ChoiMatrix,
                options: SolveOptions | None = None) -> CompatibilityVerdict:
     """Decide whether one instrument induces both the measurement and the channel."""
-    return max_margin_check(*device_family([povm, channel]), options)
+    return max_margin_check(*device_family([povm, channel], "pair"), options)

@@ -181,7 +181,7 @@ def _final_measurements(strat: Strategy) -> tuple[tuple[str, ...], PovmCollectio
 
 def _score(strat: Strategy, device: JointDevice, coeffs) -> float:
     """sum_m Re Tr[K_m R_m] over the strategy's devices R_m, each checked against its
-    output (C^3 -> C^2 flattens as C^2 -> C^3 does) and validated, then scored."""
+    output, type before size (C^3 -> C^2 flattens as C^2 -> C^3 does), validated, then scored."""
     d, outputs = device.d_in, device.outputs
     if strat.pair_mode is not None:
         resource = strat.pair_mode[:2]
@@ -192,6 +192,10 @@ def _score(strat: Strategy, device: JointDevice, coeffs) -> float:
         resource = [ChoiMatrix(d, d, np.outer(omega, omega))] * len(outputs)
     else:
         resource = strat.preprocess
+    for x, (r, (_, classical)) in enumerate(zip(resource, outputs)):
+        need = Povm if classical else ChoiMatrix
+        if not isinstance(r, need):
+            raise ContractError(f"setting {x} needs a {need.__name__}, got {type(r).__name__}")
     if len(resource) != len(outputs):
         raise DimensionError(f"one {'preprocessing channel' if device.quantum else 'measurement'} "
                              f"per setting required")

@@ -210,6 +210,9 @@ class PovmCollection:
     povms: list
 
     def __post_init__(self):
+        for x, p in enumerate(self.povms):
+            if not isinstance(p, Povm):
+                raise ContractError(f"measurement {x} needs a Povm, got {type(p).__name__}")
         if not self.povms:
             raise DimensionError("a collection needs at least one measurement")
         d = self.povms[0].dim

@@ -15,12 +15,12 @@ compatible.  Two conic programs compute it:
 
 The primal is generated from the one joint-device description in
 ``compat``, a channel whose outputs may be classical; every entry point,
-the witness functional too, reads its devices through ``device_family``.
-The dual is one witness program for every kind, over the same arguments
-(d_in, outputs, members), coded apart from that description: it shares only
-the outcome assignments and takes its starting point from it.  The two
-routes are solved separately, so agreement of their values is a genuine
-numerical cross-check, reported as ``gap``.
+the witness functional too, reads its devices of its kind through
+``device_family``.  The dual is one witness program for every kind, over the
+same arguments (d_in, outputs, members), coded apart from that description:
+it shares only the outcome assignments and takes its starting point from
+it.  The two routes are solved separately, so agreement of their values is a
+genuine numerical cross-check, reported as ``gap``.
 """
 
 from __future__ import annotations
@@ -75,16 +75,16 @@ class WitnessSet:
         """Witness functional on a collection of the matching kind: the sum
         of Tr[A m] over its member operators m, each against its witness
         operator A.  Raises ``ContractError`` unless given one collection, or
-        a pair's measurement and channel, of valid devices (``device_family``),
-        and ``DimensionError`` unless the collection has the witness's count
-        and shapes of member operators."""
+        a pair's measurement and channel, of valid devices of the witness's
+        kind (``device_family``), and ``DimensionError`` unless the collection
+        has the witness's count and shapes of member operators."""
         ops, pair = self.by_member, self.kind == "pair"
         if len(objects) != 1 + pair:  # a pair is its two devices, any other collection one object
             takes = "a measurement and a channel" if pair else "one collection"
             raise ContractError(f"a {self.kind} witness takes {takes}, got {len(objects)} arguments")
         devices = objects if pair else objects[0]
-        _, outputs, ms = device_family(devices.povms if isinstance(devices, PovmCollection) else devices)
-        members = [m if classical else [m] for (_, classical), m in zip(outputs, ms)]
+        devices = devices.povms if isinstance(devices, PovmCollection) else devices
+        _, _, members = device_family(devices, self.kind)
         shapes, theirs = ([[np.shape(a) for a in row] for row in rows] for rows in (ops, members))
         if shapes != theirs:
             raise DimensionError(f"{self.kind} witness has operators of shapes {shapes}, "
@@ -166,7 +166,7 @@ def robustness_primal(device: JointDevice, dual, options: SolveOptions | None = 
     )
     g0, n0, t0 = device.robustness_start()
     sol = solve(prob, options, initial_blocks=g0 + n0, initial_scalars=[t0])
-    require_optimal(sol, f"{device.name} robustness primal")
+    require_optimal(sol, f"{device.kind} robustness primal")
 
     t = sol.scalar_values[0]
     r = sol.primal_value - 1.0
@@ -200,18 +200,16 @@ def _witness(d_in: int, outputs, members, options: SolveOptions | None):
     joint block, in ``assignments`` order, I (x) y minus the lifted
     witnesses; one per A_j, A_j itself; and the 1 x 1 block k - Tr y.  Each
     A_j and y is a ``RowFamily`` holding its lifts into those slacks negated,
-    with m_j as rhs.  Returns the value, the A_j laid out as ``members`` and
-    the iteration count."""
+    with m_j as rhs.  Returns the value, the A_j grouped by member as
+    ``members`` and the iteration count."""
     quantum = [dim for dim, classical in outputs if not classical]
     factors, nq, k = (*quantum, d_in), len(quantum), (d_in if quantum else 1)
     labels = assignments([dim if classical else 1 for dim, classical in outputs])
     ops, layout, position = [], [], itertools.count()  # ops: (member operator, its lift, the blocks it meets)
-    for x, ((dim, classical), member) in enumerate(zip(outputs, members)):
-        if classical:
-            lift, values = Lift(factors, (nq,), transpose=bool(quantum), scale=k), member
-        else:
-            lift, values = Lift(factors, (next(position), nq)), [member]
-        layout.append(slice(len(ops), len(ops) + len(values)) if classical else len(ops))
+    for x, ((_, classical), values) in enumerate(zip(outputs, members)):
+        lift = (Lift(factors, (nq,), transpose=bool(quantum), scale=k) if classical
+                else Lift(factors, (next(position), nq)))
+        layout.append(slice(len(ops), len(ops) + len(values)))
         ops += [(m, lift, [b for b, l in enumerate(labels) if l[x] == i]) for i, m in enumerate(values)]
     nl, u = len(labels), len(labels) + len(ops)
     blocks = [d_in * prod(quantum)] * nl + [len(m) for m, _, _ in ops] + [1]
@@ -224,34 +222,34 @@ def _witness(d_in: int, outputs, members, options: SolveOptions | None):
     device = joint_device(d_in, outputs, members)
     joint, noise, t = device.robustness_start()
     sol = solve(prob, options, initial_blocks=joint + noise + [np.array([[t / k]])])
-    require_optimal(sol, f"{device.name} robustness dual")
+    require_optimal(sol, f"{device.kind} robustness dual")
     witness = [hermitize(sol.dual_blocks[b]) for b in range(nl, u)]
     return sol.dual_value - 1.0, [witness[at] for at in layout], sol.iterations
 
 
 def robustness_channels_primal(channels, options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a channel collection, with noise and mixture reconstruction."""
-    return robustness_primal(joint_device(*device_family(channels)),
+    return robustness_primal(joint_device(*device_family(channels, "channels")),
                              lambda: robustness_channels_dual(channels, options), options)
 
 
 def robustness_channels_dual(channels, options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a channel collection."""
-    value, ops, iterations = _witness(*device_family(channels), options)
-    return WitnessSet("channels", value, channel_ops=ops, iterations=iterations)
+    value, ops, iterations = _witness(*device_family(channels, "channels"), options)
+    return WitnessSet("channels", value, channel_ops=[a for (a,) in ops], iterations=iterations)
 
 
 def robustness_measurements(collection: PovmCollection,
                             options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement collection, primal and dual routes."""
-    return robustness_primal(joint_device(*device_family(collection.povms)),
+    return robustness_primal(joint_device(*device_family(collection.povms, "measurements")),
                              lambda: _measurements_dual(collection, options), options)
 
 
 def _measurements_dual(collection: PovmCollection,
                        options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a measurement collection."""
-    value, ops, iterations = _witness(*device_family(collection.povms), options)
+    value, ops, iterations = _witness(*device_family(collection.povms, "measurements"), options)
     return WitnessSet("measurements", value, measurement_ops=ops, iterations=iterations)
 
 
@@ -261,14 +259,14 @@ robustness_measurements_dual = _measurements_dual
 def robustness_pair_primal(povm: Povm, channel: ChoiMatrix,
                            options: SolveOptions | None = None) -> RobustnessReport:
     """Robustness of a measurement-channel pair, with reconstruction."""
-    return robustness_primal(joint_device(*device_family([povm, channel])),
+    return robustness_primal(joint_device(*device_family([povm, channel], "pair")),
                              lambda: robustness_pair_dual(povm, channel, options), options)
 
 
 def robustness_pair_dual(povm: Povm, channel: ChoiMatrix,
                          options: SolveOptions | None = None) -> WitnessSet:
     """Witness operators certifying the robustness of a pair."""
-    value, (a_ops, b_op), iterations = _witness(*device_family([povm, channel]), options)
+    value, (a_ops, (b_op,)), iterations = _witness(*device_family([povm, channel], "pair"), options)
     return WitnessSet("pair", value, pair_measure_ops=a_ops, pair_channel_op=b_op,
                       iterations=iterations)
 

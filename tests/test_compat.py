@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -58,9 +60,9 @@ def test_assignments():
     assert assignments([3, 2]) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
     # the enumeration of a measurement collection is capped
     with pytest.raises(ContractError):
-        device_family(PovmCollection([basis_povm(2)] * 5).povms)
+        device_family(PovmCollection([basis_povm(2)] * 5).povms, "measurements")
     with pytest.raises(ContractError):
-        device_family(PovmCollection([basis_povm(5)] * 2).povms)
+        device_family(PovmCollection([basis_povm(5)] * 2).povms, "measurements")
 
 
 def test_identical_measurements_compatible():
@@ -142,7 +144,7 @@ def test_channel_start_is_strictly_feasible_for_mixed_output_dimensions(order):
     # singular in the order (2, 5).  Measured: 0.6 in both orders.
     five = Povm([np.diag([1.0, 0.0])] + [np.diag([0.0, 0.25])] * 4)
     chans = [qc_channel(p) for p in (x_povm(), five)]
-    _, noise, _ = joint_device(*device_family([chans[i] for i in order])).robustness_start()
+    _, noise, _ = joint_device(*device_family([chans[i] for i in order], "channels")).robustness_start()
     assert min(np.linalg.eigvalsh(b)[0] for b in noise) > 0.5
 
 
@@ -259,14 +261,14 @@ def _pair_marginals(o, d, dp):
 def _channel_case(rng):
     n, d, dp = 2, 2, 3
     joint = random_joint_channel(d, n, dp, rng)
-    device = joint_device(d, [(dp, False)] * n, [marginal(joint, x + 1).matrix for x in range(n)])
+    device = joint_device(d, [(dp, False)] * n, [[marginal(joint, x + 1).matrix] for x in range(n)])
     return device, _channel_marginals(n, d, dp)
 
 
 def _mixed_channel_case(rng):
     d, dims = 2, (2, 3)
     joint = JointChannel(d, dims, random_channel(d, 6, 2, rng).matrix)
-    device = joint_device(d, [(dp, False) for dp in dims], [marginal(joint, x + 1).matrix for x in (0, 1)])
+    device = joint_device(d, [(dp, False) for dp in dims], [[marginal(joint, x + 1).matrix] for x in (0, 1)])
     return device, _channel_marginals(2, d, dims)
 
 
@@ -295,7 +297,7 @@ def _pair_case(rng):
     big = random_channel(d, o * dp, 2, rng).matrix.reshape(o, dp * d, o, dp * d)
     ins = Instrument(d, dp, [big[i, :, i, :] for i in range(o)])
     device = joint_device(d, [(o, True), (dp, False)],
-                          [instrument_povm(ins).elements, instrument_total(ins).matrix])
+                          [instrument_povm(ins).elements, [instrument_total(ins).matrix]])
     return device, _pair_marginals(o, d, dp)
 
 
@@ -356,11 +358,11 @@ def test_unit_marginal_is_the_marginal_of_identity_blocks(kind, sizes):
 
 
 @pytest.mark.parametrize("family, inputs, message", [
-    (device_family, [], "need one or more members on one input dimension"),
-    (device_family, [identity_channel(2)] * 5, "at most 4 members supported, got 5"),
-    (device_family, PovmCollection([basis_povm(2)] * 5).povms,
+    (partial(device_family, kind="channels"), [], "need one or more members on one input dimension"),
+    (partial(device_family, kind="channels"), [identity_channel(2)] * 5, "at most 4 members supported, got 5"),
+    (partial(device_family, kind="measurements"), PovmCollection([basis_povm(2)] * 5).povms,
      "at most 4 members supported, got 5"),
-    (device_family, PovmCollection([Povm([np.eye(2) / 5] * 5)]).povms,
+    (partial(device_family, kind="measurements"), PovmCollection([Povm([np.eye(2) / 5] * 5)]).povms,
      "at most 4 outcomes per measurement supported without a channel, got 5"),
 ], ids=["no-channel", "five-channels", "five-settings", "five-outcomes"])
 def test_families_refuse_past_their_caps_naming_them(family, inputs, message):

@@ -501,6 +501,7 @@ def _rejection_cases():
     negative = PovmCollection([Povm([np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])])] * 2)
     tripled = Strategy(preprocess=[ChoiMatrix(2, 2, 3 * identity_channel(2).matrix)] * 2,
                        measurements=meas)
+    swapped = Strategy(pair_mode=(None, None, final)).with_pair(identity_channel(2), basis_povm(2))
     sp, best = success_prob, best_compatible_success
     return {
         "no measurements": (
@@ -555,6 +556,12 @@ def _rejection_cases():
         "a channel that is not trace preserving, ratio": (
             lambda: advantage_ratio(zz, meas, tripled, "channels"),
             ContractError, "Choi matrix trace is"),
+        "a measurement where a channel goes": (
+            lambda: sp(game, Strategy(preprocess=[basis_povm(2)] * 2, measurements=meas)),
+            ContractError, "setting 0 needs a ChoiMatrix, got Povm"),
+        "a pair filled in the wrong order": (
+            lambda: advantage_ratio(assisted, PovmCollection([final]), swapped, "pair"),
+            ContractError, "setting 0 needs a Povm, got ChoiMatrix"),
     }
 
 

@@ -5,9 +5,30 @@ gaps plus ten times the solver's feasibility tolerance."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from qincompat.compat import check_channels, check_measurements, check_pair
 from qincompat.games import Strategy, advantage_ratio, random_game
-from qincompat.qobjects import ChoiMatrix, Povm, PovmCollection, random_channel, random_povm, random_unitary
-from qincompat.robustness import robustness_channels_primal, robustness_measurements, robustness_pair_primal
+from qincompat.qobjects import (
+    ChoiMatrix,
+    Instrument,
+    Povm,
+    PovmCollection,
+    instrument_povm,
+    instrument_total,
+    marginal,
+    qc_channel,
+    random_channel,
+    random_joint_channel,
+    random_povm,
+    random_unitary,
+    unitary_channel,
+)
+from qincompat.robustness import (
+    robustness_channels_primal,
+    robustness_measurements,
+    robustness_pair_primal,
+    verify_prop1,
+    verify_prop2,
+)
 from qincompat.sdp import SolveOptions
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -73,3 +94,71 @@ def test_a_channel_pair_wins_an_assisted_game_by_at_most_one_plus_its_robustness
     meas = PovmCollection([random_povm(4, 2, rng) for _ in range(2)])
     ratio = advantage_ratio(game, meas, Strategy(preprocess=chans, measurements=meas))
     assert ratio <= 1 + rep.primal_value + tolerance(rep)
+
+
+def white_noise(povms, chans, visibility):
+    """Each effect E mixed with Tr(E) I / 2, each channel with the completely depolarizing one."""
+    return ([Povm([visibility * e + (1 - visibility) * np.trace(e).real * np.eye(2) / 2 for e in p.elements])
+             for p in povms], [ChoiMatrix(2, 2, visibility * c.matrix + (1 - visibility) * np.eye(4) / 4)
+                               for c in chans])
+
+
+@PROPERTY
+@given(seed=SEEDS, visibility=st.floats(0.0, 1.0))
+def test_the_robustness_is_zero_exactly_when_the_check_says_compatible(seed, visibility):
+    povms, chans = white_noise(*devices(np.random.default_rng(seed)), visibility)
+    verdicts = [check_measurements(PovmCollection(povms)), check_channels(chans), check_pair(povms[1], chans[0])]
+    for rep, verdict in zip(robustness_of_each_kind(povms, chans), verdicts):
+        if verdict.compatible:
+            assert abs(rep.primal_value) <= tolerance(rep)
+        if rep.primal_value > tolerance(rep):
+            assert not verdict.compatible
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_declaring_a_classical_output_quantum_leaves_the_robustness_unchanged(seed):
+    # verify_prop1 on a random collection, verify_prop2 on a random pair; the
+    # tolerance reads the gaps of the two robustness solves of each
+    povms, chans = devices(np.random.default_rng(seed))
+    collection = PovmCollection(povms)
+    prop1 = tolerance(robustness_measurements(collection), robustness_channels_primal(list(map(qc_channel, povms))))
+    assert verify_prop1(collection)["delta"] <= prop1
+    prop2 = tolerance(robustness_pair_primal(povms[1], chans[0]),
+                      robustness_channels_primal([qc_channel(povms[1]), chans[0]]))
+    assert verify_prop2(povms[1], chans[0])["delta"] <= prop2
+
+
+def incompatible_devices(rng):
+    """A projective qubit measurement and a random 3-outcome one, and two
+    unitary qubit channels: every kind of collection of them is incompatible
+    but for a set of measure zero."""
+    u = random_unitary(2, rng)
+    projective = Povm([u @ np.diag(e) @ u.conj().T for e in np.eye(2)])
+    return [projective, random_povm(2, 3, rng)], [unitary_channel(random_unitary(2, rng)) for _ in range(2)]
+
+
+def compatible_devices(rng):
+    """Compatible devices of the same shapes: two post-processings of one
+    random parent POVM, the marginals of a random joint channel, and a random
+    instrument's measurement and total channel."""
+    parent = random_povm(2, 6, rng)
+    povms = [Povm([sum(p * g for p, g in zip(row, parent.elements)) for row in rng.dirichlet(np.ones(o), 6).T])
+             for o in (2, 3)]
+    joint = random_joint_channel(2, 2, 2, rng)
+    # outcome i of the instrument: the block of a random channel into C^3 (x) C^2
+    big = random_channel(2, 6, 2, rng).matrix.reshape(3, 4, 3, 4)
+    instrument = Instrument(2, 2, [big[i, :, i, :] for i in range(3)])
+    return povms, [marginal(joint, 1), marginal(joint, 2)], instrument
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_a_witness_scores_at_most_one_on_compatible_devices(seed):
+    rng = np.random.default_rng(seed)
+    reports = robustness_of_each_kind(*incompatible_devices(rng))
+    povms, chans, instrument = compatible_devices(rng)
+    compatible = [(PovmCollection(povms),), (chans,), (instrument_povm(instrument), instrument_total(instrument))]
+    for rep, devices_of_its_kind in zip(reports, compatible):
+        assert rep.primal_value > tolerance(rep)
+        assert rep.witness.evaluate(*devices_of_its_kind) <= 1 + tolerance(rep)

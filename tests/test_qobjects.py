@@ -359,6 +359,12 @@ def test_json_roundtrips():
         object_from_json({"kind": "nonsense"})
 
 
+def test_a_collection_refuses_a_member_that_is_not_a_povm():
+    # before the size checks, which read a POVM's dimension
+    with pytest.raises(ContractError, match="measurement 0 needs a Povm, got ChoiMatrix"):
+        PovmCollection([identity_channel(2)])
+
+
 @pytest.mark.parametrize("field, value", [("dim_in", 2.0), ("dim_out", 1.5), ("dim_in", False)])
 def test_json_sizes_must_be_integers(field, value):
     rng = np.random.default_rng(16)

@@ -147,6 +147,27 @@ def test_witness_rejects_a_collection_of_another_shape():
             witness.evaluate(*objects)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: robustness_channels_primal([projective_from_hermitian(np.array([[0, 1], [1, 0]])),
+                                         identity_channel(2)]),
+     "need channels, got pair: members of types Povm, ChoiMatrix"),
+    (lambda: robustness_pair_primal(identity_channel(2), basis_povm(2)),
+     "need pair, got mixed: members of types ChoiMatrix, Povm"),
+    (lambda: robustness_pair_primal(identity_channel(2), identity_channel(2)),
+     "need pair, got channels: members of types ChoiMatrix, ChoiMatrix"),
+    (lambda: check_channels([basis_povm(2), identity_channel(2)]),
+     "need channels, got pair: members of types Povm, ChoiMatrix"),
+    (lambda: robustness_channels_dual([identity_channel(2)] * 2).evaluate([basis_povm(2),
+                                                                           identity_channel(2)]),
+     "need channels, got pair: members of types Povm, ChoiMatrix"),
+], ids=["channels-given-a-pair", "pair-in-the-wrong-order", "pair-given-channels", "check-channels-given-a-pair",
+        "channel-witness-given-a-pair"])
+def test_each_kind_refuses_the_members_of_another(call, message):
+    # a pair is exactly a measurement and then a channel
+    with pytest.raises(ContractError, match=message):
+        call()
+
+
 def test_channel_witness_normalization_on_compatible_samples():
     # the defining property: at most 1 on every compatible collection
     w = robustness_channels_dual([identity_channel(2), identity_channel(2)])

@@ -9,6 +9,8 @@ every joint device -- parent measurement, joint channel, instrument -- and
 one validator, ``device_family``, reads every input, a list of measurements
 and channels on one input space of the kind its caller names, into its
 arguments: a list per member of its effects or of its one Choi matrix.
+No count of members or outcomes is capped: ``joint_device`` refuses a device
+whose solves need more than ``MAX_CORE_BYTES`` of core arrays (``core_bytes``).
 The description generates the robustness primal, the best-compatible game
 program and the check below, each by extending its member and normalization
 equations, ``RowFamily`` objects whose identity multiple is derived from
@@ -39,11 +41,10 @@ from .qobjects import (
     snap_instrument,
     snap_povm,
 )
-from .families import RowFamily
+from .families import RowFamily, core_bytes
 from .sdp import SdpProblem, SolveOptions, require_optimal, solve
 
-MAX_SETTINGS = 4
-MAX_OUTCOMES = 4
+MAX_CORE_BYTES = core_bytes([64, 64, 8], 1)  # the identity pair on C^8: 776.0 MiB
 
 
 def assignments(counts) -> list[tuple[int, ...]]:
@@ -64,8 +65,8 @@ def device_kind(outputs) -> str:
 def device_family(members, kind: str):
     """The ``joint_device`` arguments (d_in, outputs, members) of a list of
     valid devices of ``kind`` on one input space, each a ``Povm`` (a classical
-    output, its effects) or a ``ChoiMatrix`` (a quantum output, [its matrix]):
-    at most ``MAX_SETTINGS`` of them, of at most ``MAX_OUTCOMES`` outcomes each when none is a channel."""
+    output, its effects) or a ``ChoiMatrix`` (a quantum output, [its matrix]).
+    Their size is ``joint_device``'s to limit."""
     members = list(members)
     for x, m in enumerate(members):
         if not isinstance(m, (Povm, ChoiMatrix)):
@@ -78,12 +79,6 @@ def device_family(members, kind: str):
     if device_kind(outputs) != kind:
         raise ContractError(f"need {kind}, got {device_kind(outputs)}: members of types "
                             f"{', '.join(type(m).__name__ for m in members)}")
-    if len(members) > MAX_SETTINGS:
-        raise ContractError(f"at most {MAX_SETTINGS} members supported, got {len(members)}")
-    most = max(dim for dim, _ in outputs)
-    if kind == "measurements" and most > MAX_OUTCOMES:
-        raise ContractError(f"at most {MAX_OUTCOMES} outcomes per measurement supported "
-                            f"without a channel, got {most}")
     return dims[0], outputs, [m.elements if isinstance(m, Povm) else [m.matrix] for m in members]
 
 
@@ -198,7 +193,13 @@ def joint_device(d_in: int, outputs, members=None) -> JointDevice:
     value i is the sum of the blocks with that value, an effect as it is when
     every output is classical and d_in (Tr_out J)^T of Choi blocks J
     otherwise.  ``members`` lists each member's operators: its effects if
-    classical, its one Choi matrix if quantum."""
+    classical, its one Choi matrix if quantum.  First of all, a device whose solves need
+    more than ``MAX_CORE_BYTES`` of core arrays (``core_bytes``) is refused by ``ContractError``."""
+    sides = [d_in] + [s for dim, classical in outputs for s in ([d_in] * dim if classical else [dim * d_in])]
+    figure = core_bytes(sides, prod(dim for dim, classical in outputs if classical))
+    if figure > MAX_CORE_BYTES:
+        raise ContractError(f"device too large: a solve on it needs {figure / 2**20:,.1f} MiB of core "
+                            f"arrays, over the limit of {MAX_CORE_BYTES / 2**20:,.1f} MiB")
     quantum = [dim for dim, classical in outputs if not classical]
     factors, nq, k = (*quantum, d_in), len(quantum), (d_in if quantum else 1)
     labels = assignments([dim if classical else 1 for dim, classical in outputs])
@@ -235,6 +236,7 @@ def max_margin_check(d_in: int, outputs, members,
     compatible collection at 0 and relaxes it on an incompatible one.  The
     joint has zero blocks at the labels of those values, so it keeps the
     input's outcome order."""
+    labels = joint_device(d_in, outputs).labels  # the joint's; a device too large is refused here
     kept = [[i for i, m in enumerate(ms) if np.abs(m).max() > TOL] for ms in members]
     device = joint_device(d_in, [(len(at) if classical else dim, classical)
                                  for (dim, classical), at in zip(outputs, kept)],
@@ -262,7 +264,7 @@ def max_margin_check(d_in: int, outputs, members,
         blocks = dict(zip(itertools.product(*kept), (hermitize(b) + margin * np.eye(b.shape[0])
                                                      for b in sol.block_values)))
         zero = np.zeros((device.blocks[0],) * 2, dtype=complex)
-        joint = device.joint([blocks.get(l, zero) for l in joint_device(d_in, outputs).labels])
+        joint = device.joint([blocks.get(l, zero) for l in labels])
     return CompatibilityVerdict(compatible, margin, joint)
 
 

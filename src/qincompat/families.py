@@ -300,6 +300,15 @@ def _rows_index(rows, cols):
     return (rows if a is None else a), (cols if b is None else b)
 
 
+def core_bytes(sides, blocks: int) -> int:
+    """Bytes of the core arrays of a solve over equations of ``sides`` on ``blocks`` parent
+    blocks: the Schur complement M over their m = sum side^2 rows, one ``LiftSchur`` contraction
+    stack T of (blocks, D^2, D^2) complex entries, D the largest side, and its dense member
+    weights (F^2, blocks) for F equations."""
+    m = sum(s * s for s in sides)
+    return 8 * m * m + 16 * blocks * max(sides) ** 4 + 8 * len(sides) ** 2 * blocks
+
+
 class LiftSchur:
     """Schur complement M = A W A^T of a program whose rows all come from row
     families, by contraction of W (see the module docstring).

@@ -252,6 +252,7 @@ def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str):
     channels = sum(not classical for _, classical in outputs)
     if channels and meas.n != channels:  # with no channel, meas is the measured collection
         raise DimensionError("one final measurement per channel required")
+    device = joint_device(d, outputs)  # refuses a device too large to solve
     coeffs, finals = [], iter(meas.povms)
     for prior, (_, classical), ens in zip(game.prior, outputs, game.ensembles):
         if classical:
@@ -262,7 +263,7 @@ def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str):
             raise DimensionError("ensemble size and measurement outcomes differ")
         coeffs.append(prior * sum(p * _kernel(rho, m, d, dp, db)  # some p > 0: the game is valid
                                   for (p, rho), m in zip(ens, povm.elements) if p != 0.0))
-    return joint_device(d, outputs), coeffs
+    return device, coeffs
 
 
 def best_compatible_program(device: JointDevice, coeffs,

@@ -202,6 +202,7 @@ def _witness(d_in: int, outputs, members, options: SolveOptions | None):
     A_j and y is a ``RowFamily`` holding its lifts into those slacks negated,
     with m_j as rhs.  Returns the value, the A_j grouped by member as
     ``members`` and the iteration count."""
+    device = joint_device(d_in, outputs, members)  # refuses a device too large to solve
     quantum = [dim for dim, classical in outputs if not classical]
     factors, nq, k = (*quantum, d_in), len(quantum), (d_in if quantum else 1)
     labels = assignments([dim if classical else 1 for dim, classical in outputs])
@@ -219,7 +220,6 @@ def _witness(d_in: int, outputs, members, options: SolveOptions | None):
     prob = SdpProblem(blocks=blocks, objective=[np.zeros((n, n), dtype=complex) for n in blocks[:-1]]
                       + [np.array([[k]], dtype=complex)], real_blocks=frozenset([u]), families=families)
 
-    device = joint_device(d_in, outputs, members)
     joint, noise, t = device.robustness_start()
     sol = solve(prob, options, initial_blocks=joint + noise + [np.array([[t / k]])])
     require_optimal(sol, f"{device.kind} robustness dual")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qincompat.cli as cli
+from qincompat import compat
 from qincompat.compat import assignments
 from qincompat.linalg import matrix_from_json
 from qincompat.qobjects import (
@@ -55,6 +56,21 @@ def test_robustness_channels_from_file(tmp_path, capsys):
     assert rep["witness"]["kind"] == "channels"
     for key in ("primal_iterations", "dual_iterations"):
         assert type(rep["solver"][key]) is int and rep["solver"][key] > 0
+
+
+def test_robustness_of_a_device_too_large_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    # the identity pair on C^10: refused before its outcomes are enumerated
+    def enumerate_outcomes(counts):
+        raise AssertionError("assignments ran")
+
+    monkeypatch.setattr(compat, "assignments", enumerate_outcomes)
+    f = tmp_path / "idpair10.json"
+    f.write_text(json.dumps({"channels": [identity_channel(10).to_json() for _ in range(2)]}))
+    code, out, err = run_cli(["robustness", "channels", "--input", str(f)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "needs 4,608.2 MiB of core arrays, over the limit of 776.0 MiB" in err
 
 
 def test_robustness_channels_of_mixed_output_dimensions(tmp_path, capsys):

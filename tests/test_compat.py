@@ -58,11 +58,12 @@ def test_assignments():
     lam = assignments([2, 2])
     assert lam == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert assignments([3, 2]) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-    # the enumeration of a measurement collection is capped
-    with pytest.raises(ContractError):
-        device_family(PovmCollection([basis_povm(2)] * 5).povms, "measurements")
-    with pytest.raises(ContractError):
-        device_family(PovmCollection([basis_povm(5)] * 2).povms, "measurements")
+    # the enumeration of a measurement collection is limited by the size of
+    # its solves, not by a count: 2^20 outcome tuples, and 40 x 40 tuples on C^40
+    with pytest.raises(ContractError, match="needs 13,704.2 MiB .* limit of 776.0 MiB"):
+        joint_device(*device_family(PovmCollection([basis_povm(2)] * 20).povms, "measurements"))
+    with pytest.raises(ContractError, match="needs 190,724.6 MiB .* limit of 776.0 MiB"):
+        joint_device(*device_family(PovmCollection([basis_povm(40)] * 2).povms, "measurements"))
 
 
 def test_identical_measurements_compatible():
@@ -357,13 +358,19 @@ def test_unit_marginal_is_the_marginal_of_identity_blocks(kind, sizes):
         assert np.abs(marg - unit_marginal(eq) * np.eye(eq.dim)).max() < 1e-12
 
 
+def _sized(members, kind):
+    return joint_device(*device_family(members, kind))
+
+
+# five members or outcomes are refused only when a solve on them is too large
 @pytest.mark.parametrize("family, inputs, message", [
     (partial(device_family, kind="channels"), [], "need one or more members on one input dimension"),
-    (partial(device_family, kind="channels"), [identity_channel(2)] * 5, "at most 4 members supported, got 5"),
-    (partial(device_family, kind="measurements"), PovmCollection([basis_povm(2)] * 5).povms,
-     "at most 4 members supported, got 5"),
-    (partial(device_family, kind="measurements"), PovmCollection([Povm([np.eye(2) / 5] * 5)]).povms,
-     "at most 4 outcomes per measurement supported without a channel, got 5"),
+    (partial(_sized, kind="channels"), [identity_channel(7)] * 5,
+     "device too large: a solve on it needs 1,196.5 MiB of core arrays, over the limit of 776.0 MiB"),
+    (partial(_sized, kind="measurements"), PovmCollection([basis_povm(8)] * 5).povms,
+     "device too large: a solve on it needs 2,520.8 MiB of core arrays, over the limit of 776.0 MiB"),
+    (partial(_sized, kind="measurements"), PovmCollection([Povm([np.eye(40) / 5] * 5)]).povms,
+     "device too large: a solve on it needs 898.4 MiB of core arrays, over the limit of 776.0 MiB"),
 ], ids=["no-channel", "five-channels", "five-settings", "five-outcomes"])
 def test_families_refuse_past_their_caps_naming_them(family, inputs, message):
     with pytest.raises(ContractError, match=message):

@@ -2,6 +2,7 @@
 witness-built games, and the unassisted bound."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from qincompat.robustness import (
     robustness_measurements,
     robustness_pair_dual,
     robustness_pair_primal,
+    verify_prop1,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -77,8 +79,9 @@ def test_pad_choi():
 
 
 def test_mixed_output_dimensions_match_the_padded_channels():
-    # X and a 5-outcome qubit measurement, which MAX_OUTCOMES keeps from the
-    # measurement route: measure-and-record channels into C^2 and C^5
+    # X and a 5-outcome qubit measurement as measure-and-record channels into
+    # C^2 and C^5; test_mixed_outcome_counts_take_the_measurement_route runs
+    # them as measurements
     five = Povm([np.diag([1.0, 0.0])] + [np.diag([0.0, 0.25])] * 4)
     chans = [qc_channel(p) for p in (projective_from_hermitian(SX), five)]
     rep = robustness_channels_primal(chans)
@@ -89,6 +92,15 @@ def test_mixed_output_dimensions_match_the_padded_channels():
     # the channel game's final measurements share one space: no game here
     with pytest.raises(DimensionError, match="witness operators of shapes"):
         game_from_channel_witness(rep.witness, 2, 5)
+
+
+def test_mixed_outcome_counts_take_the_measurement_route():
+    # the pair of the test above, read as measurements: its parent has 10 outcomes
+    five = Povm([np.diag([1.0, 0.0])] + [np.diag([0.0, 0.25])] * 4)
+    coll = PovmCollection([projective_from_hermitian(SX), five])
+    rep = robustness_measurements(coll)
+    assert rep.gap <= 1e-6 * (1 + rep.primal_value)
+    assert verify_prop1(coll)["delta"] <= 1e-6
 
 
 def bb84_game():
@@ -452,6 +464,31 @@ def test_complete_qutrit_mub_set():
     assert abs(values[2] - (5 - 2 * np.sqrt(5))) < 1e-7
 
 
+def _two_qubit_mubs():
+    """The five mutually unbiased bases of C^4, each the common eigenbasis of
+    three commuting two-qubit Paulis, of which the first two fix it."""
+    p = {"I": np.eye(2), "X": SX, "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1.0, -1.0])}
+    sets = [("XI", "IX"), ("YI", "IY"), ("ZI", "IZ"), ("XY", "YZ"), ("XZ", "YX")]
+    return PovmCollection([projective_from_hermitian(kron(p[a[0]], p[a[1]]) + 2 * kron(p[b[0]], p[b[1]]))
+                           for a, b in sets])
+
+
+def test_complete_ququart_mub_set():
+    coll = _two_qubit_mubs()
+    povms = coll.povms
+    for x in range(5):  # rank-one projectors onto mutually unbiased bases
+        for y in range(x + 1, 5):
+            overlaps = [np.trace(a @ b).real for a in povms[x].elements for b in povms[y].elements]
+            assert np.allclose(overlaps, 0.25)
+    rep = robustness_measurements(coll)
+    r = rep.primal_value
+    assert abs(r - rep.dual_value) <= 1e-6 * r
+    # a measured regression value, not derived here
+    assert abs(r - 0.7445763036) < 1e-6
+    game = game_from_measurement_witness(rep.witness, 4)
+    assert abs(advantage_ratio(game, coll, Strategy(measurements=coll), "measurements") - (1 + r)) < 1e-5
+
+
 def test_measurement_game_refuses_other_strategies_and_witnesses():
     zx = _measurement_cases()["Z/X"]
     w = robustness_measurements(zx).witness
@@ -481,6 +518,13 @@ def _qutrit_two_outcome():
     return Povm([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
 
 
+def _unenumerated(call, *args):
+    """``call(*args)`` with the enumeration of outcome tuples made to fail, so
+    that a device too large must be refused before it."""
+    with mock.patch("qincompat.compat.assignments", side_effect=AssertionError("assignments ran")):
+        return call(*args)
+
+
 def _rejection_cases():
     rng = np.random.default_rng(61)
     game = bb84_game().validate()
@@ -502,6 +546,9 @@ def _rejection_cases():
     tripled = Strategy(preprocess=[ChoiMatrix(2, 2, 3 * identity_channel(2).matrix)] * 2,
                        measurements=meas)
     swapped = Strategy(pair_mode=(None, None, final)).with_pair(identity_channel(2), basis_povm(2))
+    # twelve 4-outcome qubit settings: 4^12 parent blocks
+    twelve = DiscriminationGame(prior=[1 / 12] * 12, ensembles=[[(0.25, np.eye(2) / 2)] * 4] * 12)
+    fours = PovmCollection([Povm([np.eye(2) / 4] * 4)] * 12)
     sp, best = success_prob, best_compatible_success
     return {
         "no measurements": (
@@ -562,6 +609,10 @@ def _rejection_cases():
         "a pair filled in the wrong order": (
             lambda: advantage_ratio(assisted, PovmCollection([final]), swapped, "pair"),
             ContractError, "setting 0 needs a Povm, got ChoiMatrix"),
+        "a parent measurement too large to solve, best": (
+            lambda: _unenumerated(best, twelve, fours, "measurements"),
+            ContractError, "device too large: a solve on it needs 311,424.3 MiB of core arrays, "
+                           "over the limit of 776.0 MiB"),
     }
 
 

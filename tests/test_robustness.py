@@ -1,8 +1,11 @@
 """Robustness programs: closed forms, duality, reconstructions, witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qincompat import compat, robustness
 from qincompat.compat import check_channels, check_measurements, check_pair
 from qincompat.linalg import ContractError, DimensionError
 from qincompat.qobjects import (
@@ -28,6 +31,7 @@ from qincompat.robustness import (
     robustness_channels_dual,
     robustness_channels_primal,
     robustness_measurements,
+    robustness_measurements_dual,
     robustness_pair_dual,
     robustness_pair_primal,
     verify_prop1,
@@ -93,6 +97,43 @@ def test_identity_pair_matches_closed_form():
         assert rep.gap < 1e-6 * (1 + rep.primal_value)
         assert rep.solver["primal_iterations"] <= IDENTITY_PAIR_MAX_ITERATIONS
         assert rep.solver["dual_iterations"] <= IDENTITY_PAIR_MAX_ITERATIONS
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_many_qubit_identity_channels(n):
+    rep = robustness_channels_primal([identity_channel(2)] * n)
+    assert rep.mixture_joint.dims_out == (2,) * n
+    assert rep.gap <= 1e-6 * rep.primal_value
+
+
+_ID10, _TWELVE = [identity_channel(10)] * 2, PovmCollection([Povm([np.eye(2) / 4] * 4)] * 12)
+# the check solves without the zero effects, a device of 2^12 blocks, but would report the joint of all 4^12
+_ZEROS = PovmCollection([Povm([np.eye(2) / 2] * 2 + [np.zeros((2, 2))] * 2)] * 12)
+
+
+@pytest.mark.parametrize("call, members", [
+    (robustness_channels_primal, _ID10), (robustness_channels_dual, _ID10), (check_channels, _ID10),
+    (robustness_measurements, _TWELVE), (robustness_measurements_dual, _TWELVE), (check_measurements, _TWELVE),
+    (check_measurements, _ZEROS),
+], ids=["channels-primal", "channels-dual", "channels-check",
+        "measurements-primal", "measurements-dual", "measurements-check", "measurements-check-zero-effects"])
+def test_devices_too_large_are_refused_before_they_are_built(monkeypatch, call, members):
+    # the identity pair on C^10 and twelve 4-outcome qubit measurements: no
+    # outcome tuple is enumerated and no array of the device's size allocated
+    def enumerate_outcomes(counts):
+        raise AssertionError("assignments ran")
+
+    monkeypatch.setattr(compat, "assignments", enumerate_outcomes)
+    monkeypatch.setattr(robustness, "assignments", enumerate_outcomes)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError, match=r"device too large: a solve on it needs "
+                                                r"(4,608\.2|311,424\.3) MiB .* limit of 776\.0 MiB"):
+            call(members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_identity_pair_reconstruction():

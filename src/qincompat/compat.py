@@ -9,7 +9,7 @@ every joint device -- parent measurement, joint channel, instrument -- and
 one validator, ``device_family``, reads every input, a list of measurements
 and channels on one input space of the kind its caller names, into its
 arguments: a list per member of its effects or of its one Choi matrix.
-No count of members or outcomes is capped: ``joint_device`` refuses a device
+No count of members or outcomes is capped: ``require_size`` refuses a device
 whose solves need more than ``MAX_CORE_BYTES`` of core arrays (``core_bytes``).
 The description generates the robustness primal, the best-compatible game
 program and the check below, each by extending its member and normalization
@@ -44,7 +44,7 @@ from .qobjects import (
 from .families import RowFamily, core_bytes
 from .sdp import SdpProblem, SolveOptions, require_optimal, solve
 
-MAX_CORE_BYTES = core_bytes([64, 64, 8], 1)  # the identity pair on C^8: 776.0 MiB
+MAX_CORE_BYTES = core_bytes([8, 64, 64], 1, 512)  # the identity pair on C^8: 936.0 MiB
 
 
 def assignments(counts) -> list[tuple[int, ...]]:
@@ -60,6 +60,17 @@ def device_kind(outputs) -> str:
     if all(classical) or not any(classical):
         return "measurements" if all(classical) else "channels"
     return "pair" if classical == [True, False] else "mixed"
+
+
+def require_size(d_in: int, outputs) -> int:
+    """``core_bytes`` of the joint device of (d_in, outputs), from them alone; ``ContractError``
+    if it is over ``MAX_CORE_BYTES``."""
+    sides = [d_in] + [s for dim, classical in outputs for s in ([d_in] * dim if classical else [dim * d_in])]
+    figure = core_bytes(sides, prod(d for d, c in outputs if c), d_in * prod(d for d, c in outputs if not c))
+    if figure > MAX_CORE_BYTES:
+        raise ContractError(f"device too large: a solve on it needs {figure / 2**20:,.1f} MiB of core "
+                            f"arrays, over the limit of {MAX_CORE_BYTES / 2**20:,.1f} MiB")
+    return figure
 
 
 def device_family(members, kind: str):
@@ -193,13 +204,9 @@ def joint_device(d_in: int, outputs, members=None) -> JointDevice:
     value i is the sum of the blocks with that value, an effect as it is when
     every output is classical and d_in (Tr_out J)^T of Choi blocks J
     otherwise.  ``members`` lists each member's operators: its effects if
-    classical, its one Choi matrix if quantum.  First of all, a device whose solves need
-    more than ``MAX_CORE_BYTES`` of core arrays (``core_bytes``) is refused by ``ContractError``."""
-    sides = [d_in] + [s for dim, classical in outputs for s in ([d_in] * dim if classical else [dim * d_in])]
-    figure = core_bytes(sides, prod(dim for dim, classical in outputs if classical))
-    if figure > MAX_CORE_BYTES:
-        raise ContractError(f"device too large: a solve on it needs {figure / 2**20:,.1f} MiB of core "
-                            f"arrays, over the limit of {MAX_CORE_BYTES / 2**20:,.1f} MiB")
+    classical, its one Choi matrix if quantum.  First of all, ``require_size`` refuses a
+    device too large to solve."""
+    require_size(d_in, outputs)
     quantum = [dim for dim, classical in outputs if not classical]
     factors, nq, k = (*quantum, d_in), len(quantum), (d_in if quantum else 1)
     labels = assignments([dim if classical else 1 for dim, classical in outputs])
@@ -236,7 +243,7 @@ def max_margin_check(d_in: int, outputs, members,
     compatible collection at 0 and relaxes it on an incompatible one.  The
     joint has zero blocks at the labels of those values, so it keeps the
     input's outcome order."""
-    labels = joint_device(d_in, outputs).labels  # the joint's; a device too large is refused here
+    require_size(d_in, outputs)
     kept = [[i for i, m in enumerate(ms) if np.abs(m).max() > TOL] for ms in members]
     device = joint_device(d_in, [(len(at) if classical else dim, classical)
                                  for (dim, classical), at in zip(outputs, kept)],
@@ -264,6 +271,7 @@ def max_margin_check(d_in: int, outputs, members,
         blocks = dict(zip(itertools.product(*kept), (hermitize(b) + margin * np.eye(b.shape[0])
                                                      for b in sol.block_values)))
         zero = np.zeros((device.blocks[0],) * 2, dtype=complex)
+        labels = assignments([dim if classical else 1 for dim, classical in outputs])
         joint = device.joint([blocks.get(l, zero) for l in labels])
     return CompatibilityVerdict(compatible, margin, joint)
 

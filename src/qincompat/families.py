@@ -300,13 +300,14 @@ def _rows_index(rows, cols):
     return (rows if a is None else a), (cols if b is None else b)
 
 
-def core_bytes(sides, blocks: int) -> int:
+def core_bytes(sides, blocks: int, side: int) -> int:
     """Bytes of the core arrays of a solve over equations of ``sides`` on ``blocks`` parent
-    blocks: the Schur complement M over their m = sum side^2 rows, one ``LiftSchur`` contraction
-    stack T of (blocks, D^2, D^2) complex entries, D the largest side, and its dense member
-    weights (F^2, blocks) for F equations."""
+    blocks of side S = ``side``: the interior-point step's 40 complex S x S matrices per block
+    (peak RSS is 40 to 46 of them on 6 to 9 qubit identity channels), the Schur complement M over
+    the m = sum side^2 rows, one ``LiftSchur`` contraction stack T of (blocks, D^2, D^2) complex
+    entries, D the largest equation side, and its dense member weights (F^2, blocks) for F equations."""
     m = sum(s * s for s in sides)
-    return 8 * m * m + 16 * blocks * max(sides) ** 4 + 8 * len(sides) ** 2 * blocks
+    return 640 * blocks * side**2 + 8 * m * m + 16 * blocks * max(sides) ** 4 + 8 * len(sides) ** 2 * blocks
 
 
 class LiftSchur:

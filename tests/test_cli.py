@@ -70,7 +70,7 @@ def test_robustness_of_a_device_too_large_exits_one_with_one_line(tmp_path, caps
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
-    assert "needs 4,608.2 MiB of core arrays, over the limit of 776.0 MiB" in err
+    assert "needs 5,218.6 MiB of core arrays, over the limit of 936.0 MiB" in err
 
 
 def test_robustness_channels_of_mixed_output_dimensions(tmp_path, capsys):

@@ -60,9 +60,9 @@ def test_assignments():
     assert assignments([3, 2]) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
     # the enumeration of a measurement collection is limited by the size of
     # its solves, not by a count: 2^20 outcome tuples, and 40 x 40 tuples on C^40
-    with pytest.raises(ContractError, match="needs 13,704.2 MiB .* limit of 776.0 MiB"):
+    with pytest.raises(ContractError, match="needs 16,264.2 MiB .* limit of 936.0 MiB"):
         joint_device(*device_family(PovmCollection([basis_povm(2)] * 20).povms, "measurements"))
-    with pytest.raises(ContractError, match="needs 190,724.6 MiB .* limit of 776.0 MiB"):
+    with pytest.raises(ContractError, match="needs 192,287.1 MiB .* limit of 936.0 MiB"):
         joint_device(*device_family(PovmCollection([basis_povm(40)] * 2).povms, "measurements"))
 
 
@@ -366,11 +366,11 @@ def _sized(members, kind):
 @pytest.mark.parametrize("family, inputs, message", [
     (partial(device_family, kind="channels"), [], "need one or more members on one input dimension"),
     (partial(_sized, kind="channels"), [identity_channel(7)] * 5,
-     "device too large: a solve on it needs 1,196.5 MiB of core arrays, over the limit of 776.0 MiB"),
+     "device too large: a solve on it needs 8,449,247.8 MiB of core arrays, over the limit of 936.0 MiB"),
     (partial(_sized, kind="measurements"), PovmCollection([basis_povm(8)] * 5).povms,
-     "device too large: a solve on it needs 2,520.8 MiB of core arrays, over the limit of 776.0 MiB"),
-    (partial(_sized, kind="measurements"), PovmCollection([Povm([np.eye(40) / 5] * 5)]).povms,
-     "device too large: a solve on it needs 898.4 MiB of core arrays, over the limit of 776.0 MiB"),
+     "device too large: a solve on it needs 3,800.8 MiB of core arrays, over the limit of 936.0 MiB"),
+    (partial(_sized, kind="measurements"), PovmCollection([Povm([np.eye(42) / 5] * 5)]).povms,
+     "device too large: a solve on it needs 1,097.4 MiB of core arrays, over the limit of 936.0 MiB"),
 ], ids=["no-channel", "five-channels", "five-settings", "five-outcomes"])
 def test_families_refuse_past_their_caps_naming_them(family, inputs, message):
     with pytest.raises(ContractError, match=message):

@@ -611,8 +611,8 @@ def _rejection_cases():
             ContractError, "setting 0 needs a Povm, got ChoiMatrix"),
         "a parent measurement too large to solve, best": (
             lambda: _unenumerated(best, twelve, fours, "measurements"),
-            ContractError, "device too large: a solve on it needs 311,424.3 MiB of core arrays, "
-                           "over the limit of 776.0 MiB"),
+            ContractError, "device too large: a solve on it needs 352,384.3 MiB of core arrays, "
+                           "over the limit of 936.0 MiB"),
     }
 
 

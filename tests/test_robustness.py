@@ -107,6 +107,8 @@ def test_many_qubit_identity_channels(n):
 
 
 _ID10, _TWELVE = [identity_channel(10)] * 2, PovmCollection([Povm([np.eye(2) / 4] * 4)] * 12)
+# small equations, but one joint block on (C^2)^15 of 16 GiB
+_QUBITS14 = [identity_channel(2)] * 14
 # the check solves without the zero effects, a device of 2^12 blocks, but would report the joint of all 4^12
 _ZEROS = PovmCollection([Povm([np.eye(2) / 2] * 2 + [np.zeros((2, 2))] * 2)] * 12)
 
@@ -114,12 +116,14 @@ _ZEROS = PovmCollection([Povm([np.eye(2) / 2] * 2 + [np.zeros((2, 2))] * 2)] * 1
 @pytest.mark.parametrize("call, members", [
     (robustness_channels_primal, _ID10), (robustness_channels_dual, _ID10), (check_channels, _ID10),
     (robustness_measurements, _TWELVE), (robustness_measurements_dual, _TWELVE), (check_measurements, _TWELVE),
-    (check_measurements, _ZEROS),
+    (check_measurements, _ZEROS), (robustness_channels_primal, _QUBITS14), (check_channels, _QUBITS14),
 ], ids=["channels-primal", "channels-dual", "channels-check",
-        "measurements-primal", "measurements-dual", "measurements-check", "measurements-check-zero-effects"])
+        "measurements-primal", "measurements-dual", "measurements-check", "measurements-check-zero-effects",
+        "fourteen-qubit-channels-primal", "fourteen-qubit-channels-check"])
 def test_devices_too_large_are_refused_before_they_are_built(monkeypatch, call, members):
-    # the identity pair on C^10 and twelve 4-outcome qubit measurements: no
-    # outcome tuple is enumerated and no array of the device's size allocated
+    # the identity pair on C^10, twelve 4-outcome qubit measurements and fourteen
+    # qubit identity channels: no outcome tuple is enumerated and no array of the
+    # device's size allocated
     def enumerate_outcomes(counts):
         raise AssertionError("assignments ran")
 
@@ -128,7 +132,7 @@ def test_devices_too_large_are_refused_before_they_are_built(monkeypatch, call, 
     tracemalloc.start()
     try:
         with pytest.raises(ContractError, match=r"device too large: a solve on it needs "
-                                                r"(4,608\.2|311,424\.3) MiB .* limit of 776\.0 MiB"):
+                                                r"(5,218\.6|352,384\.3|655,360\.4) MiB .* limit of 936\.0 MiB"):
             call(members)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

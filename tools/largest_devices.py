@@ -1,5 +1,5 @@
 """Solve the largest devices that the tests leave out, once each, and check
-their memory against the size figure that ``compat.joint_device`` limits.
+their memory against the size figure that ``compat.require_size`` limits.
 
     python3 tools/largest_devices.py [--summary FILE] [DEVICE ...]
 
@@ -7,8 +7,8 @@ DEVICE is one of the names in ``DEVICES``; the default is the complete set
 of mutually unbiased bases (MUBs) in d = 5 and the identity pair on C^6.
 Each device runs in a process of its own, with one BLAS thread, through the
 robustness primal and its independent dual.  A device's figure is
-``families.core_bytes`` of the equation sides and block count of its joint
-device, as built; its baseline is the peak RSS after the imports.  For each
+``compat.require_size`` of its input dimension and outputs, the figure that
+the limit reads; its baseline is the peak RSS after the imports.  For each
 device one JSON line is printed, and with ``--summary`` a Markdown table row
 is appended to FILE (a CI job summary).  Exits 1 when a device's
 primal-dual relative gap |R - dual| / (1 + |R|) exceeds ``GAP_BOUND``, when
@@ -43,9 +43,9 @@ def _mubs(d):
     return PovmCollection([Povm([np.outer(b[:, i], b[:, i].conj()) for i in range(d)]) for b in bases])
 
 
-def _identity_pair(d):
+def _identities(n, d):
     from qincompat import identity_channel
-    return [identity_channel(d)] * 2
+    return [identity_channel(d)] * n
 
 
 def _random_channels():
@@ -58,10 +58,12 @@ def _random_channels():
 # name -> (kind, a function returning the members)
 DEVICES = {
     "mub-5": ("measurements", lambda: _mubs(5)),
-    "identity-pair-6": ("channels", lambda: _identity_pair(6)),
-    "identity-pair-7": ("channels", lambda: _identity_pair(7)),
-    "identity-pair-8": ("channels", lambda: _identity_pair(8)),
+    "identity-pair-6": ("channels", lambda: _identities(2, 6)),
+    "identity-pair-7": ("channels", lambda: _identities(2, 7)),
+    "identity-pair-8": ("channels", lambda: _identities(2, 8)),
     "two-random-2-to-20": ("channels", _random_channels),
+    # one joint block on (C^2)^10: the figure is almost all the interior-point step's block matrices
+    "nine-qubit-identities": ("channels", lambda: _identities(9, 2)),
 }
 
 
@@ -73,16 +75,13 @@ def run_one(name):
     """Solve one device in this process and print its JSON line."""
     sys.path.insert(0, str(SRC))
     import qincompat as q
-    from qincompat.compat import device_family, joint_device
-    from qincompat.families import core_bytes
+    from qincompat.compat import device_family, require_size
 
     baseline = _peak_mib()
     kind, make = DEVICES[name]
     members = make()
     povms = members.povms if kind == "measurements" else members
-    device = joint_device(*device_family(povms, kind))
-    figure = core_bytes([fam.dim for fam in device.members] + [device.norm.dim], len(device.labels)) / 2**20
-    del device
+    figure = require_size(*device_family(povms, kind)[:2]) / 2**20
     solve = q.robustness_measurements if kind == "measurements" else q.robustness_channels_primal
     start = time.perf_counter()
     rep = solve(members)

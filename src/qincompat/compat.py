@@ -6,9 +6,9 @@ its measure-and-record channel, and a measurement-channel pair is one channel
 with a classical and a quantum output.  So one ``JointDevice``, a channel
 whose outputs, one per member, are each quantum or classical, describes
 every joint device -- parent measurement, joint channel, instrument -- and
-one validator, ``device_family``, reads every input, a list of measurements
-and channels on one input space of the kind its caller names, into its
-arguments: a list per member of its effects or of its one Choi matrix.
+one validator, ``device_family``, reads every input and every strategy a game
+scores, a list of measurements and channels on one input space of the kind
+its caller names, into its arguments: per member, its effects or [its Choi matrix].
 No count of members or outcomes is capped: ``require_size`` refuses a device
 whose solves need more than ``MAX_CORE_BYTES`` of core arrays (``core_bytes``).
 The description generates the robustness primal, the best-compatible game
@@ -74,11 +74,12 @@ def require_size(d_in: int, outputs) -> int:
 
 
 def device_family(members, kind: str):
-    """The ``joint_device`` arguments (d_in, outputs, members) of a list of
+    """The ``joint_device`` arguments (d_in, outputs, members) of a list or tuple of
     valid devices of ``kind`` on one input space, each a ``Povm`` (a classical
     output, its effects) or a ``ChoiMatrix`` (a quantum output, [its matrix]).
     Their size is ``joint_device``'s to limit."""
-    members = list(members)
+    if not isinstance(members, (list, tuple)):
+        raise ContractError(f"members must be a list or tuple, got {type(members).__name__}")
     for x, m in enumerate(members):
         if not isinstance(m, (Povm, ChoiMatrix)):
             raise ContractError(f"member {x} of type {type(m).__name__} is neither a Povm nor a ChoiMatrix")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import JointDevice, joint_device, unit_marginal
+from .compat import JointDevice, device_family, joint_device, require_size, unit_marginal
 from .linalg import (
     TOL,
     ContractError,
@@ -60,6 +60,14 @@ WITNESS_DROP_TOL = 1e-10
 
 class DegenerateWitnessError(ContractError):
     """The witness is numerically zero, so no game can be built from it."""
+
+
+class ChainCheckError(ContractError):
+    """A sampled game broke a link of ``unassisted_bound_check``; ``check`` is its (name, value, target, tol)."""
+
+    def __init__(self, message: str, check: tuple):
+        super().__init__(message)
+        self.check = check
 
 
 @dataclass(eq=False)
@@ -166,58 +174,45 @@ class Strategy:
         return Strategy(pair_mode=(povm, channel, self.pair_mode[2]))
 
 
-def _final_measurements(strat: Strategy) -> tuple[tuple[str, ...], PovmCollection]:
-    """The kinds a strategy reads as, the first by default, and its final measurements;
-    measuring directly reads as the identity channels or as measurements."""
+def _final_measurements(strat: Strategy) -> PovmCollection:
+    """A strategy's final measurements: a pair's one, or those it measures with."""
     if strat.pair_mode is not None:
         povm, channel, final = strat.pair_mode
         if povm is None or channel is None:
             raise ContractError("pair-mode strategy template is not filled in")
-        return ("pair",), PovmCollection([final])
+        return PovmCollection([final])
     if strat.measurements is None:
         raise ContractError("strategy carries no measurements")
-    return ("channels",) + ("measurements",) * (strat.preprocess is None), strat.measurements
+    return strat.measurements
 
 
 def _score(strat: Strategy, device: JointDevice, coeffs) -> float:
-    """sum_m Re Tr[K_m R_m] over the strategy's devices R_m, each checked against its
-    output, type before size (C^3 -> C^2 flattens as C^2 -> C^3 does), validated, then scored."""
-    d, outputs = device.d_in, device.outputs
+    """sum_m Re Tr[K_m R_m] over the strategy's devices R_m, read by ``device_family``
+    as devices of the device's kind and required to have its input and outputs."""
+    d = device.d_in
     if strat.pair_mode is not None:
         resource = strat.pair_mode[:2]
-    elif not device.quantum:
-        resource = strat.measurements.povms
-    elif strat.preprocess is None:
-        omega = np.eye(d).ravel() / np.sqrt(d)  # identity_channel needs d >= 2
-        resource = [ChoiMatrix(d, d, np.outer(omega, omega))] * len(outputs)
-    else:
+    elif strat.preprocess is not None:
         resource = strat.preprocess
-    for x, (r, (_, classical)) in enumerate(zip(resource, outputs)):
-        need = Povm if classical else ChoiMatrix
-        if not isinstance(r, need):
-            raise ContractError(f"setting {x} needs a {need.__name__}, got {type(r).__name__}")
-    if len(resource) != len(outputs):
-        raise DimensionError(f"one {'preprocessing channel' if device.quantum else 'measurement'} "
-                             f"per setting required")
-    members = []
-    for x, (r, (dim, classical)) in enumerate(zip(resource, outputs)):
-        if classical and (r.outcomes, r.dim) != (dim, d):
-            raise DimensionError(f"state and effect dimensions differ: measurement {x} has {r.outcomes} "
-                                 f"outcomes on C^{r.dim}, the game needs {dim} on C^{d}")
-        if not classical and (r.dim_in, r.dim_out) != (d, dim):
-            raise DimensionError(f"state and effect dimensions differ: channel {x} maps "
-                                 f"C^{r.dim_in} to C^{r.dim_out}, the game needs C^{d} to C^{dim}")
-        r.validate()
-        members += r.elements if classical else [r.matrix]
-    return float(sum(np.einsum("ij,ji->", k, r).real for k, r in zip(coeffs, members)))
+    elif device.quantum:
+        omega = np.eye(d).ravel() / np.sqrt(d)  # identity_channel needs d >= 2
+        resource = [ChoiMatrix(d, d, np.outer(omega, omega))] * len(device.outputs)
+    else:
+        resource = strat.measurements.povms
+    d_in, outputs, members = device_family(resource, device.kind)
+    if (d_in, outputs) != (d, device.outputs):
+        raise DimensionError(f"the strategy's devices act on C^{d_in} with outputs {outputs}, "
+                             f"the game needs C^{d} with outputs {device.outputs}")
+    return float(sum(np.einsum("ij,ji->", k, r).real
+                     for k, r in zip(coeffs, (m for ops in members for m in ops))))
 
 
 def success_prob(game: DiscriminationGame, strat: Strategy) -> float:
     """Average probability of guessing the drawn state's label.  A strategy
     that measures directly scores as the identity channels, which on an
     unassisted game is its score as a measurement resource."""
-    kinds, meas = _final_measurements(strat)
-    return _score(strat, *_kernels(game, meas, kinds[0]))
+    kind = "channels" if strat.pair_mode is None else "pair"
+    return _score(strat, *_kernels(game, _final_measurements(strat), kind))
 
 
 def _kernel(rho, m, d: int, dp: int, db: int) -> np.ndarray:
@@ -375,10 +370,10 @@ def advantage_ratio(game: DiscriminationGame, meas: PovmCollection,
     """Success of the given strategy over the best compatible one, both
     followed by ``meas``: the strategy must be of ``kind`` and measure with
     ``meas``; for "measurements" it measures with ``meas`` directly."""
-    own_kinds, own = _final_measurements(resource_strategy)
-    if kind not in own_kinds or own.n != meas.n or not all(
+    own = _final_measurements(resource_strategy)
+    if own.n != meas.n or not all(
             np.array_equal(p.elements, q.elements) for p, q in zip(own.povms, meas.povms)):
-        raise ContractError(f"the strategy is not a {kind} strategy that measures with meas")
+        raise ContractError("the strategy is not one that measures with meas")
     device, coeffs = _kernels(game, meas, kind)
     num = _score(resource_strategy, device, coeffs)
     den = best_compatible_program(device, coeffs, options, f"compatible-best ({kind})")
@@ -415,6 +410,7 @@ def unassisted_bound_check(d: int, trials: int, rng_seed: int = 0,
         raise ContractError(f"need at least one sampled game, got trials={trials}")
     rng = np.random.default_rng(rng_seed)
     bound = 2 * (d + 1) / (d + 3)
+    require_size(d, [(d, False)] * 2)  # the cloner is the identity pair's joint channel
     clone = cloning_channel(d)
     clones = [marginal(clone, 1), marginal(clone, 2)]
     max_ratio = 0.0
@@ -430,9 +426,11 @@ def unassisted_bound_check(d: int, trials: int, rng_seed: int = 0,
         ratio = p_id / p_best
         chain = p_id / p_clone
         if ratio > chain + 1e-9:
-            raise ContractError("compatible optimum fell below the cloning strategy")
+            raise ChainCheckError("compatible optimum fell below the cloning strategy",
+                                  ("ratio_within_cloning_ratio", ratio, chain, 1e-9))
         if chain > bound + 1e-6:
-            raise ContractError("sampled ratio exceeded the unassisted bound")
+            raise ChainCheckError("sampled ratio exceeded the unassisted bound",
+                                  ("cloning_ratio_within_bound", chain, bound, 1e-6))
         max_ratio = max(max_ratio, ratio)
     assisted_value = 2 * d / (d + 1)
     return {"dim": d, "trials": trials, "seed": rng_seed, "max_ratio": float(max_ratio),

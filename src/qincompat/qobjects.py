@@ -20,6 +20,7 @@ from .linalg import (
     TOL,
     ContractError,
     DimensionError,
+    as_matrix,
     hermitize,
     is_integer,
     json_int,
@@ -170,7 +171,7 @@ class Povm:
     elements: list
 
     def __post_init__(self):
-        self.elements = [np.asarray(m, dtype=complex) for m in self.elements]
+        self.elements = [as_matrix(m) for m in self.elements]
         if not self.elements:
             raise DimensionError("a measurement needs at least one outcome")
         d = self.elements[0].shape[0]

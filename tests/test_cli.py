@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 
 import qincompat.cli as cli
-from qincompat import compat
+from qincompat import compat, games
 from qincompat.compat import assignments
 from qincompat.linalg import matrix_from_json
 from qincompat.qobjects import (
     Povm,
     PovmCollection,
     basis_povm,
+    depolarizing_channel,
     identity_channel,
     projective_from_hermitian,
     qc_channel,
@@ -529,3 +531,40 @@ def test_stdout_closed_by_its_reader_exits_one_without_a_traceback(command):
         os.close(w)
     assert out.returncode == 1
     assert out.stderr.splitlines() == ["error: stdout was closed before the report was written"]
+
+
+@pytest.mark.parametrize("command", [["demo", "cloning", "--dim", "25"],
+                                     ["verify", "appendixC", "--dim", "25", "--trials", "1"]])
+def test_a_cloner_too_large_is_refused_before_it_is_built(command):
+    # the cloner on C^25 is a 15625 x 15625 complex Choi matrix, 3.6 GiB: under
+    # a 1.5 GB address-space limit, building it ended in a MemoryError traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = 1536 * 2**20
+    out = subprocess.run([sys.executable, "-m", "qincompat.cli", *command], env=env, capture_output=True,
+                         text=True, timeout=120,
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: device too large: a solve on it needs ")
+
+
+
+
+@pytest.mark.parametrize("attr, broken, trials, name", [
+    # a compatible optimum, halved, falls below the cloning strategy
+    ("best_compatible_program", lambda *args, real=games.best_compatible_program: real(*args) / 2, "1",
+     "ratio_within_cloning_ratio"),
+    # completely depolarizing "cloner" marginals fall far behind the identity
+    ("marginal", lambda joint, x: depolarizing_channel(joint.dim_in, 0.0), "5", "cloning_ratio_within_bound"),
+], ids=["optimum-below-cloner", "cloner-past-bound"])
+def test_verify_appendix_c_reports_a_broken_chain_as_a_failed_check(monkeypatch, capsys, attr, broken, trials, name):
+    # a failed link of the chain is a failed check: exit 3 with its report, not an invalid input
+    monkeypatch.setattr(games, attr, broken)
+    code, out, err = run_cli(["verify", "appendixC", "--trials", trials], capsys)
+    assert (code, err) == (3, "")
+    rep = json.loads(out)
+    assert rep["passed"] is False and "detail" not in rep
+    assert [(c["name"], c["pass"]) for c in rep["checks"]] == [("cloning_marginal_deviation", True), (name, False)]

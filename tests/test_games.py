@@ -272,10 +272,12 @@ def test_advantage_ratio_needs_the_strategy_to_measure_with_meas():
     swapped = PovmCollection([Povm(p.elements[::-1]) for p in meas.povms])
     pair = Strategy(pair_mode=(basis_povm(2), identity_channel(2), meas.povms[0]))
     for strat, kind in ((Strategy(preprocess=ids, measurements=swapped), "channels"),
-                        (Strategy(preprocess=ids, measurements=meas), "pair"),
                         (pair, "channels")):
         with pytest.raises(ContractError, match="measures with meas"):
             advantage_ratio(game, meas, strat, kind)
+    # a channels strategy asked for as a pair: a pair's kernels take one final measurement
+    with pytest.raises(DimensionError, match="one final measurement per channel required"):
+        advantage_ratio(game, meas, Strategy(preprocess=ids, measurements=meas), "pair")
 
 
 def test_compatible_resource_never_beats_denominator():
@@ -493,10 +495,11 @@ def test_measurement_game_refuses_other_strategies_and_witnesses():
     zx = _measurement_cases()["Z/X"]
     w = robustness_measurements(zx).witness
     game = game_from_measurement_witness(w, 2)
-    with pytest.raises(ContractError, match="measures with meas"):
+    with pytest.raises(ContractError, match="need measurements, got channels"):
         advantage_ratio(game, zx, Strategy(preprocess=[identity_channel(2)] * 2, measurements=zx),
                         "measurements")
-    with pytest.raises(DimensionError, match="one measurement per setting required"):
+    with pytest.raises(DimensionError, match=re.escape("outputs [(2, True)], the game needs C^2 with "
+                                                       "outputs [(2, True), (2, True)]")):
         one = PovmCollection(zx.povms[:1])
         advantage_ratio(game, one, Strategy(measurements=one), "measurements")
     with pytest.raises(ContractError, match="need a measurement-kind witness"):
@@ -562,7 +565,8 @@ def _rejection_cases():
             DimensionError, "one final measurement per channel required"),
         "one channel per setting": (
             lambda: sp(game, Strategy(preprocess=[identity_channel(2)], measurements=meas)),
-            DimensionError, "one preprocessing channel per setting required"),
+            DimensionError, "the strategy's devices act on C^2 with outputs [(2, False)], "
+                            "the game needs C^2 with outputs [(2, False), (2, False)]"),
         "outcomes differ": (
             lambda: sp(game, Strategy(measurements=three)),
             DimensionError, "ensemble size and measurement outcomes differ"),
@@ -571,7 +575,8 @@ def _rejection_cases():
             DimensionError, "ensemble size and measurement outcomes differ"),
         "state and effect dimensions differ": (
             lambda: sp(game, Strategy(measurements=qutrit)),
-            DimensionError, "state and effect dimensions differ"),
+            DimensionError, "the strategy's devices act on C^2 with outputs [(2, False), (2, False)], "
+                            "the game needs C^2 with outputs [(3, False), (3, False)]"),
         "pair template not filled": (
             lambda: sp(assisted, Strategy(pair_mode=(None, None, final))),
             ContractError, "pair-mode strategy template is not filled in"),
@@ -592,8 +597,8 @@ def _rejection_cases():
             ContractError, "unknown strategy kind 'bogus'"),
         "channels the wrong way round": (
             lambda: sp(game, Strategy(preprocess=backwards, measurements=qutrit)),
-            DimensionError, "state and effect dimensions differ: channel 0 maps C^3 to C^2, "
-                            "the game needs C^2 to C^3"),
+            DimensionError, "the strategy's devices act on C^3 with outputs [(2, False), (2, False)], "
+                            "the game needs C^2 with outputs [(3, False), (3, False)]"),
         "a measurement that is not a POVM": (
             lambda: sp(zz, Strategy(measurements=negative)),
             ContractError, "effect 1 is not PSD"),
@@ -605,10 +610,10 @@ def _rejection_cases():
             ContractError, "Choi matrix trace is"),
         "a measurement where a channel goes": (
             lambda: sp(game, Strategy(preprocess=[basis_povm(2)] * 2, measurements=meas)),
-            ContractError, "setting 0 needs a ChoiMatrix, got Povm"),
+            ContractError, "need channels, got measurements: members of types Povm, Povm"),
         "a pair filled in the wrong order": (
             lambda: advantage_ratio(assisted, PovmCollection([final]), swapped, "pair"),
-            ContractError, "setting 0 needs a Povm, got ChoiMatrix"),
+            ContractError, "need pair, got mixed: members of types ChoiMatrix, Povm"),
         "a parent measurement too large to solve, best": (
             lambda: _unenumerated(best, twelve, fours, "measurements"),
             ContractError, "device too large: a solve on it needs 352,384.3 MiB of core arrays, "

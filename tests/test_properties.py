@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qincompat.compat import check_channels, check_measurements, check_pair
-from qincompat.games import Strategy, advantage_ratio, random_game
+from qincompat.games import DiscriminationGame, Strategy, advantage_ratio, random_game
 from qincompat.qobjects import (
     ChoiMatrix,
     Instrument,
@@ -19,6 +19,7 @@ from qincompat.qobjects import (
     random_channel,
     random_joint_channel,
     random_povm,
+    random_state,
     random_unitary,
     unitary_channel,
 )
@@ -162,3 +163,30 @@ def test_a_witness_scores_at_most_one_on_compatible_devices(seed):
     for rep, devices_of_its_kind in zip(reports, compatible):
         assert rep.primal_value > tolerance(rep)
         assert rep.witness.evaluate(*devices_of_its_kind) <= 1 + tolerance(rep)
+
+
+def game_of_sizes(sizes, side, rng, assisted=False) -> DiscriminationGame:
+    """A random game with one ensemble of each size, of states on C^side."""
+    return DiscriminationGame(prior=rng.dirichlet(np.ones(len(sizes))), assisted=assisted,
+                              ensembles=[[(p, random_state(side, rng)) for p in rng.dirichlet(np.ones(o))]
+                                         for o in sizes])
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_a_compatible_strategy_never_beats_the_compatible_optimum(seed):
+    # each kind on its own game: the channels on an assisted game before random
+    # final measurements, the measurements directly on an unassisted game, and
+    # the pair's measurement and channel on an assisted two-ensemble game
+    rng = np.random.default_rng(seed)
+    povms, chans, instrument = compatible_devices(rng)
+    finals = PovmCollection([random_povm(4, 2, rng) for _ in range(2)])
+    final = PovmCollection(finals.povms[:1])
+    cases = [(game_of_sizes([2, 2], 4, rng, True), finals, Strategy(preprocess=chans, measurements=finals),
+              "channels"),
+             (game_of_sizes([2, 3], 2, rng), PovmCollection(povms), Strategy(measurements=PovmCollection(povms)),
+              "measurements"),
+             (game_of_sizes([3, 2], 4, rng, True), final,
+              Strategy(pair_mode=(instrument_povm(instrument), instrument_total(instrument), final.povms[0])), "pair")]
+    for game, meas, strategy, kind in cases:
+        assert advantage_ratio(game, meas, strategy, kind) <= 1 + 1e-7

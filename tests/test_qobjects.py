@@ -359,6 +359,16 @@ def test_json_roundtrips():
         object_from_json({"kind": "nonsense"})
 
 
+@pytest.mark.parametrize("effects, match", [
+    ([1.0], r"expected a square matrix, got shape \(\)"),  # it raised IndexError
+    ([], "a measurement needs at least one outcome"),
+    ([np.eye(2), np.eye(3)], "all effects must be square with a common dimension"),
+], ids=["scalar", "none", "mixed"])
+def test_a_povm_needs_square_effects_of_one_dimension(effects, match):
+    with pytest.raises(DimensionError, match=match):
+        Povm(effects)
+
+
 def test_a_collection_refuses_a_member_that_is_not_a_povm():
     # before the size checks, which read a POVM's dimension
     with pytest.raises(ContractError, match="measurement 0 needs a Povm, got ChoiMatrix"):

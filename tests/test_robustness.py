@@ -7,6 +7,7 @@ import pytest
 
 from qincompat import compat, robustness
 from qincompat.compat import check_channels, check_measurements, check_pair
+from qincompat.games import unassisted_bound_check
 from qincompat.linalg import ContractError, DimensionError
 from qincompat.qobjects import (
     ChoiMatrix,
@@ -117,9 +118,10 @@ _ZEROS = PovmCollection([Povm([np.eye(2) / 2] * 2 + [np.zeros((2, 2))] * 2)] * 1
     (robustness_channels_primal, _ID10), (robustness_channels_dual, _ID10), (check_channels, _ID10),
     (robustness_measurements, _TWELVE), (robustness_measurements_dual, _TWELVE), (check_measurements, _TWELVE),
     (check_measurements, _ZEROS), (robustness_channels_primal, _QUBITS14), (check_channels, _QUBITS14),
+    (lambda d: unassisted_bound_check(d, 1), 10),  # the cloner on C^10, a joint channel of the identity pair
 ], ids=["channels-primal", "channels-dual", "channels-check",
         "measurements-primal", "measurements-dual", "measurements-check", "measurements-check-zero-effects",
-        "fourteen-qubit-channels-primal", "fourteen-qubit-channels-check"])
+        "fourteen-qubit-channels-primal", "fourteen-qubit-channels-check", "unassisted-bound-cloner"])
 def test_devices_too_large_are_refused_before_they_are_built(monkeypatch, call, members):
     # the identity pair on C^10, twelve 4-outcome qubit measurements and fourteen
     # qubit identity channels: no outcome tuple is enumerated and no array of the
@@ -205,8 +207,11 @@ def test_witness_rejects_a_collection_of_another_shape():
     (lambda: robustness_channels_dual([identity_channel(2)] * 2).evaluate([basis_povm(2),
                                                                            identity_channel(2)]),
      "need channels, got pair: members of types Povm, ChoiMatrix"),
+    (lambda: robustness_channels_primal(None), "members must be a list or tuple, got NoneType"),
+    (lambda: robustness_channels_dual([identity_channel(2)] * 2).evaluate(None),
+     "members must be a list or tuple, got NoneType"),
 ], ids=["channels-given-a-pair", "pair-in-the-wrong-order", "pair-given-channels", "check-channels-given-a-pair",
-        "channel-witness-given-a-pair"])
+        "channel-witness-given-a-pair", "channels-given-none", "channel-witness-given-none"])
 def test_each_kind_refuses_the_members_of_another(call, message):
     # a pair is exactly a measurement and then a channel
     with pytest.raises(ContractError, match=message):

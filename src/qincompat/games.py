@@ -17,6 +17,14 @@ met by rho on (input d) x (reference) before the effect M on (output) x
 (reference), has K[(b,j),(a,i)] = d sum_rs rho[(i,r),(j,s)] M[(b,s),(a,r)];
 an unassisted game has a one-dimensional reference, and a classical kernel
 traces it out.  A strategy and the compatible optimum both read the kernels.
+
+An unassisted channel game whose final effects are all *sharp* (each has
+eigenvalue 1) has the compatible optimum of its measurement program, o^n
+blocks of side d in place of one of side dp^n d: compatible channels act
+only through the compatible pulled-back effects, and a measure-and-prepare
+joint channel reaches every compatible measurement collection.  With
+largest eigenvalue 1 - eps the two optima differ by at most eps times the
+measurement optimum (``_compatible_optimum``); sharp means eps <= ``TOL``.
 """
 
 from __future__ import annotations
@@ -174,6 +182,13 @@ class Strategy:
         return Strategy(pair_mode=(povm, channel, self.pair_mode[2]))
 
 
+def _collection(meas) -> PovmCollection:
+    """``meas`` if it is a ``PovmCollection``; ``ContractError`` naming its type if not."""
+    if not isinstance(meas, PovmCollection):
+        raise ContractError(f"final measurements must be a PovmCollection, got {type(meas).__name__}")
+    return meas
+
+
 def _final_measurements(strat: Strategy) -> PovmCollection:
     """A strategy's final measurements: a pair's one, or those it measures with."""
     if strat.pair_mode is not None:
@@ -183,7 +198,7 @@ def _final_measurements(strat: Strategy) -> PovmCollection:
         return PovmCollection([final])
     if strat.measurements is None:
         raise ContractError("strategy carries no measurements")
-    return strat.measurements
+    return _collection(strat.measurements)
 
 
 def _score(strat: Strategy, device: JointDevice, coeffs) -> float:
@@ -222,13 +237,29 @@ def _kernel(rho, m, d: int, dp: int, db: int) -> np.ndarray:
     return hermitize(d * k.reshape(dp * d, dp * d))
 
 
-def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str):
+def _reduced_program(game: DiscriminationGame, meas: PovmCollection, kind: str):
+    """The parent measurement's device and kernels prior * p * rho, if the
+    compatible optimum of a game that ``_kernels`` accepts is theirs: an
+    unassisted channel game whose final effects all have largest eigenvalue 1,
+    to ``TOL`` (``_compatible_optimum``); None otherwise."""
+    if kind != "channels" or game.assisted or not all(
+            abs(np.linalg.eigvalsh(m)[-1] - 1) <= TOL for povm in meas.povms for m in povm.elements):
+        return None
+    return (joint_device(game.state_dim, [(len(ens), True) for ens in game.ensembles]),
+            [prior * p * rho for prior, ens in zip(game.prior, game.ensembles) for p, rho in ens])
+
+
+def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str, optimum: bool = False):
     """The joint device of the compatible resources of ``kind`` (see
     ``best_compatible_success``) and one kernel per member of the device:
     prior * p * rho, traced over the reference, per value of a classical
-    member, and per channel that of its final measurement, the next in ``meas``."""
+    member, and per channel that of its final measurement, the next in ``meas``.
+    With ``optimum``, after every refusal of ``kind``, the device and kernels
+    of the program whose value is the compatible optimum: an unassisted
+    channel game with sharp final effects takes the measurement program's
+    (``_compatible_optimum``)."""
     game.validate()
-    meas.validate()
+    _collection(meas).validate()
     d, dp, db = game.state_dim, meas.dim, 1
     if game.assisted:  # states on base x base, measurements on output x base
         d = db = int(round(np.sqrt(game.state_dim)))
@@ -244,20 +275,23 @@ def _kernels(game: DiscriminationGame, meas: PovmCollection, kind: str):
                "measurements": [(o, True) for o in sizes]}.get(kind)
     if outputs is None:
         raise ContractError(f"unknown strategy kind {kind!r}")
-    channels = sum(not classical for _, classical in outputs)
-    if channels and meas.n != channels:  # with no channel, meas is the measured collection
+    channels = [x for x, (_, classical) in enumerate(outputs) if not classical]
+    if channels and meas.n != len(channels):  # with no channel, meas is the measured collection
         raise DimensionError("one final measurement per channel required")
-    device = joint_device(d, outputs)  # refuses a device too large to solve
+    require_size(d, outputs)  # refuses a device too large to solve
+    if any(sizes[x] != povm.outcomes for x, povm in zip(channels, meas.povms)):
+        raise DimensionError("ensemble size and measurement outcomes differ")
+    reduced = _reduced_program(game, meas, kind) if optimum else None
+    if reduced:
+        return reduced
+    device = joint_device(d, outputs)
     coeffs, finals = [], iter(meas.povms)
     for prior, (_, classical), ens in zip(game.prior, outputs, game.ensembles):
         if classical:
             coeffs += [prior * p * partial_trace(rho, (d, db), (0,)) for p, rho in ens]
             continue
-        povm = next(finals)
-        if len(ens) != povm.outcomes:
-            raise DimensionError("ensemble size and measurement outcomes differ")
         coeffs.append(prior * sum(p * _kernel(rho, m, d, dp, db)  # some p > 0: the game is valid
-                                  for (p, rho), m in zip(ens, povm.elements) if p != 0.0))
+                                  for (p, rho), m in zip(ens, next(finals).elements) if p != 0.0))
     return device, coeffs
 
 
@@ -283,14 +317,40 @@ def best_compatible_success(game: DiscriminationGame, meas: PovmCollection,
     """Maximum success probability over compatible processing resources.
 
     ``kind="channels"``: the player preprocesses with an arbitrary compatible
-    channel collection before measuring with ``meas``.  ``kind="pair"``: the
-    player uses an arbitrary instrument; its measurement answers setting 1
-    and its total channel feeds the single POVM in ``meas`` for setting 2.
+    channel collection before measuring with ``meas``; on an unassisted game
+    with sharp final effects that optimum is the parent measurement's
+    (``_compatible_optimum``).  ``kind="pair"``: the player uses an arbitrary
+    instrument; its measurement answers setting 1 and its total channel
+    feeds the single POVM in ``meas`` for setting 2.
     ``kind="measurements"``: the player measures directly with the marginals of
     an arbitrary parent measurement; ``meas`` is the collection they compete with.
     """
-    device, coeffs = _kernels(game, meas, kind)
-    return best_compatible_program(device, coeffs, options, f"compatible-best ({kind})")
+    return _compatible_optimum(game, meas, kind, options)
+
+
+def _compatible_optimum(game: DiscriminationGame, meas: PovmCollection, kind: str,
+                        options: SolveOptions | None, kernels=None) -> float:
+    """The value of ``best_compatible_success``; ``kernels``, the caller's own
+    ``_kernels(game, meas, kind)`` if it has them, are read unless the game reduces.
+
+    An unassisted channel game whose final effects M_{i|x} all have largest
+    eigenvalue 1 reduces to the measurement program on the states alone, by
+    two halves.  Channels Lambda_x that are the marginals of one joint channel
+    Lambda score as the effects Lambda_x^*(M_{i|x}), and these are the marginals
+    of the parent Lambda^*(M_{i_1|1} (x) ... (x) M_{i_n|n}): no channel beats the
+    measurement optimum.  Conversely, a parent G_{i_1..i_n} is reached by the
+    measure-and-prepare joint channel that measures G and prepares, per setting
+    x, an eigenvector psi_{i_x|x} of M_{i_x|x} with eigenvalue 1: as the effects
+    of M_x sum to I, <psi_{j|x}| M_{i|x} |psi_{j|x}> is 1 when i = j and 0 when not,
+    so its pulled-back effects are G's marginals.  With largest eigenvalue
+    1 - eps the diagonal is at least 1 - eps, so the channel optimum lies
+    between (1 - eps) and 1 times the measurement optimum; sharp effects
+    (eps <= ``TOL``) take the measurement program."""
+    if kernels is None:
+        kernels = _kernels(game, meas, kind, optimum=True)
+    else:
+        kernels = _reduced_program(game, meas, kind) or kernels
+    return best_compatible_program(*kernels, options, f"compatible-best ({kind})")
 
 
 def _witness_game(ops, outputs, d: int):
@@ -370,13 +430,13 @@ def advantage_ratio(game: DiscriminationGame, meas: PovmCollection,
     """Success of the given strategy over the best compatible one, both
     followed by ``meas``: the strategy must be of ``kind`` and measure with
     ``meas``; for "measurements" it measures with ``meas`` directly."""
+    kernels = _kernels(game, meas, kind)
     own = _final_measurements(resource_strategy)
     if own.n != meas.n or not all(
             np.array_equal(p.elements, q.elements) for p, q in zip(own.povms, meas.povms)):
         raise ContractError("the strategy is not one that measures with meas")
-    device, coeffs = _kernels(game, meas, kind)
-    num = _score(resource_strategy, device, coeffs)
-    den = best_compatible_program(device, coeffs, options, f"compatible-best ({kind})")
+    num = _score(resource_strategy, *kernels)
+    den = _compatible_optimum(game, meas, kind, options, kernels)
     if den <= 0:
         raise ContractError("compatible strategies score zero on this game")
     return num / den
@@ -417,10 +477,10 @@ def unassisted_bound_check(d: int, trials: int, rng_seed: int = 0,
     for _ in range(trials):
         game = random_game(d, 2, 2, rng)
         meas = PovmCollection([random_povm(d, 2, rng) for _ in range(2)])
-        device, coeffs = _kernels(game, meas, "channels")
-        p_id = _score(Strategy(measurements=meas), device, coeffs)  # the identity channels
-        p_clone = _score(Strategy(preprocess=clones, measurements=meas), device, coeffs)
-        p_best = best_compatible_program(device, coeffs, options, "compatible-best (channels)")
+        kernels = _kernels(game, meas, "channels")
+        p_id = _score(Strategy(measurements=meas), *kernels)  # the identity channels
+        p_clone = _score(Strategy(preprocess=clones, measurements=meas), *kernels)
+        p_best = _compatible_optimum(game, meas, "channels", options, kernels)
         if p_clone <= 0 or p_best <= 0:
             raise ContractError("degenerate sampled game")
         ratio = p_id / p_best

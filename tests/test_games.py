@@ -7,6 +7,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from qincompat import games
+from qincompat.compat import joint_device
 from qincompat.games import (
     DegenerateWitnessError,
     DiscriminationGame,
@@ -25,6 +27,7 @@ from qincompat.games import (
 from qincompat.linalg import ContractError, DimensionError, kron, matrix_to_json
 from qincompat.qobjects import (
     ChoiMatrix,
+    JointChannel,
     Povm,
     apply_channel,
     apply_channel_extended,
@@ -303,6 +306,75 @@ def test_denominator_at_least_any_feasible_strategy():
     assert best >= achieved - 1e-7
 
 
+def _solves(call, *args):
+    """``call(*args)`` and the (problem, solution) of every program it solved."""
+    real, seen = games.solve, []
+
+    def recording(prob, *rest, **kw):
+        seen.append((prob, real(prob, *rest, **kw)))
+        return seen[-1][1]
+
+    with mock.patch("qincompat.games.solve", side_effect=recording):
+        return call(*args), seen
+
+
+def _channel_optimum(game, meas):
+    """The compatible optimum from the joint-channel program, never reduced."""
+    return games.best_compatible_program(*games._kernels(game, meas, "channels"), None, "channel program")
+
+
+def _sharp_games():
+    rng = np.random.default_rng(71)
+    return {f"d={d}, outputs C^{dp}, game {k}": (random_game(d, 2, 2, rng), PovmCollection(
+                [random_povm(dp, 2, rng) for _ in range(2)]))
+            for d, dp in ((2, 2), (3, 3), (2, 3)) for k in range(2)}
+
+
+@pytest.mark.parametrize("case", list(_sharp_games()))
+def test_sharp_unassisted_games_take_the_measurement_program(case):
+    game, meas = _sharp_games()[case]
+    best, solves = _solves(best_compatible_success, game, meas)
+    assert [prob.blocks for prob, _ in solves] == [[game.state_dim] * 4]  # o^n blocks of side d
+    assert abs(best - _channel_optimum(game, meas)) < 1e-7
+
+
+def test_the_measurement_program_is_tight_by_measure_and_prepare():
+    # measure the reduced optimum's parent, then prepare per setting an
+    # eigenvalue-1 eigenvector of the final effect of each outcome: the
+    # marginals of that joint channel score the optimum
+    for game, meas in _sharp_games().values():
+        best, [(_, sol)] = _solves(best_compatible_success, game, meas)
+        d, dp = game.state_dim, meas.dim
+        device = joint_device(d, [(2, True), (2, True)])
+        parent = device.joint(sol.block_values)
+        tops = [[np.linalg.eigh(m)[1][:, -1] for m in povm.elements] for povm in meas.povms]
+        choi = sum(kron(kron(*(np.outer(tops[x][i], tops[x][i].conj()) for x, i in enumerate(label))), g.T)
+                   for label, g in zip(device.labels, parent.elements)) / d
+        joint = JointChannel(d, (dp, dp), choi).validate()
+        strat = Strategy(preprocess=[marginal(joint, 1), marginal(joint, 2)], measurements=meas)
+        assert abs(success_prob(game, strat) - best) < 1e-7
+
+
+def test_smeared_effects_and_assisted_games_keep_the_channel_program():
+    rng = np.random.default_rng(73)
+    gaps = []
+    for _ in range(10):
+        game = random_game(2, 2, 2, rng)
+        meas = PovmCollection([Povm([0.8 * m + 0.1 * np.eye(2) for m in random_povm(2, 2, rng).elements])
+                               for _ in range(2)])
+        best, solves = _solves(best_compatible_success, game, meas)
+        assert [prob.blocks for prob, _ in solves] == [[8]]  # one joint channel block, dp^n d
+        reduced = best_compatible_success(game, meas, "measurements")
+        # largest eigenvalue 1 - eps = 0.9: the channel optimum is within eps of the reduced one
+        assert 0.9 * reduced - 1e-7 <= best <= reduced + 1e-7
+        gaps.append(reduced - best)
+    assert min(gaps) > 0.04  # so the reduction needs sharp effects
+    ids = [identity_channel(2), identity_channel(2)]
+    game, meas = game_from_channel_witness(robustness_channels_dual(ids), 2, 2)
+    ratio, solves = _solves(advantage_ratio, game, meas, Strategy(preprocess=ids, measurements=meas))
+    assert [prob.blocks for prob, _ in solves] == [[8]] and abs(ratio - 4 / 3) < 1e-5
+
+
 def test_symmetric_witness_gives_uniform_prior():
     p = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     w = WitnessSet("channels", 0.0, channel_ops=[p, p])
@@ -557,6 +629,12 @@ def _rejection_cases():
         "no measurements": (
             lambda: sp(game, Strategy()),
             ContractError, "strategy carries no measurements"),
+        "measurements in a list": (
+            lambda: sp(game, Strategy(measurements=[basis_povm(2)] * 2)),
+            ContractError, "final measurements must be a PovmCollection, got list"),
+        "measurements in a list, best": (
+            lambda: best(game, [basis_povm(2)] * 2),
+            ContractError, "final measurements must be a PovmCollection, got list"),
         "one measurement per setting": (
             lambda: sp(game, Strategy(measurements=PovmCollection([basis_povm(2)]))),
             DimensionError, "one final measurement per channel required"),
